@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from hopflab import convex_geometry as G
 from hopflab import elliptic_operator as E
@@ -208,14 +209,56 @@ def test_solve_raw_m_matrix_system():
     system = F.LinearSystem.from_arrays(A, b)
     sol = F.solve(system)
     assert sol.residual_norm <= 1e-10
+    # no grid, so the COLAMD column order: the same factors as SuperLU's
+    lu = spla.splu(system.matrix.tocsc(), permc_spec="COLAMD")
+    assert sol.fill == lu.nnz
 
 
 def test_solve_iterative_path():
     sol, system, _ = solve_preset("flat", "laplace", 2.0**-5)
     it = F.solve(system, direct_threshold=0)
     assert it.method.startswith("bicgstab")
+    assert it.fill == 0
     assert it.residual_norm <= 1e-9
     np.testing.assert_allclose(it.vec, sol.vec, atol=1e-8)
+
+
+def _mixed_drift_operator(a12):
+    """a11 = a22 = 1, constant a12 and the drift:1.5 field."""
+    def a_grid(X1, X2):
+        ones = np.ones(np.broadcast(np.asarray(X1), np.asarray(X2)).shape)
+        return ones, ones.copy(), np.full(ones.shape, a12)
+
+    return E.EllipticOperator(nu=1.0 - abs(a12), a_grid=a_grid,
+                              b_grid=E.preset_operator("drift:1.5").b_grid)
+
+
+@pytest.mark.parametrize("op", [E.preset_operator("laplace"),
+                                _mixed_drift_operator(0.4),
+                                _mixed_drift_operator(-0.4)],
+                         ids=["laplace", "a12=+0.4", "a12=-0.4"])
+def test_nested_dissection_matches_colamd(op):
+    dom = F.DiscreteDomain.build(G.preset_profile("log1", R0=0.5), 2.0**-7)
+    system = F.discretize(op, dom, bc_linear)
+    N = dom.n_unknowns
+    perm = F._nested_dissection(dom.interior_ij)
+    assert np.array_equal(np.sort(perm), np.arange(N))
+    sol = F.solve(system)
+    lu = spla.splu(system.matrix.tocsc(), permc_spec="COLAMD")
+    assert np.abs(sol.vec - lu.solve(system.rhs)).max() <= 1e-12
+    assert sol.residual_norm <= 1e-10
+    assert 0 < sol.fill < lu.nnz
+
+
+def test_nested_dissection_separator_order():
+    # 5 x 3 box of nodes: the middle column i = 2 separates, the lower
+    # half i < 2 comes first, the upper half next and the line last
+    ii, jj = np.meshgrid(np.arange(5), np.arange(3), indexing="ij")
+    ij = np.column_stack((ii.ravel(), jj.ravel()))
+    order = ij[F._nested_dissection(ij)]
+    assert np.all(order[:6, 0] < 2)
+    assert np.all(order[6:12, 0] > 2)
+    assert np.all(order[12:, 0] == 2)
 
 
 def test_empty_interior_raises_from_domain_build():
