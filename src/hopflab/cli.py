@@ -4,8 +4,9 @@ Exit codes: 0 success, 1 certificate/acceptance failure, 2 configuration
 error, 3 numerical failure.  Reports are plain text (key: value) and CSV,
 byte-reproducible for a fixed (config, seed, build); every report embeds
 the resolved configuration.  ``--config FILE`` reads key=value lines
-(grid.h, grid.R0, bc.kind, solver.tol, solver.max_iter, ...) which flags
-then override.  The default output directory comes from HOPFLAB_OUT.
+for grid.h, grid.R0, bc.kind, solver.tol and solver.max_iter, which
+flags then override; any other key is a configuration error.  The
+default output directory comes from HOPFLAB_OUT.
 """
 
 from __future__ import annotations
@@ -41,6 +42,21 @@ def _read_config(path):
         key, _, value = line.partition("=")
         cfg[key.strip()] = value.strip()
     return cfg
+
+
+def _resolve_config(args, default_h: float):
+    """(h, R0, bc kind, solver tol, solver max_iter): each flag over its
+    --config key over the default."""
+    cfg = _read_config(args.config) if args.config else {}
+    unknown = sorted(set(cfg) - {"grid.h", "grid.R0", "bc.kind",
+                                 "solver.tol", "solver.max_iter"})
+    if unknown:
+        raise ConfigError(f"unknown config key: {', '.join(unknown)}")
+    h = args.h if args.h is not None else float(cfg.get("grid.h", default_h))
+    R0 = args.R0 if args.R0 is not None else float(cfg.get("grid.R0", 0.5))
+    return (h, R0, args.bc or cfg.get("bc.kind", "linear"),
+            float(cfg.get("solver.tol", 1e-10)),
+            int(cfg.get("solver.max_iter", 20000)))
 
 
 def _out_dir(args) -> Path:
@@ -215,14 +231,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_solve(args) -> int:
     try:
-        cfg = {}
-        if args.config:
-            cfg = _read_config(args.config)
-        h = args.h if args.h is not None else float(cfg.get("grid.h", 2**-6))
-        R0 = args.R0 if args.R0 is not None else float(cfg.get("grid.R0", 0.5))
-        bc_kind = args.bc or cfg.get("bc.kind", "linear")
-        tol = float(cfg.get("solver.tol", 1e-10))
-        max_iter = int(cfg.get("solver.max_iter", 20000))
+        h, R0, bc_kind, tol, max_iter = _resolve_config(args, 2**-6)
         profile = geo.preset_profile(args.profile, R0=R0)
         op = ell.preset_operator(args.op)
         bc = decay.boundary_data(bc_kind, profile)
@@ -259,10 +268,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_decay(args) -> int:
     try:
-        cfg_file = _read_config(args.config) if args.config else {}
-        h = args.h if args.h is not None else float(cfg_file.get("grid.h", 2**-7))
-        R0 = args.R0 if args.R0 is not None else float(cfg_file.get("grid.R0", 0.5))
-        bc_kind = args.bc or cfg_file.get("bc.kind", "linear")
+        h, R0, bc_kind, _, _ = _resolve_config(args, 2**-7)
         base = decay.HopfExperiment(profile=args.profile or "log1",
                                     operator=args.op, R0=R0, K=args.K, h=h,
                                     bc=bc_kind, seed=args.seed)

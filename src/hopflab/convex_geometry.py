@@ -26,7 +26,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .modulus import Verdict, from_table, preset_modulus
+from .modulus import DomainError, Verdict, from_table, preset_modulus
 
 __all__ = [
     "BallInclusionReport",
@@ -39,6 +39,7 @@ __all__ = [
     "RadialProfile",
     "ResolutionError",
     "SandwichReport",
+    "arm_fraction",
     "ball_inclusion_check",
     "boundary_modulus",
     "curve_crossing_fraction",
@@ -52,10 +53,6 @@ __all__ = [
     "sandwich_check",
     "validate_profile",
 ]
-
-
-class DomainError(ValueError):
-    """Scale argument outside (0, R0] or a related domain violation."""
 
 
 class ResolutionError(ValueError):
@@ -527,28 +524,51 @@ class DomainMask:
 
 
 def curve_crossing_fraction(profile: BoundaryProfile, p_from, p_to,
-                            tol: float = 1e-12) -> float:
-    """Fraction s in (0, 1] along the segment p_from -> p_to at which it
-    crosses the graph x2 = F(x1).  p_from must lie strictly above the
-    graph and p_to on or below it.  Bisection to |ds| <= tol."""
-    x0, y0 = float(p_from[0]), float(p_from[1])
-    x1, y1 = float(p_to[0]), float(p_to[1])
+                            tol: float = 1e-12):
+    """Fractions s in (0, 1] along the segments p_from -> p_to (points
+    along the last axis) at which they cross the graph x2 = F(x1).  Every
+    p_from must lie strictly above the graph, every p_to on or below it.
+    All segments are bisected together to |ds| <= tol; the width halves
+    exactly from 1, so each takes the steps it would take alone.  One
+    segment gives a float."""
+    p_from = np.asarray(p_from, dtype=float)
+    p_to = np.asarray(p_to, dtype=float)
+    x0, y0 = p_from[..., 0], p_from[..., 1]
+    dx, dy = p_to[..., 0] - x0, p_to[..., 1] - y0
 
-    def g(s: float) -> float:
-        return (y0 + s * (y1 - y0)) - profile_height(profile, x0 + s * (x1 - x0))
+    def g(s):
+        return (y0 + s * dy) - profile.height(x0 + s * dx)
 
-    if g(0.0) <= 0.0:
+    if np.any(g(0.0) <= 0.0):
         raise ValueError("segment start must lie above the graph")
-    if g(1.0) > 0.0:
+    if np.any(g(1.0) > 0.0):
         raise ValueError("segment end must lie on or below the graph")
-    lo, hi = 0.0, 1.0
-    while hi - lo > tol:
+    lo, hi = np.zeros(x0.shape), np.ones(x0.shape)
+    width = 1.0
+    while width > tol:
         mid = 0.5 * (lo + hi)
-        if g(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return max(hi, tol)
+        above = g(mid) > 0.0
+        lo = np.where(above, mid, lo)
+        hi = np.where(above, hi, mid)
+        width *= 0.5
+    out = np.maximum(hi, tol)
+    return float(out) if out.ndim == 0 else out
+
+
+def arm_fraction(mask: DomainMask, profile: BoundaryProfile, i, j,
+                 di: int, dj: int) -> np.ndarray:
+    """Arm fractions from the nodes (i, j) toward (i + di, j + dj).
+
+    1 where the neighbor is a node of the closed domain (INTERIOR, EDGE
+    or CURVE); where it lies below the graph, the fraction of the arm at
+    which the graph is crossed."""
+    ni, nj = i + di, j + dj
+    frac = np.ones(i.shape)
+    out = mask.cls[ni, nj] == EXTERIOR
+    p_from = np.stack((mask.x1[i[out]], mask.x2[j[out]]), axis=-1)
+    p_to = np.stack((mask.x1[ni[out]], mask.x2[nj[out]]), axis=-1)
+    frac[out] = curve_crossing_fraction(profile, p_from, p_to)
+    return frac
 
 
 def domain_mask(profile: BoundaryProfile, h: float,
@@ -558,8 +578,9 @@ def domain_mask(profile: BoundaryProfile, h: float,
 
     The x1 = 0 column is a grid line; R0 and the box height must be
     integer multiples of h.  Fractional distances to the curve are exact
-    along the vertical axis and located by bisection along the horizontal
-    axis (tolerance 1e-12 per unit arm)."""
+    along the vertical axis and located by one vectorized bisection over
+    all crossing arms along the horizontal axis (tolerance 1e-12 per unit
+    arm)."""
     if profile.ambient_dim != 2:
         raise ValueError("rasterization supports planar profiles only")
     R0 = profile.R0
@@ -593,6 +614,8 @@ def domain_mask(profile: BoundaryProfile, h: float,
     frac_w = np.full(cls.shape, np.nan)
     frac_e = np.full(cls.shape, np.nan)
     frac_s = np.full(cls.shape, np.nan)
+    mask = DomainMask(h=h, x1=x1, x2=x2, cls=cls,
+                      frac_w=frac_w, frac_e=frac_e, frac_s=frac_s)
     interior = cls == INTERIOR
     crossed = (cls == EXTERIOR) | (cls == CURVE)
 
@@ -603,28 +626,12 @@ def domain_mask(profile: BoundaryProfile, h: float,
     ii, jj = np.nonzero(s_mask)
     frac_s[ii, jj] = np.clip((x2[jj] - F[ii]) / h, tol, 1.0)
 
-    # horizontal arms need a root find against the graph
-    w_mask = interior.copy()
-    w_mask[1:, :] &= crossed[:-1, :]
-    w_mask[0, :] = False
-    for i, j in zip(*np.nonzero(w_mask)):
-        if cls[i - 1, j] == CURVE:
-            frac_w[i, j] = 1.0
-        else:
-            frac_w[i, j] = curve_crossing_fraction(
-                profile, (x1[i], x2[j]), (x1[i - 1], x2[j]))
-    e_mask = interior.copy()
-    e_mask[:-1, :] &= crossed[1:, :]
-    e_mask[-1, :] = False
-    for i, j in zip(*np.nonzero(e_mask)):
-        if cls[i + 1, j] == CURVE:
-            frac_e[i, j] = 1.0
-        else:
-            frac_e[i, j] = curve_crossing_fraction(
-                profile, (x1[i], x2[j]), (x1[i + 1], x2[j]))
-
-    return DomainMask(h=h, x1=x1, x2=x2, cls=cls,
-                      frac_w=frac_w, frac_e=frac_e, frac_s=frac_s)
+    # horizontal arms need a root find against the graph; the box sides
+    # hold no interior node, so rolling the columns wraps onto none
+    for frac, di in ((frac_w, -1), (frac_e, 1)):
+        ii, jj = np.nonzero(interior & np.roll(crossed, -di, axis=0))
+        frac[ii, jj] = arm_fraction(mask, profile, ii, jj, di, 0)
+    return mask
 
 
 # ----------------------------------------------------------------------

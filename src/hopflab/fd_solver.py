@@ -9,7 +9,9 @@ nonzero mixed coefficient is split as
         = -(a11 - |a12|) u_11 - (a22 - |a12|) u_22 - 2 |a12| u_dd
 
 with u_dd the second derivative along the diagonal matching sign(a12),
-again with shortened arms.  Under |a12| <= min(a11, a22) every
+again with shortened arms.  Both diagonal arms find their crossing with
+the curve through ``arm_fraction``, the vectorized bisection that also
+gives the horizontal arms of the mask.  Under |a12| <= min(a11, a22) every
 off-diagonal entry is nonpositive and the matrix is an M-matrix, which
 gives the discrete maximum and comparison principles.  Drift terms are
 upwinded.  Dirichlet data: u = 0 on the curve, caller-supplied values on
@@ -33,8 +35,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .convex_geometry import (CURVE, EDGE, EXTERIOR, INTERIOR,
-                              BoundaryProfile, DomainMask,
-                              curve_crossing_fraction, domain_mask)
+                              BoundaryProfile, DomainMask, arm_fraction,
+                              domain_mask)
 from .elliptic_operator import EllipticOperator, EmptyRegionError
 
 __all__ = [
@@ -142,18 +144,6 @@ class DiscreteSolution:
     fill: int = 0
 
 
-def _diagonal_fraction(profile, x1, x2, cls, i, j, di, dj):
-    """Arm fraction toward the diagonal neighbor (i+di, j+dj)."""
-    ni, nj = i + di, j + dj
-    if cls[ni, nj] == INTERIOR or cls[ni, nj] == EDGE:
-        return 1.0, cls[ni, nj]
-    if cls[ni, nj] == CURVE:
-        return 1.0, CURVE
-    frac = curve_crossing_fraction(
-        profile, (x1[i], x2[j]), (x1[ni], x2[nj]))
-    return frac, EXTERIOR
-
-
 def discretize(op: EllipticOperator, dom: DiscreteDomain,
                bc_top_side: Callable, source: Optional[Callable] = None,
                a12_tol: float = 1e-12) -> LinearSystem:
@@ -229,48 +219,36 @@ def discretize(op: EllipticOperator, dom: DiscreteDomain,
     cross_e = ~np.isnan(fe) & (cls[ii + 1, jj] == EXTERIOR)
     cross_s = ~np.isnan(fs) & (cls[ii, jj - 1] == EXTERIOR)
 
-    def second_diff(weight, a_minus, a_plus, di, dj, cross_minus, cross_plus):
-        """-(weight) d^2/ds^2 along the axis (di, dj)."""
-        denom = h * h
+    def second_diff(k, weight, a_minus, a_plus, di, dj, cross_minus,
+                    cross_plus, denom):
+        """-(weight) d^2/ds^2 at the nodes k along the step (di, dj), whose
+        squared length is denom."""
         c_m = -2.0 * weight / (a_minus * (a_minus + a_plus) * denom)
         c_p = -2.0 * weight / (a_plus * (a_minus + a_plus) * denom)
-        diag_add = 2.0 * weight / (a_minus * a_plus * denom)
-        diag[:] += diag_add
+        diag[k] += 2.0 * weight / (a_minus * a_plus * denom)
+        i, j = ii[k], jj[k]
         keep_m = ~cross_minus & (np.abs(c_m) > 0.0)
-        couple(karr[keep_m], ii[keep_m] + (-di), jj[keep_m] + (-dj), c_m[keep_m])
+        couple(k[keep_m], i[keep_m] - di, j[keep_m] - dj, c_m[keep_m])
         keep_p = ~cross_plus & (np.abs(c_p) > 0.0)
-        couple(karr[keep_p], ii[keep_p] + di, jj[keep_p] + dj, c_p[keep_p])
+        couple(k[keep_p], i[keep_p] + di, j[keep_p] + dj, c_p[keep_p])
         # crossing arms end on the curve where u = 0: only the diagonal term
 
-    second_diff(A1, alpha_w, alpha_e, 1, 0, cross_w, cross_e)
-    second_diff(A2, alpha_s, alpha_n, 0, 1, cross_s, np.zeros(N, dtype=bool))
+    second_diff(karr, A1, alpha_w, alpha_e, 1, 0, cross_w, cross_e, h * h)
+    second_diff(karr, A2, alpha_s, alpha_n, 0, 1, cross_s,
+                np.zeros(N, dtype=bool), h * h)
 
-    # ---- mixed term: second difference along one diagonal --------------
-    mixed = np.abs(a12) > 0.0
-    if np.any(mixed):
-        for k in np.nonzero(mixed)[0]:
-            i, j = int(ii[k]), int(jj[k])
-            s = 1 if a12[k] > 0.0 else -1
-            # diagonal (s, 1) direction: "plus" arm toward (i+s, j+1),
-            # "minus" arm toward (i-s, j-1); spacing sqrt(2) h
-            fp, cls_p = _diagonal_fraction(dom.profile, x1, x2, cls,
-                                           i, j, s, 1)
-            fm, cls_m = _diagonal_fraction(dom.profile, x1, x2, cls,
-                                           i, j, -s, -1)
-            weight = 2.0 * abs(a12[k])
-            denom = 2.0 * h * h  # (sqrt(2) h)^2
-            diag[k] += 2.0 * weight / (fp * fm * denom)
-            for frac, tcls, di, dj in ((fp, cls_p, s, 1), (fm, cls_m, -s, -1)):
-                coef = -2.0 * weight / (frac * (fp + fm) * denom)
-                ti, tj = i + di, j + dj
-                if tcls == INTERIOR:
-                    rows.append(np.array([k]))
-                    cols.append(np.array([idx[ti, tj]]))
-                    vals.append(np.array([coef]))
-                elif tcls == EDGE:
-                    g = float(bc_top_side(x1[ti], x2[tj]))
-                    rhs[k] -= coef * g
-                # CURVE or crossing: u = 0 there
+    # ---- mixed term: second difference along the diagonal (s, 1) with
+    # s = sign(a12), spacing sqrt(2) h.  The arm toward (i+s, j+1) goes
+    # in as the minus side of the step (-s, -1), so that at nodes whose
+    # two arms both end on box data its rhs update comes first.
+    for s in (1, -1):
+        k = np.nonzero(s * a12 > 0.0)[0]
+        i, j = ii[k], jj[k]
+        fp = arm_fraction(mask, dom.profile, i, j, s, 1)
+        fm = arm_fraction(mask, dom.profile, i, j, -s, -1)
+        second_diff(k, 2.0 * np.abs(a12[k]), fp, fm, -s, -1,
+                    cls[i + s, j + 1] == EXTERIOR,
+                    cls[i - s, j - 1] == EXTERIOR, 2.0 * h * h)
 
     # ---- upwinded drift -------------------------------------------------
     up1 = b1 > 0.0

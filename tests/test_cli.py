@@ -104,6 +104,35 @@ def test_solve_config_file(tmp_path):
     assert "grid.h: 0.0625" in (tmp_path / "solve_summary.txt").read_text()
 
 
+@pytest.mark.parametrize("command", [
+    ["solve", "--profile", "flat"],
+    ["decay", "--profile", "log1", "--K", "2"],
+], ids=["solve", "decay"])
+@pytest.mark.parametrize("key", ["grid.H", "solver.maxiter"])
+def test_config_unknown_key_exit_2(tmp_path, capsys, command, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"grid.h = 0.015625\n{key} = 7\n", encoding="utf-8")
+    assert run_cli(command + ["--config", str(cfg)], tmp_path) == 2
+    assert key in capsys.readouterr().err
+
+
+def test_decay_config_file_matches_flags(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("grid.h = 0.015625\ngrid.R0 = 0.5\nbc.kind = linear\n"
+                   "solver.tol = 1e-10\nsolver.max_iter = 500\n",
+                   encoding="utf-8")
+    d1 = tmp_path / "a"
+    d2 = tmp_path / "b"
+    d1.mkdir()
+    d2.mkdir()
+    assert run_cli(["decay", "--profile", "log1", "--K", "2", "--config",
+                    str(cfg)], d1) == 0
+    assert run_cli(["decay", "--profile", "log1", "--K", "2",
+                    "--h", "0.015625"], d2) == 0
+    for name in ("decay_levels.csv", "decay_summary.txt"):
+        assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+
 def test_solve_bad_grid_exit_2(tmp_path):
     assert run_cli(["solve", "--profile", "flat", "--h", "0.3"],
                    tmp_path) == 2

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hopflab import convex_geometry as G
+from hopflab import modulus as M
 
 
 # ---------------------------------------------------------------- oracles
@@ -82,6 +83,7 @@ def test_delta_domain_error():
         G.delta(p, 0.6)
     with pytest.raises(G.DomainError):
         G.delta(p, 0.0)
+    assert G.DomainError is M.DomainError
 
 
 # ---------------------------------------------------------------- delta1
@@ -323,6 +325,81 @@ def test_mask_horizontal_fraction_matches_inverse():
         assert m.frac_e[i, j] == pytest.approx(frac_exact, abs=1e-10)
         checked += 1
     assert checked > 0
+
+
+def scalar_crossing_fraction(profile, p_from, p_to, tol=1e-12):
+    """Reference: bisection of one segment at a time, point by point."""
+    x0, y0 = float(p_from[0]), float(p_from[1])
+    x1, y1 = float(p_to[0]), float(p_to[1])
+
+    def g(s):
+        return (y0 + s * (y1 - y0)) - G.profile_height(profile,
+                                                       x0 + s * (x1 - x0))
+
+    assert g(0.0) > 0.0 and g(1.0) <= 0.0
+    lo, hi = 0.0, 1.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if g(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return max(hi, tol)
+
+
+CROSSING_PROFILES = [
+    G.preset_profile("log1", R0=0.5),
+    G.preset_profile("power:1", R0=0.5),
+    G.preset_profile("wedge:2.0944", R0=0.5),
+    G.MaxAffineProfile(slopes=[[0.0], [0.9], [-0.3], [1.7]],
+                       offsets=[0.0, -0.02, -0.005, -0.11], R0=0.5),
+]
+CROSSING_IDS = ["log1", "power:1", "wedge:2.0944", "maxaffine"]
+
+
+def reference_arm(m, profile, i, j, di, dj):
+    ni, nj = i + di, j + dj
+    if m.cls[ni, nj] != G.EXTERIOR:
+        return 1.0
+    return scalar_crossing_fraction(profile, (m.x1[i], m.x2[j]),
+                                    (m.x1[ni], m.x2[nj]))
+
+
+@pytest.mark.parametrize("prof", CROSSING_PROFILES, ids=CROSSING_IDS)
+def test_mask_crossings_match_scalar_bisection(prof):
+    m = G.domain_mask(prof, h=2.0**-6)
+    checked = 0
+    for frac, di in ((m.frac_w, -1), (m.frac_e, 1)):
+        for i, j in zip(*np.nonzero(~np.isnan(frac))):
+            assert frac[i, j] == reference_arm(m, prof, i, j, di, 0)
+            checked += m.cls[i + di, j] == G.EXTERIOR
+    assert checked > 0
+
+
+@pytest.mark.parametrize("prof", CROSSING_PROFILES, ids=CROSSING_IDS)
+def test_diagonal_arm_fraction_matches_scalar_bisection(prof):
+    m = G.domain_mask(prof, h=2.0**-6)
+    ii, jj = np.nonzero(m.cls == G.INTERIOR)
+    for di, dj in ((1, -1), (-1, -1), (1, 1), (-1, 1)):
+        got = G.arm_fraction(m, prof, ii, jj, di, dj)
+        want = [reference_arm(m, prof, i, j, di, dj)
+                for i, j in zip(ii, jj)]
+        assert np.array_equal(got, want)
+        if dj < 0:
+            assert np.any(got < 1.0)
+
+
+def test_crossing_fraction_batch_rejects_bad_segment():
+    prof = G.preset_profile("power:1", R0=0.5)
+    p_from = np.array([[0.0, 0.1], [0.2, 0.1], [0.1, 0.3]])
+    p_to = np.array([[0.0, -0.1], [0.4, 0.1], [0.1, 0.2]])  # last stays above
+    with pytest.raises(ValueError):
+        G.curve_crossing_fraction(prof, p_from, p_to)
+    ok = G.curve_crossing_fraction(prof, p_from[:2], p_to[:2])
+    assert ok.shape == (2,)
+    assert ok[0] == scalar_crossing_fraction(prof, p_from[0], p_to[0])
+    assert isinstance(G.curve_crossing_fraction(prof, p_from[0], p_to[0]),
+                      float)
 
 
 def test_mask_resolution_error():

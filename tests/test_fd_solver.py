@@ -17,10 +17,26 @@ def bc_linear(X1, X2):
 
 
 def solve_preset(profile_id, op_id, h, bc=bc_linear, R0=0.5, source=None):
+    """Solve on a preset profile; ``op_id`` is a preset id or an operator."""
     prof = G.preset_profile(profile_id, R0=R0)
     dom = F.DiscreteDomain.build(prof, h)
-    system = F.discretize(E.preset_operator(op_id), dom, bc, source=source)
+    op = E.preset_operator(op_id) if isinstance(op_id, str) else op_id
+    system = F.discretize(op, dom, bc, source=source)
     return F.solve(system), system, dom
+
+
+def _mixed_drift_operator(a12):
+    """a11 = a22 = 1, constant a12 and the drift:1.5 field."""
+    def a_grid(X1, X2):
+        ones = np.ones(np.broadcast(np.asarray(X1), np.asarray(X2)).shape)
+        return ones, ones.copy(), np.full(ones.shape, a12)
+
+    return E.EllipticOperator(nu=1.0 - abs(a12), a_grid=a_grid,
+                              b_grid=E.preset_operator("drift:1.5").b_grid)
+
+
+MIXED_DRIFT = [pytest.param(_mixed_drift_operator(0.4), id="a12=+0.4"),
+               pytest.param(_mixed_drift_operator(-0.4), id="a12=-0.4")]
 
 
 # ---------------------------------------------------------------- exactness
@@ -74,7 +90,8 @@ def test_mixed_term_and_drift_exact_on_linear():
     ("power:1", "aniso:0.5,2"),
     ("log1", "checker:0.25"),
     ("power:0.5", "drift:2.0"),
-])
+] + [pytest.param("log1", p.values[0], id=f"log1-{p.id}")
+     for p in MIXED_DRIFT])
 def test_m_matrix_structure(profile_id, op_id):
     _, system, _ = solve_preset(profile_id, op_id, 2.0**-6)
     rep = system.m_matrix_report()
@@ -105,7 +122,8 @@ def test_shortley_weller_fractions_in_rows():
 # ---------------------------------------------------------------- principles
 
 @pytest.mark.parametrize("op_id", ["laplace", "aniso:0.5,2",
-                                   "checker:0.25", "drift:2.0"])
+                                   "checker:0.25", "drift:2.0"]
+                         + MIXED_DRIFT)
 def test_discrete_maximum_principle(op_id):
     sol, _, dom = solve_preset("log1", op_id, 2.0**-6)
     assert sol.vec.min() >= -1e-12
@@ -223,20 +241,8 @@ def test_solve_iterative_path():
     np.testing.assert_allclose(it.vec, sol.vec, atol=1e-8)
 
 
-def _mixed_drift_operator(a12):
-    """a11 = a22 = 1, constant a12 and the drift:1.5 field."""
-    def a_grid(X1, X2):
-        ones = np.ones(np.broadcast(np.asarray(X1), np.asarray(X2)).shape)
-        return ones, ones.copy(), np.full(ones.shape, a12)
-
-    return E.EllipticOperator(nu=1.0 - abs(a12), a_grid=a_grid,
-                              b_grid=E.preset_operator("drift:1.5").b_grid)
-
-
-@pytest.mark.parametrize("op", [E.preset_operator("laplace"),
-                                _mixed_drift_operator(0.4),
-                                _mixed_drift_operator(-0.4)],
-                         ids=["laplace", "a12=+0.4", "a12=-0.4"])
+@pytest.mark.parametrize("op", [pytest.param(E.preset_operator("laplace"),
+                                             id="laplace")] + MIXED_DRIFT)
 def test_nested_dissection_matches_colamd(op):
     dom = F.DiscreteDomain.build(G.preset_profile("log1", R0=0.5), 2.0**-7)
     system = F.discretize(op, dom, bc_linear)
