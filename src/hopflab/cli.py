@@ -5,8 +5,10 @@ error, 3 numerical failure.  Reports are plain text (key: value) and CSV,
 byte-reproducible for a fixed (config, seed, build); every report embeds
 the resolved configuration.  ``--config FILE`` reads key=value lines
 for grid.h, grid.R0, bc.kind, solver.tol and solver.max_iter, which
-flags then override; any other key is a configuration error.  The
-default output directory comes from HOPFLAB_OUT.
+flags then override; any other key is a configuration error.  ``solve``
+and ``decay`` both hand solver.tol and solver.max_iter to
+``fd_solver.solve``, whose iterative path uses them.  The default output
+directory comes from HOPFLAB_OUT.
 """
 
 from __future__ import annotations
@@ -268,10 +270,11 @@ def _cmd_solve(args) -> int:
 
 def _cmd_decay(args) -> int:
     try:
-        h, R0, bc_kind, _, _ = _resolve_config(args, 2**-7)
+        h, R0, bc_kind, tol, max_iter = _resolve_config(args, 2**-7)
         base = decay.HopfExperiment(profile=args.profile or "log1",
                                     operator=args.op, R0=R0, K=args.K, h=h,
-                                    bc=bc_kind, seed=args.seed)
+                                    bc=bc_kind, seed=args.seed, tol=tol,
+                                    max_iter=max_iter)
         base.validate()
         if args.contrast:
             profiles = [p.strip() for p in args.contrast.split(",") if p.strip()]

@@ -22,7 +22,7 @@ from __future__ import annotations
 import enum
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -79,7 +79,8 @@ class HopfExperiment:
     """Configuration of one decay experiment.
 
     Radii are r_k = 2^-k R0 for k = 0..K; the smallest cylinder must hold
-    at least 8 grid cells (2^-K R0 >= 8h)."""
+    at least 8 grid cells (2^-K R0 >= 8h).  ``tol`` and ``max_iter`` go to
+    ``fd_solver.solve``; they act on its iterative path only."""
 
     profile: str
     operator: str = "laplace"
@@ -88,6 +89,8 @@ class HopfExperiment:
     h: float = 2.0**-7
     bc: str = "linear"
     seed: int = 0
+    tol: float = 1e-10
+    max_iter: Optional[int] = None
 
     def validate(self) -> None:
         if self.K < 1:
@@ -101,11 +104,13 @@ class HopfExperiment:
 def sector_harmonic(theta: float) -> Callable:
     """Harmonic function rho^(pi/theta) sin(pi phi/theta) vanishing on both
     edges of the planar sector of opening theta, symmetric about the x2
-    axis.  On the x1 = 0 ray it equals x2^(pi/theta)."""
+    axis.  On the x1 = 0 ray it equals x2^(pi/theta).  It is evaluated on
+    |x1|, so u(-x1, x2) == u(x1, x2) bitwise and sector data keep a
+    mirror-symmetric system exactly symmetric."""
     beta0 = math.pi / 2.0 - theta / 2.0
 
     def u(X1, X2):
-        X1 = np.asarray(X1, dtype=float)
+        X1 = np.abs(np.asarray(X1, dtype=float))
         X2 = np.asarray(X2, dtype=float)
         rho = np.hypot(X1, X2)
         phi = np.arctan2(X2, X1) - beta0
@@ -186,7 +191,8 @@ def run_experiment(cfg: HopfExperiment) -> DecayReport:
     op = preset_operator(cfg.operator)
     bc = boundary_data(cfg.bc, profile)
     dom = fds.DiscreteDomain.build(profile, cfg.h)
-    sol = fds.solve(fds.discretize(op, dom, bc))
+    sol = fds.solve(fds.discretize(op, dom, bc), tol=cfg.tol,
+                    max_iter=cfg.max_iter)
 
     radii = [2.0 ** -k * cfg.R0 for k in range(cfg.K + 1)]
     osc = []
@@ -435,8 +441,7 @@ def contrast_suite(profiles: Sequence[str], operator: str,
     product at depth K sits below every Dini profile's."""
     reports = {}
     for p in profiles:
-        c = HopfExperiment(profile=p, operator=operator, R0=cfg.R0, K=cfg.K,
-                           h=cfg.h, bc=cfg.bc, seed=cfg.seed)
+        c = replace(cfg, profile=p, operator=operator)
         reports[p] = run_experiment(c)
     verdicts = {p: r.dini_verdict for p, r in reports.items()}
     if not any(v == Verdict.NON_DINI for v in verdicts.values()) or \

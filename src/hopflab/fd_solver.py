@@ -22,6 +22,12 @@ order built from their grid coordinates: grid lines separate both
 stencils, so the LU factors fill far less than under a column ordering
 that does not know the grid.  SuperLU's threshold partial pivoting
 stays on as a guard, although on these M-matrices it exchanges no rows.
+
+A radial graph x2 = f(|x1|) with an even operator and even data gives a
+system that is exactly invariant under the mirror x1 -> -x1, and its
+solution is even.  The direct solve checks that invariance bitwise and
+then factorizes only the half grid i >= center_col, with each left-half
+column merged onto its mirror; any other system is solved whole.
 """
 
 from __future__ import annotations
@@ -137,10 +143,11 @@ class DiscreteSolution:
     iterations: int
     dom: DiscreteDomain
     method: str
-    # entries SuperLU stores for the L and U factors of a direct solve,
-    # 0 after an iterative one.  Under the nested-dissection order this
-    # is within 0.1% of nnz(L) + nnz(U) and, unlike that, needs no copy
-    # of the factors.
+    # entries SuperLU stores for the L and U factors of a direct solve
+    # (of the folded half system when the system was mirror-folded), 0
+    # after an iterative one.  Under the nested-dissection order this is
+    # within 0.1% of nnz(L) + nnz(U) and, unlike that, needs no copy of
+    # the factors.
     fill: int = 0
 
 
@@ -345,6 +352,46 @@ def _nested_dissection(ij: np.ndarray) -> np.ndarray:
     return np.argsort(key, kind="stable")
 
 
+def _mirror_fold(system: LinearSystem):
+    """Fold of a grid system that is exactly mirror-invariant; else None.
+
+    With ``m`` the unknown at the mirror node (n1 - 1 - i, j) of each
+    unknown, the system folds only when every node has a mirror unknown,
+    ``rhs[m] == rhs`` and ``A[m][:, m] == A``, all bitwise.  Then its
+    solution is even, and the rows of the unknowns with i >= center_col,
+    each column moved to its kept mirror, form a system for that half
+    alone (duplicates summed: on the center column the W and E arms
+    merge, so off-diagonals stay <= 0 and row sums do not change).
+
+    Returns ``(keep, rep, matrix)``: the kept unknowns, ``rep`` mapping
+    every unknown to its row in the half system (so ``x = xf[rep]``),
+    and the half system's matrix in CSC form.  A system without a domain
+    has no mirror and gives None.
+    """
+    dom = system.dom
+    if dom is None:
+        return None
+    ii, jj = dom.interior_ij[:, 0], dom.interior_ij[:, 1]
+    m = dom.index[dom.mask.x1.size - 1 - ii, jj]
+    if np.any(m < 0) or not np.array_equal(system.rhs[m], system.rhs):
+        return None
+    A = system.matrix.tocsr().sorted_indices()
+    B = A[m][:, m].sorted_indices()
+    if not (np.array_equal(A.indptr, B.indptr)
+            and np.array_equal(A.indices, B.indices)
+            and np.array_equal(A.data, B.data)):
+        return None
+    right = ii >= dom.mask.center_col
+    keep = np.nonzero(right)[0]
+    rep = np.empty(ii.size, dtype=np.intp)
+    rep[keep] = np.arange(keep.size)
+    rep[~right] = rep[m[~right]]
+    half = A[keep].tocoo()
+    matrix = sp.csc_matrix((half.data, (half.row, rep[half.col])),
+                           shape=(keep.size, keep.size))
+    return keep, rep, matrix
+
+
 def solve(system: LinearSystem, tol: float = 1e-10,
           max_iter: Optional[int] = None,
           direct_threshold: int = 600_000) -> DiscreteSolution:
@@ -363,22 +410,38 @@ def solve(system: LinearSystem, tol: float = 1e-10,
     unchanged.  SuperLU's threshold partial pivoting stays on.  On the
     assembled M-matrices it has exchanged no rows, as expected, but it
     keeps the factorization stable should some system need a row
-    exchange after all."""
+    exchange after all.
+
+    A grid system that is exactly invariant under the mirror x1 -> -x1
+    (``_mirror_fold``: mirror map, rhs and matrix equal bitwise) is
+    factorized on the half grid i >= center_col alone, in the nested-
+    dissection order of those nodes, and its solution unfolded to every
+    unknown; about half the factorization work on the radial profiles.
+    Any other system, for instance one with a12 != 0 or a drift, is
+    factorized whole.  Either way the residual is that of the full
+    system, and ``direct_threshold`` compares the full unknown count."""
     A = system.matrix.tocsc()
     b = system.rhs
     N = A.shape[0]
     iterations = 0
     fill = 0
     if N <= direct_threshold:
+        Ad, bd, fold = A, b, _mirror_fold(system)
+        if fold is not None:
+            keep, rep, Ad = fold
+            bd = b[keep]
         if system.dom is None:
             # no grid coordinates: SuperLU picks the column order
             p, permc_spec = np.arange(N), "COLAMD"
         else:
-            p = _nested_dissection(system.dom.interior_ij)
+            ij = system.dom.interior_ij
+            p = _nested_dissection(ij if fold is None else ij[keep])
             permc_spec = "NATURAL"
-        lu = spla.splu(A[p][:, p], permc_spec=permc_spec)
-        x = np.empty(N)
-        x[p] = lu.solve(b[p])
+        lu = spla.splu(Ad[p][:, p], permc_spec=permc_spec)
+        x = np.empty(bd.size)
+        x[p] = lu.solve(bd[p])
+        if fold is not None:
+            x = x[rep]
         fill = int(lu.nnz)
         method = "splu"
     else:

@@ -191,3 +191,21 @@ def test_console_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "verdict: Dini" in proc.stdout
+
+
+def test_decay_config_solver_keys_reach_solve(tmp_path, monkeypatch):
+    from hopflab import fd_solver
+    calls = []
+    inner = fd_solver.solve
+
+    def solve(system, **kwargs):
+        calls.append(kwargs)
+        return inner(system, **kwargs)
+
+    monkeypatch.setattr(fd_solver, "solve", solve)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("grid.h = 0.015625\nsolver.tol = 1e-7\n"
+                   "solver.max_iter = 500\n", encoding="utf-8")
+    assert run_cli(["decay", "--profile", "log1", "--K", "2", "--config",
+                    str(cfg)], tmp_path) == 0
+    assert calls == [{"tol": 1e-7, "max_iter": 500}]

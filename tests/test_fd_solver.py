@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings, strategies as st
 
 from hopflab import convex_geometry as G
 from hopflab import elliptic_operator as E
@@ -265,6 +267,126 @@ def test_nested_dissection_separator_order():
     assert np.all(order[:6, 0] < 2)
     assert np.all(order[6:12, 0] > 2)
     assert np.all(order[12:, 0] == 2)
+
+
+def _unfolded_nd_solve(system):
+    """The whole system factorized in nested-dissection order: the direct
+    path of a system that does not fold.  Returns (x, SuperLU.nnz)."""
+    p = F._nested_dissection(system.dom.interior_ij)
+    lu = spla.splu(system.matrix.tocsc()[p][:, p], permc_spec="NATURAL")
+    x = np.empty(p.size)
+    x[p] = lu.solve(system.rhs[p])
+    return x, lu.nnz
+
+
+def _laplace_system(profile, h, bc=bc_linear):
+    dom = F.DiscreteDomain.build(profile, h)
+    return F.discretize(E.preset_operator("laplace"), dom, bc)
+
+
+@pytest.mark.parametrize("h", [2.0**-6, 2.0**-7])
+@pytest.mark.parametrize("profile_id", ["log1", "power:0.5", "flat",
+                                        "cone:0.4", "wedge:2.0944"])
+def test_mirror_fold_matches_full_solve(profile_id, h):
+    prof = G.preset_profile(profile_id, R0=0.5)
+    bc = sector_harmonic(2.0944) if profile_id.startswith("wedge") \
+        else bc_linear
+    system = _laplace_system(prof, h, bc)
+    fold = F._mirror_fold(system)
+    assert fold is not None
+    sol = F.solve(system)
+    lu = spla.splu(system.matrix.tocsc(), permc_spec="COLAMD")
+    assert np.abs(sol.vec - lu.solve(system.rhs)).max() <= 1e-12
+    assert sol.residual_norm <= 1e-12
+    assert 0 < sol.fill < _unfolded_nd_solve(system)[1]
+    # the fold only merges columns: the half matrix is still an M-matrix
+    # with the row sums of the kept rows
+    keep, _, half = fold
+    coo = half.tocoo()
+    assert coo.data[coo.row != coo.col].max() <= 0.0
+    np.testing.assert_allclose(np.asarray(half.sum(axis=1)).ravel(),
+                               np.asarray(system.matrix.sum(axis=1)).ravel()
+                               [keep], rtol=1e-12, atol=1e-9)
+
+
+@pytest.mark.parametrize("where", ["rhs", "matrix"])
+def test_mirror_fold_needs_bitwise_symmetry(where):
+    system = _laplace_system(G.preset_profile("log1", R0=0.5), 2.0**-6)
+    if where == "rhs":
+        rhs = system.rhs.copy()
+        k = int(np.nonzero(rhs)[0][0])
+        rhs[k] = np.nextafter(rhs[k], np.inf)
+        system = dataclasses.replace(system, rhs=rhs)
+    else:
+        # row 0 sits left of the center column, so its mirror is another row
+        matrix = system.matrix.copy()
+        matrix.data[matrix.indptr[0]] = np.nextafter(
+            matrix.data[matrix.indptr[0]], -np.inf)
+        system = dataclasses.replace(system, matrix=matrix)
+    assert F._mirror_fold(system) is None
+    sol = F.solve(system)
+    x, fill = _unfolded_nd_solve(system)
+    assert sol.fill == fill
+    np.testing.assert_array_equal(sol.vec, x)
+    assert sol.residual_norm <= 1e-12
+
+
+def _max_affine(slopes, offsets):
+    return G.MaxAffineProfile(slopes=np.asarray(slopes)[:, None],
+                              offsets=offsets, R0=0.5)
+
+
+@pytest.mark.parametrize("profile,op", [
+    pytest.param("log1", p.values[0], id=f"log1-{p.id}") for p in MIXED_DRIFT
+] + [
+    pytest.param("log1", E.preset_operator("drift:1.5"), id="drift:1.5"),
+    pytest.param(_max_affine([0.3, -0.5], [0.0, 0.0]),
+                 E.preset_operator("laplace"), id="asymmetric-max-affine"),
+])
+def test_mirror_fold_skips_asymmetric_systems(profile, op):
+    prof = G.preset_profile(profile, R0=0.5) if isinstance(profile, str) \
+        else profile
+    dom = F.DiscreteDomain.build(prof, 2.0**-6)
+    system = F.discretize(op, dom, bc_linear)
+    assert F._mirror_fold(system) is None
+    assert F.solve(system).fill == _unfolded_nd_solve(system)[1]
+
+
+_max_affine_pieces = st.lists(
+    st.tuples(st.floats(0.0, 0.9), st.floats(-0.3, -0.05)), max_size=3)
+
+
+@settings(max_examples=20, deadline=None)
+@given(s0=st.floats(0.1, 0.6), pieces=_max_affine_pieces,
+       stretch=st.floats(0.05, 0.5))
+def test_mirror_fold_random_max_affine(s0, pieces, stretch):
+    # slopes in +- pairs fold and match the whole solve; stretching one
+    # slope of the pair through the origin, which alone is active at
+    # x1 = +-h, breaks the mirror and the system is solved whole
+    slopes = [s0, -s0] + [v for s, _ in pieces for v in (s, -s)]
+    offsets = [0.0, 0.0] + [c for _, c in pieces for _ in (0, 1)]
+    even = _laplace_system(_max_affine(slopes, offsets), 2.0**-5)
+    assert F._mirror_fold(even) is not None
+    sol = F.solve(even)
+    assert np.abs(sol.vec - _unfolded_nd_solve(even)[0]).max() <= 1e-12
+    slopes[1] *= 1.0 + stretch
+    odd = _laplace_system(_max_affine(slopes, offsets), 2.0**-5)
+    assert F._mirror_fold(odd) is None
+
+
+def test_direct_and_iterative_solves_agree():
+    prof = G.preset_profile("log1", R0=0.5)
+    system = _laplace_system(prof, 2.0**-7)
+    direct = F.solve(system)
+    iterative = F.solve(system, direct_threshold=0, tol=1e-12)
+    assert direct.method == "splu"
+    assert iterative.method.startswith("bicgstab")
+    radii = [0.5 * 2.0**-k for k in range(5)]
+    np.testing.assert_allclose(F.hopf_trace(iterative, radii),
+                               F.hopf_trace(direct, radii), rtol=1e-8)
+    np.testing.assert_allclose(
+        [F.oscillation(iterative, prof, r) for r in radii],
+        [F.oscillation(direct, prof, r) for r in radii], rtol=1e-8)
 
 
 def test_empty_interior_raises_from_domain_build():
