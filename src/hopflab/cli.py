@@ -5,8 +5,9 @@ error, 3 numerical failure.  Reports are plain text (key: value) and CSV,
 byte-reproducible for a fixed (config, seed, build); every report embeds
 the resolved configuration.  ``--config FILE`` reads key=value lines
 for grid.h, grid.R0, bc.kind, solver.tol and solver.max_iter, which
-flags then override; any other key is a configuration error.  ``solve``
-and ``decay`` both hand solver.tol and solver.max_iter to
+flags then override; any other key, a solver.tol that is not finite and
+positive or a solver.max_iter below 1 is a configuration error.
+``solve`` and ``decay`` both hand solver.tol and solver.max_iter to
 ``fd_solver.solve``, whose iterative path uses them.  The default output
 directory comes from HOPFLAB_OUT.
 """
@@ -48,7 +49,8 @@ def _read_config(path):
 
 def _resolve_config(args, default_h: float):
     """(h, R0, bc kind, solver tol, solver max_iter): each flag over its
-    --config key over the default."""
+    --config key over the default.  ``ValueError`` for a solver setting
+    that ``fd_solver.solve`` would reject."""
     cfg = _read_config(args.config) if args.config else {}
     unknown = sorted(set(cfg) - {"grid.h", "grid.R0", "bc.kind",
                                  "solver.tol", "solver.max_iter"})
@@ -56,9 +58,10 @@ def _resolve_config(args, default_h: float):
         raise ConfigError(f"unknown config key: {', '.join(unknown)}")
     h = args.h if args.h is not None else float(cfg.get("grid.h", default_h))
     R0 = args.R0 if args.R0 is not None else float(cfg.get("grid.R0", 0.5))
-    return (h, R0, args.bc or cfg.get("bc.kind", "linear"),
-            float(cfg.get("solver.tol", 1e-10)),
-            int(cfg.get("solver.max_iter", 20000)))
+    tol = float(cfg.get("solver.tol", 1e-10))
+    max_iter = int(cfg.get("solver.max_iter", 20000))
+    fds.check_solver_settings(tol, max_iter)
+    return h, R0, args.bc or cfg.get("bc.kind", "linear"), tol, max_iter
 
 
 def _out_dir(args) -> Path:

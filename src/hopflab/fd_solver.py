@@ -28,6 +28,16 @@ system that is exactly invariant under the mirror x1 -> -x1, and its
 solution is even.  The direct solve checks that invariance bitwise and
 then factorizes only the half grid i >= center_col, with each left-half
 column merged onto its mirror; any other system is solved whole.
+
+The LU factors are computed and stored in single precision, half the
+bytes of double, and the solution is refined in double precision
+(residuals in float64, each scaled by its max before the float32 solve)
+until the residual is within the rounding bound of its own computation,
+so the result carries double-precision accuracy.  A refinement that
+stalls, which takes a condition number near 1/u_32, falls back to a
+double-precision factor driven by the same loop (Buttari et al., ACM
+TOMS 34(4), 2008; Higham, Accuracy and Stability of Numerical
+Algorithms, ch. 12).
 """
 
 from __future__ import annotations
@@ -53,6 +63,7 @@ __all__ = [
     "MisalignedHeightError",
     "NoConvergenceError",
     "StencilMonotonicityError",
+    "check_solver_settings",
     "convergence_study",
     "discretize",
     "dump_matrix",
@@ -140,14 +151,16 @@ class DiscreteSolution:
     values: np.ndarray       # grid-shaped; NaN outside the closed domain
     vec: np.ndarray
     residual_norm: float
+    # BiCGSTAB iterations, or the triangular solves of a direct solve's
+    # refinement (counting those with a stalled float32 factor)
     iterations: int
     dom: DiscreteDomain
     method: str
     # entries SuperLU stores for the L and U factors of a direct solve
     # (of the folded half system when the system was mirror-folded), 0
-    # after an iterative one.  Under the nested-dissection order this is
-    # within 0.1% of nnz(L) + nnz(U) and, unlike that, needs no copy of
-    # the factors.
+    # after an iterative one; the same for a float32 as for a float64
+    # factor.  Under the nested-dissection order this is within 0.1% of
+    # nnz(L) + nnz(U) and, unlike that, needs no copy of the factors.
     fill: int = 0
 
 
@@ -392,15 +405,97 @@ def _mirror_fold(system: LinearSystem):
     return keep, rep, matrix
 
 
+def check_solver_settings(tol: float, max_iter: Optional[int]) -> None:
+    """``ValueError`` unless ``tol`` is finite and positive and
+    ``max_iter`` (None: the default) is at least 1."""
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"solver.tol must be finite and positive, "
+                         f"not {tol!r}")
+    if max_iter is not None and max_iter < 1:
+        raise ValueError(f"solver.max_iter must be at least 1, "
+                         f"not {max_iter!r}")
+
+
+_MAX_SOLVES = 10   # triangular solves per factor before it counts as stalled
+
+
+def _refined_lu_solve(A: sp.spmatrix, b: np.ndarray, p: np.ndarray,
+                      permc_spec: str):
+    """Solve A x = b by a float32 LU of A[p][:, p] refined in float64.
+
+    Starting from x = 0, each step solves for the correction d with the
+    factor, the residual scaled by max|r| first so that no entry
+    underflows in float32, adds d to x in float64 and recomputes
+    r = b - A x in float64.  The loop stops once x has reached the
+    double-precision level: every |r_i| lies within the rounding bound
+    gamma_{m+1} (|b| + |A| |x|)_i of a computed residual, m the most
+    entries in a row (Higham, ch. 12), so the residual holds no more
+    information for a correction to act on.  A correction that fails to
+    halve, or ``_MAX_SOLVES`` solves short of that level, means
+    kappa(A) u_32 is not small; the float32 factor is then freed and the
+    same loop runs on a float64 factor, whose stall only means that the
+    refinement has nothing left to gain.  A zero ``b`` gives x = 0
+    without a solve.
+
+    Returns ``(x, SuperLU.nnz of the last factor, triangular solves)``.
+    """
+    A = A[p][:, p].tocsc()
+    b = b[p]
+    m = int(np.bincount(A.indices, minlength=b.size).max()) + 1
+    u = np.finfo(np.float64).eps / 2.0
+    gamma = m * u / (1.0 - m * u)
+
+    def at_rounding_level(r, x):
+        return bool(np.all(np.abs(r)
+                           <= gamma * (np.abs(b) + abs(A) @ np.abs(x))))
+
+    solves = 0
+    for dtype in (np.float32, np.float64):
+        lu = spla.splu(A.astype(dtype, copy=False), permc_spec=permc_spec)
+        fill = int(lu.nnz)
+        x = np.zeros(b.size)
+        r, last = b, np.inf
+        done = at_rounding_level(r, x)
+        for _ in range(_MAX_SOLVES):
+            if done:
+                break
+            scale = np.abs(r).max()
+            d = lu.solve((r / scale).astype(dtype)).astype(np.float64) * scale
+            solves += 1
+            x += d
+            r = b - A @ x
+            done = at_rounding_level(r, x)
+            size = np.abs(d).max()
+            if not size <= 0.5 * last:   # stalled, or not finite
+                break
+            last = size
+        if done:
+            break
+        del lu   # free the stalled factor before the next one
+    out = np.empty(b.size)
+    out[p] = x
+    return out, fill, solves
+
+
 def solve(system: LinearSystem, tol: float = 1e-10,
           max_iter: Optional[int] = None,
-          direct_threshold: int = 600_000) -> DiscreteSolution:
+          direct_threshold: int = 1_000_000) -> DiscreteSolution:
     """Solve the assembled system.
 
-    Systems up to ``direct_threshold`` unknowns go through a sparse LU
+    Systems of up to ``direct_threshold`` factorized unknowns (after the
+    mirror fold below, when it applies) go through a sparse LU
     factorization; larger ones use BiCGSTAB with Jacobi preconditioning
-    (relative residual <= tol), raising ``NoConvergenceError`` on failure.
+    (relative residual <= tol, at most ``max_iter`` iterations, 20000 by
+    default), raising ``NoConvergenceError`` on failure.  ``ValueError``
+    unless ``tol`` is finite and positive and ``max_iter`` at least 1.
     Deterministic for fixed inputs either way.
+
+    The LU is computed in single precision and the solution refined in
+    double until it reaches double-precision accuracy
+    (``_refined_lu_solve``); half the factor's value bytes, so half the
+    memory that limits how fine a direct solve can go.  Should the
+    refinement stall, which takes a condition number near 1/u_32 ~ 1e7,
+    the system is factorized again in double precision.
 
     A grid system is factorized in the nested-dissection order of its
     nodes (``_nested_dissection``), which fills far less than a column
@@ -419,14 +514,16 @@ def solve(system: LinearSystem, tol: float = 1e-10,
     unknown; about half the factorization work on the radial profiles.
     Any other system, for instance one with a12 != 0 or a drift, is
     factorized whole.  Either way the residual is that of the full
-    system, and ``direct_threshold`` compares the full unknown count."""
+    system."""
+    check_solver_settings(tol, max_iter)
     A = system.matrix.tocsc()
     b = system.rhs
     N = A.shape[0]
     iterations = 0
     fill = 0
-    if N <= direct_threshold:
-        Ad, bd, fold = A, b, _mirror_fold(system)
+    fold = _mirror_fold(system)
+    if (N if fold is None else fold[0].size) <= direct_threshold:
+        Ad, bd = A, b
         if fold is not None:
             keep, rep, Ad = fold
             bd = b[keep]
@@ -437,12 +534,9 @@ def solve(system: LinearSystem, tol: float = 1e-10,
             ij = system.dom.interior_ij
             p = _nested_dissection(ij if fold is None else ij[keep])
             permc_spec = "NATURAL"
-        lu = spla.splu(Ad[p][:, p], permc_spec=permc_spec)
-        x = np.empty(bd.size)
-        x[p] = lu.solve(bd[p])
+        x, fill, iterations = _refined_lu_solve(Ad, bd, p, permc_spec)
         if fold is not None:
             x = x[rep]
-        fill = int(lu.nnz)
         method = "splu"
     else:
         diag = A.diagonal()
@@ -452,7 +546,7 @@ def solve(system: LinearSystem, tol: float = 1e-10,
         def cb(_):
             count[0] += 1
 
-        maxiter = max_iter or 20000
+        maxiter = 20000 if max_iter is None else max_iter
         x, info = spla.bicgstab(A, b, rtol=tol, atol=0.0, M=M,
                                 maxiter=maxiter, callback=cb)
         iterations = count[0]

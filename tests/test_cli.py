@@ -116,6 +116,21 @@ def test_config_unknown_key_exit_2(tmp_path, capsys, command, key):
     assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["solve", "--profile", "flat"],
+    ["decay", "--profile", "log1", "--K", "2"],
+], ids=["solve", "decay"])
+@pytest.mark.parametrize("setting", ["solver.tol = 0", "solver.tol = -1",
+                                     "solver.tol = nan",
+                                     "solver.max_iter = 0"])
+def test_config_bad_solver_setting_exit_2(tmp_path, capsys, command,
+                                          setting):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"grid.h = 0.015625\n{setting}\n", encoding="utf-8")
+    assert run_cli(command + ["--config", str(cfg)], tmp_path) == 2
+    assert setting.split(" = ")[0] in capsys.readouterr().err
+
+
 def test_decay_config_file_matches_flags(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("grid.h = 0.015625\ngrid.R0 = 0.5\nbc.kind = linear\n"

@@ -142,6 +142,65 @@ def test_comparison_principle():
     assert np.all(sol_lo.vec <= sol_hi.vec + 1e-12)
 
 
+def _constant_operator(a11, a22, a12, b1, b2):
+    def a_grid(X1, X2):
+        ones = np.ones(np.broadcast(np.asarray(X1), np.asarray(X2)).shape)
+        return a11 * ones, a22 * ones, a12 * ones
+
+    def b_grid(X1, X2):
+        ones = np.ones(np.broadcast(np.asarray(X1), np.asarray(X2)).shape)
+        return b1 * ones, b2 * ones
+
+    eig = np.linalg.eigvalsh([[a11, a12], [a12, a22]])
+    return E.EllipticOperator(nu=float(min(eig[0], 1.0 / eig[1])),
+                              a_grid=a_grid, b_grid=b_grid)
+
+
+def _linear_data(c0, c1, c2):
+    return lambda X1, X2: c0 + c1 * np.asarray(X1, float) \
+        + c2 * np.asarray(X2, float)
+
+
+_unit = st.floats(-1.0, 1.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(s_right=st.floats(0.0, 0.8), s_left=st.floats(0.0, 0.8),
+       pieces=st.lists(st.tuples(st.floats(-0.8, 0.8),
+                                 st.floats(-0.3, -0.05)), max_size=2),
+       a11=st.floats(0.5, 2.0), a22=st.floats(0.5, 2.0),
+       t=st.floats(-1.0, 1.0), drift=st.booleans(),
+       b=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+       g=st.tuples(_unit, _unit, _unit),
+       dg=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+       h=st.sampled_from([2.0**-5, 2.0**-6]))
+def test_random_system_principles(s_right, s_left, pieces, a11, a22, t,
+                                  drift, b, g, dg, h):
+    # a random max-affine graph (F >= 0, F(0) = 0) and a random admissible
+    # constant operator |a12| <= min(a11, a22), with or without drift:
+    # the matrix is an M-matrix, u stays within the range of its boundary
+    # data (0 on the curve) and ordered data give ordered solutions
+    slopes = [s_right, -s_left] + [p for p, _ in pieces]
+    offsets = [0.0, 0.0] + [c for _, c in pieces]
+    dom = F.DiscreteDomain.build(_max_affine(slopes, offsets), h)
+    op = _constant_operator(a11, a22, t * min(a11, a22),
+                            *(b if drift else (0.0, 0.0)))
+    g1 = _linear_data(*g)
+    g2 = _linear_data(g[0] + dg[0], g[1], g[2] + dg[1])   # g2 - g1 >= 0
+    system = F.discretize(op, dom, g1)
+    rep = system.m_matrix_report()
+    assert rep["offdiag_ok"], rep
+    assert rep["rowsum_ok"], rep
+    u1 = F.solve(system).vec
+    mask = dom.mask
+    ei, ej = np.nonzero(mask.cls == G.EDGE)
+    data = g1(mask.x1[ei], mask.x2[ej])
+    assert u1.min() >= min(data.min(), 0.0) - 1e-12
+    assert u1.max() <= max(data.max(), 0.0) + 1e-12
+    u2 = F.solve(F.discretize(op, dom, g2)).vec
+    assert np.all(u1 <= u2 + 1e-12)
+
+
 def test_aleksandrov_bound_stable_across_presets():
     # sup u <= N0 * diam * ||f_+||_2 with zero boundary data; the fitted
     # ratio varies by less than a factor 3 between operators at nu = 0.5
@@ -270,13 +329,13 @@ def test_nested_dissection_separator_order():
 
 
 def _unfolded_nd_solve(system):
-    """The whole system factorized in nested-dissection order: the direct
-    path of a system that does not fold.  Returns (x, SuperLU.nnz)."""
+    """The whole system factorized in nested-dissection order and refined:
+    the direct path of a system that does not fold.  Returns
+    (x, SuperLU.nnz)."""
     p = F._nested_dissection(system.dom.interior_ij)
-    lu = spla.splu(system.matrix.tocsc()[p][:, p], permc_spec="NATURAL")
-    x = np.empty(p.size)
-    x[p] = lu.solve(system.rhs[p])
-    return x, lu.nnz
+    x, fill, _ = F._refined_lu_solve(system.matrix.tocsc(), system.rhs, p,
+                                     "NATURAL")
+    return x, fill
 
 
 def _laplace_system(profile, h, bc=bc_linear):
@@ -387,6 +446,111 @@ def test_direct_and_iterative_solves_agree():
     np.testing.assert_allclose(
         [F.oscillation(iterative, prof, r) for r in radii],
         [F.oscillation(direct, prof, r) for r in radii], rtol=1e-8)
+
+
+def test_direct_threshold_counts_folded_unknowns():
+    system = _laplace_system(G.preset_profile("log1", R0=0.5), 2.0**-5)
+    folded = F._mirror_fold(system)[0].size
+    assert folded < system.matrix.shape[0]
+    direct = F.solve(system, direct_threshold=folded)
+    assert direct.method == "splu"
+    assert direct.fill > 0
+    iterative = F.solve(system, direct_threshold=folded - 1)
+    assert iterative.method.startswith("bicgstab")
+
+
+@pytest.mark.parametrize("setting", [
+    {"tol": 0.0}, {"tol": -1.0}, {"tol": math.nan}, {"tol": math.inf},
+    {"max_iter": 0}, {"max_iter": -5},
+], ids=["tol=0", "tol=-1", "tol=nan", "tol=inf", "max_iter=0",
+        "max_iter=-5"])
+def test_solve_rejects_bad_settings(setting):
+    system = _laplace_system(G.preset_profile("flat", R0=0.5), 2.0**-4)
+    with pytest.raises(ValueError, match="solver"):
+        F.solve(system, **setting)
+
+
+# ---------------------------------------------------------------- refinement
+
+def _float64_reference(system, steps=3):
+    """A float64 LU of the whole system in COLAMD order, refined in float64
+    for a fixed number of steps, past convergence on these grids."""
+    A = system.matrix.tocsc()
+    lu = spla.splu(A, permc_spec="COLAMD")
+    x = lu.solve(system.rhs)
+    for _ in range(steps):
+        x = x + lu.solve(system.rhs - A @ x)
+    return x
+
+
+def _record_factor_dtypes(monkeypatch):
+    """Value types of the matrices handed to SuperLU from here on."""
+    dtypes = []
+    splu = spla.splu
+
+    def recording(A, **kwargs):
+        dtypes.append(A.dtype)
+        return splu(A, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", recording)
+    return dtypes
+
+
+@pytest.mark.parametrize("profile_id,op", [
+    pytest.param(p, E.preset_operator("laplace"), id=p)
+    for p in ("log1", "power:0.5", "wedge:2.0944")
+] + [pytest.param("log1", MIXED_DRIFT[0].values[0],
+                  id=f"log1-{MIXED_DRIFT[0].id}")])
+def test_refined_solve_matches_float64_reference(profile_id, op,
+                                                 monkeypatch):
+    prof = G.preset_profile(profile_id, R0=0.5)
+    bc = sector_harmonic(2.0944) if profile_id.startswith("wedge") \
+        else bc_linear
+    system = F.discretize(op, F.DiscreteDomain.build(prof, 2.0**-7), bc)
+    ref = _float64_reference(system)
+    dtypes = _record_factor_dtypes(monkeypatch)
+    sol = F.solve(system)
+    assert dtypes == [np.float32]
+    assert np.abs(sol.vec - ref).max() <= 1e-13 * np.abs(ref).max()
+    assert sol.residual_norm <= 1e-13
+    assert sol.iterations >= 2
+
+
+def test_stalled_refinement_falls_back_to_float64(monkeypatch):
+    # 1-D Laplacian: kappa ~ 4 n^2 / pi^2 ~ 1.6e8, so kappa u_32 > 1 and
+    # the float32 refinement cannot converge
+    n = 20_000
+    A = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n))
+    x_true = np.random.default_rng(2).normal(size=n)
+    dtypes = _record_factor_dtypes(monkeypatch)
+    sol = F.solve(F.LinearSystem.from_arrays(A, A @ x_true))
+    assert dtypes == [np.float32, np.float64]
+    assert sol.residual_norm <= 1e-12
+    assert np.abs(sol.vec - x_true).max() <= 1e-9
+
+
+def test_zero_rhs_gives_zero_solution():
+    zero = lambda X1, X2: np.zeros(np.broadcast(np.asarray(X1),
+                                                np.asarray(X2)).shape)
+    system = _laplace_system(G.preset_profile("log1", R0=0.5), 2.0**-5,
+                             bc=zero)
+    assert not np.any(system.rhs)
+    with np.errstate(all="raise"):
+        sol = F.solve(system)
+    assert not np.any(sol.vec)
+    assert sol.residual_norm == 0.0
+
+
+@pytest.mark.parametrize("power", [-130, 130])
+def test_refinement_is_scale_invariant(power):
+    # each residual is scaled by max|r| before its float32 cast, so data
+    # far outside float32's range give the solution scaled by the same
+    # power of two, bitwise
+    system = _laplace_system(G.preset_profile("log1", R0=0.5), 2.0**-6)
+    sol = F.solve(system)
+    scaled = F.solve(dataclasses.replace(
+        system, rhs=np.ldexp(system.rhs, power)))
+    np.testing.assert_array_equal(scaled.vec, np.ldexp(sol.vec, power))
 
 
 def test_empty_interior_raises_from_domain_build():
