@@ -1,15 +1,13 @@
 """Command-line surface: modulus, geometry, verify, solve, decay.
 
 Exit codes: 0 success, 1 certificate/acceptance failure, 2 configuration
-error, 3 numerical failure.  Reports are plain text (key: value) and CSV,
+error, 3 numerical failure (including a system whose factorization runs
+out of memory).  Reports are plain text (key: value) and CSV,
 byte-reproducible for a fixed (config, seed, build); every report embeds
 the resolved configuration.  ``--config FILE`` reads key=value lines
-for grid.h, grid.R0, bc.kind, solver.tol and solver.max_iter, which
-flags then override; any other key, a solver.tol that is not finite and
-positive or a solver.max_iter below 1 is a configuration error.
-``solve`` and ``decay`` both hand solver.tol and solver.max_iter to
-``fd_solver.solve``, whose iterative path uses them.  The default output
-directory comes from HOPFLAB_OUT.
+for grid.h, grid.R0 and bc.kind, which flags then override; any other
+key is a configuration error.  The default output directory comes from
+HOPFLAB_OUT.
 """
 
 from __future__ import annotations
@@ -48,20 +46,15 @@ def _read_config(path):
 
 
 def _resolve_config(args, default_h: float):
-    """(h, R0, bc kind, solver tol, solver max_iter): each flag over its
-    --config key over the default.  ``ValueError`` for a solver setting
-    that ``fd_solver.solve`` would reject."""
+    """(h, R0, bc kind): each flag over its --config key over the
+    default."""
     cfg = _read_config(args.config) if args.config else {}
-    unknown = sorted(set(cfg) - {"grid.h", "grid.R0", "bc.kind",
-                                 "solver.tol", "solver.max_iter"})
+    unknown = sorted(set(cfg) - {"grid.h", "grid.R0", "bc.kind"})
     if unknown:
         raise ConfigError(f"unknown config key: {', '.join(unknown)}")
     h = args.h if args.h is not None else float(cfg.get("grid.h", default_h))
     R0 = args.R0 if args.R0 is not None else float(cfg.get("grid.R0", 0.5))
-    tol = float(cfg.get("solver.tol", 1e-10))
-    max_iter = int(cfg.get("solver.max_iter", 20000))
-    fds.check_solver_settings(tol, max_iter)
-    return h, R0, args.bc or cfg.get("bc.kind", "linear"), tol, max_iter
+    return h, R0, args.bc or cfg.get("bc.kind", "linear")
 
 
 def _out_dir(args) -> Path:
@@ -236,7 +229,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_solve(args) -> int:
     try:
-        h, R0, bc_kind, tol, max_iter = _resolve_config(args, 2**-6)
+        h, R0, bc_kind = _resolve_config(args, 2**-6)
         profile = geo.preset_profile(args.profile, R0=R0)
         op = ell.preset_operator(args.op)
         bc = decay.boundary_data(bc_kind, profile)
@@ -246,8 +239,8 @@ def _cmd_solve(args) -> int:
         return EXIT_CONFIG
     try:
         system = fds.discretize(op, dom, bc)
-        sol = fds.solve(system, tol=tol, max_iter=max_iter)
-    except (fds.NoConvergenceError, fds.StencilMonotonicityError) as exc:
+        sol = fds.solve(system)
+    except (MemoryError, fds.StencilMonotonicityError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     out = _out_dir(args)
@@ -258,7 +251,6 @@ def _cmd_solve(args) -> int:
     summary = _echo_config({
         "profile": args.profile, "operator": args.op,
         "grid.h": repr(h), "grid.R0": repr(R0), "bc.kind": bc_kind,
-        "solver.tol": repr(tol), "solver.max_iter": max_iter,
         "residual": repr(sol.residual_norm), "method": sol.method,
         "unknowns": dom.n_unknowns, "seed": args.seed,
     })
@@ -273,11 +265,10 @@ def _cmd_solve(args) -> int:
 
 def _cmd_decay(args) -> int:
     try:
-        h, R0, bc_kind, tol, max_iter = _resolve_config(args, 2**-7)
+        h, R0, bc_kind = _resolve_config(args, 2**-7)
         base = decay.HopfExperiment(profile=args.profile or "log1",
                                     operator=args.op, R0=R0, K=args.K, h=h,
-                                    bc=bc_kind, seed=args.seed, tol=tol,
-                                    max_iter=max_iter)
+                                    bc=bc_kind, seed=args.seed)
         base.validate()
         if args.contrast:
             profiles = [p.strip() for p in args.contrast.split(",") if p.strip()]
@@ -322,7 +313,7 @@ def _cmd_decay(args) -> int:
             })
             (out / "decay_summary.txt").write_text(summary, encoding="utf-8")
             sys.stdout.write(summary)
-    except (fds.NoConvergenceError, decay.ScaleStarvedError) as exc:
+    except (MemoryError, decay.ScaleStarvedError) as exc:
         for path in written:  # partial outputs removed on failure
             path.unlink(missing_ok=True)
         print(f"numerical failure: {exc}", file=sys.stderr)

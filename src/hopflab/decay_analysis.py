@@ -79,8 +79,7 @@ class HopfExperiment:
     """Configuration of one decay experiment.
 
     Radii are r_k = 2^-k R0 for k = 0..K; the smallest cylinder must hold
-    at least 8 grid cells (2^-K R0 >= 8h).  ``tol`` and ``max_iter`` go to
-    ``fd_solver.solve``; they act on its iterative path only."""
+    at least 8 grid cells (2^-K R0 >= 8h)."""
 
     profile: str
     operator: str = "laplace"
@@ -89,8 +88,6 @@ class HopfExperiment:
     h: float = 2.0**-7
     bc: str = "linear"
     seed: int = 0
-    tol: float = 1e-10
-    max_iter: Optional[int] = None
 
     def validate(self) -> None:
         if self.K < 1:
@@ -191,8 +188,7 @@ def run_experiment(cfg: HopfExperiment) -> DecayReport:
     op = preset_operator(cfg.operator)
     bc = boundary_data(cfg.bc, profile)
     dom = fds.DiscreteDomain.build(profile, cfg.h)
-    sol = fds.solve(fds.discretize(op, dom, bc), tol=cfg.tol,
-                    max_iter=cfg.max_iter)
+    sol = fds.solve(fds.discretize(op, dom, bc))
 
     radii = [2.0 ** -k * cfg.R0 for k in range(cfg.K + 1)]
     osc = []

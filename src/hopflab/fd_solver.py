@@ -22,6 +22,8 @@ order built from their grid coordinates: grid lines separate both
 stencils, so the LU factors fill far less than under a column ordering
 that does not know the grid.  SuperLU's threshold partial pivoting
 stays on as a guard, although on these M-matrices it exchanges no rows.
+Every system goes through this factorization; one whose factor does not
+fit in memory raises ``MemoryError``.
 
 A radial graph x2 = f(|x1|) with an even operator and even data gives a
 system that is exactly invariant under the mirror x1 -> -x1, and its
@@ -42,8 +44,7 @@ Algorithms, ch. 12).
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -61,9 +62,7 @@ __all__ = [
     "DiscreteSolution",
     "LinearSystem",
     "MisalignedHeightError",
-    "NoConvergenceError",
     "StencilMonotonicityError",
-    "check_solver_settings",
     "convergence_study",
     "discretize",
     "dump_matrix",
@@ -77,10 +76,6 @@ __all__ = [
 
 class StencilMonotonicityError(ValueError):
     """|a12| > min(a11, a22) somewhere: monotone 9-point split impossible."""
-
-
-class NoConvergenceError(ArithmeticError):
-    """Iterative solve missed the residual target."""
 
 
 class MisalignedHeightError(ValueError):
@@ -122,14 +117,8 @@ class DiscreteDomain:
 class LinearSystem:
     matrix: sp.csr_matrix
     rhs: np.ndarray
-    dom: Optional[DiscreteDomain] = None
-    bc: Optional[Callable] = None
-    meta: dict = field(default_factory=dict)
-
-    @classmethod
-    def from_arrays(cls, matrix, rhs, **meta) -> "LinearSystem":
-        return cls(matrix=sp.csr_matrix(matrix),
-                   rhs=np.asarray(rhs, dtype=float), meta=meta)
+    dom: DiscreteDomain
+    bc: Callable
 
     def m_matrix_report(self, tol: float = 1e-10) -> dict:
         """Off-diagonal sign and weak row dominance diagnostics."""
@@ -140,8 +129,7 @@ class LinearSystem:
         return {
             "offdiag_ok": bool(max_off <= tol),
             "max_offdiag": max_off,
-            "rowsum_ok": bool(rowsum.min() >= -tol / self.dom.h**2
-                              if self.dom else rowsum.min() >= -tol),
+            "rowsum_ok": bool(rowsum.min() >= -tol / self.dom.h**2),
             "min_rowsum": float(rowsum.min()),
         }
 
@@ -151,16 +139,16 @@ class DiscreteSolution:
     values: np.ndarray       # grid-shaped; NaN outside the closed domain
     vec: np.ndarray
     residual_norm: float
-    # BiCGSTAB iterations, or the triangular solves of a direct solve's
-    # refinement (counting those with a stalled float32 factor)
+    # triangular solves of the refinement (counting those with a stalled
+    # float32 factor)
     iterations: int
     dom: DiscreteDomain
     method: str
-    # entries SuperLU stores for the L and U factors of a direct solve
-    # (of the folded half system when the system was mirror-folded), 0
-    # after an iterative one; the same for a float32 as for a float64
-    # factor.  Under the nested-dissection order this is within 0.1% of
-    # nnz(L) + nnz(U) and, unlike that, needs no copy of the factors.
+    # entries SuperLU stores for the L and U factors (of the folded half
+    # system when the system was mirror-folded); the same for a float32
+    # as for a float64 factor.  Under the nested-dissection order this is
+    # within 0.1% of nnz(L) + nnz(U) and, unlike that, needs no copy of
+    # the factors.
     fill: int = 0
 
 
@@ -303,10 +291,7 @@ def discretize(op: EllipticOperator, dom: DiscreteDomain,
     matrix = sp.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(N, N))
-    meta = {"h": h, "operator": op.preset or "custom",
-            "operator_params": dict(op.params), "unknowns": int(N)}
-    return LinearSystem(matrix=matrix, rhs=rhs, dom=dom, bc=bc_top_side,
-                        meta=meta)
+    return LinearSystem(matrix=matrix, rhs=rhs, dom=dom, bc=bc_top_side)
 
 
 _ND_LEAF = 4   # boxes of at most this many nodes are not cut further
@@ -378,12 +363,9 @@ def _mirror_fold(system: LinearSystem):
 
     Returns ``(keep, rep, matrix)``: the kept unknowns, ``rep`` mapping
     every unknown to its row in the half system (so ``x = xf[rep]``),
-    and the half system's matrix in CSC form.  A system without a domain
-    has no mirror and gives None.
+    and the half system's matrix in CSC form.
     """
     dom = system.dom
-    if dom is None:
-        return None
     ii, jj = dom.interior_ij[:, 0], dom.interior_ij[:, 1]
     m = dom.index[dom.mask.x1.size - 1 - ii, jj]
     if np.any(m < 0) or not np.array_equal(system.rhs[m], system.rhs):
@@ -405,22 +387,10 @@ def _mirror_fold(system: LinearSystem):
     return keep, rep, matrix
 
 
-def check_solver_settings(tol: float, max_iter: Optional[int]) -> None:
-    """``ValueError`` unless ``tol`` is finite and positive and
-    ``max_iter`` (None: the default) is at least 1."""
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"solver.tol must be finite and positive, "
-                         f"not {tol!r}")
-    if max_iter is not None and max_iter < 1:
-        raise ValueError(f"solver.max_iter must be at least 1, "
-                         f"not {max_iter!r}")
-
-
 _MAX_SOLVES = 10   # triangular solves per factor before it counts as stalled
 
 
-def _refined_lu_solve(A: sp.spmatrix, b: np.ndarray, p: np.ndarray,
-                      permc_spec: str):
+def _refined_lu_solve(A: sp.spmatrix, b: np.ndarray, p: np.ndarray):
     """Solve A x = b by a float32 LU of A[p][:, p] refined in float64.
 
     Starting from x = 0, each step solves for the correction d with the
@@ -451,7 +421,7 @@ def _refined_lu_solve(A: sp.spmatrix, b: np.ndarray, p: np.ndarray,
 
     solves = 0
     for dtype in (np.float32, np.float64):
-        lu = spla.splu(A.astype(dtype, copy=False), permc_spec=permc_spec)
+        lu = spla.splu(A.astype(dtype, copy=False), permc_spec="NATURAL")
         fill = int(lu.nnz)
         x = np.zeros(b.size)
         r, last = b, np.inf
@@ -477,37 +447,28 @@ def _refined_lu_solve(A: sp.spmatrix, b: np.ndarray, p: np.ndarray,
     return out, fill, solves
 
 
-def solve(system: LinearSystem, tol: float = 1e-10,
-          max_iter: Optional[int] = None,
-          direct_threshold: int = 1_000_000) -> DiscreteSolution:
-    """Solve the assembled system.
-
-    Systems of up to ``direct_threshold`` factorized unknowns (after the
-    mirror fold below, when it applies) go through a sparse LU
-    factorization; larger ones use BiCGSTAB with Jacobi preconditioning
-    (relative residual <= tol, at most ``max_iter`` iterations, 20000 by
-    default), raising ``NoConvergenceError`` on failure.  ``ValueError``
-    unless ``tol`` is finite and positive and ``max_iter`` at least 1.
-    Deterministic for fixed inputs either way.
+def solve(system: LinearSystem) -> DiscreteSolution:
+    """Solve the assembled system by a sparse LU factorization.
 
     The LU is computed in single precision and the solution refined in
     double until it reaches double-precision accuracy
     (``_refined_lu_solve``); half the factor's value bytes, so half the
     memory that limits how fine a direct solve can go.  Should the
     refinement stall, which takes a condition number near 1/u_32 ~ 1e7,
-    the system is factorized again in double precision.
+    the system is factorized again in double precision.  A factor too
+    large for memory raises ``MemoryError``.  Deterministic for fixed
+    inputs.
 
-    A grid system is factorized in the nested-dissection order of its
-    nodes (``_nested_dissection``), which fills far less than a column
-    ordering blind to the grid; a system without a domain has no node
-    coordinates and keeps SuperLU's COLAMD.  The order only permutes the
-    elimination: the unknown numbering, ``system.matrix`` and ``vec`` are
-    unchanged.  SuperLU's threshold partial pivoting stays on.  On the
-    assembled M-matrices it has exchanged no rows, as expected, but it
-    keeps the factorization stable should some system need a row
-    exchange after all.
+    The system is factorized in the nested-dissection order of its nodes
+    (``_nested_dissection``), which fills far less than a column ordering
+    blind to the grid.  The order only permutes the elimination: the
+    unknown numbering, ``system.matrix`` and ``vec`` are unchanged.
+    SuperLU's threshold partial pivoting stays on.  On the assembled
+    M-matrices it has exchanged no rows, as expected, but it keeps the
+    factorization stable should some system need a row exchange after
+    all.
 
-    A grid system that is exactly invariant under the mirror x1 -> -x1
+    A system that is exactly invariant under the mirror x1 -> -x1
     (``_mirror_fold``: mirror map, rhs and matrix equal bitwise) is
     factorized on the half grid i >= center_col alone, in the nested-
     dissection order of those nodes, and its solution unfolded to every
@@ -515,64 +476,29 @@ def solve(system: LinearSystem, tol: float = 1e-10,
     Any other system, for instance one with a12 != 0 or a drift, is
     factorized whole.  Either way the residual is that of the full
     system."""
-    check_solver_settings(tol, max_iter)
     A = system.matrix.tocsc()
     b = system.rhs
-    N = A.shape[0]
-    iterations = 0
-    fill = 0
+    dom = system.dom
+    ij = dom.interior_ij
     fold = _mirror_fold(system)
-    if (N if fold is None else fold[0].size) <= direct_threshold:
-        Ad, bd = A, b
-        if fold is not None:
-            keep, rep, Ad = fold
-            bd = b[keep]
-        if system.dom is None:
-            # no grid coordinates: SuperLU picks the column order
-            p, permc_spec = np.arange(N), "COLAMD"
-        else:
-            ij = system.dom.interior_ij
-            p = _nested_dissection(ij if fold is None else ij[keep])
-            permc_spec = "NATURAL"
-        x, fill, iterations = _refined_lu_solve(Ad, bd, p, permc_spec)
-        if fold is not None:
-            x = x[rep]
-        method = "splu"
+    if fold is None:
+        x, fill, iterations = _refined_lu_solve(A, b, _nested_dissection(ij))
     else:
-        diag = A.diagonal()
-        M = spla.LinearOperator((N, N), matvec=lambda v: v / diag)
-        count = [0]
-
-        def cb(_):
-            count[0] += 1
-
-        maxiter = 20000 if max_iter is None else max_iter
-        x, info = spla.bicgstab(A, b, rtol=tol, atol=0.0, M=M,
-                                maxiter=maxiter, callback=cb)
-        iterations = count[0]
-        if info != 0:
-            res = float(np.linalg.norm(b - A @ x) /
-                        max(np.linalg.norm(b), 1e-300))
-            raise NoConvergenceError(
-                f"BiCGSTAB stopped (info={info}) after {iterations} "
-                f"iterations, relative residual {res:.3e}")
-        method = "bicgstab+jacobi"
+        keep, rep, half = fold
+        x, fill, iterations = _refined_lu_solve(
+            half, b[keep], _nested_dissection(ij[keep]))
+        x = x[rep]
     res = float(np.linalg.norm(b - A @ x) / max(np.linalg.norm(b), 1e-300))
 
-    dom = system.dom
-    if dom is None:
-        values = x.copy()
-    else:
-        mask = dom.mask
-        values = np.full(mask.cls.shape, np.nan)
-        values[dom.interior_ij[:, 0], dom.interior_ij[:, 1]] = x
-        values[mask.cls == CURVE] = 0.0
-        if system.bc is not None:
-            ei, ej = np.nonzero(mask.cls == EDGE)
-            values[ei, ej] = np.asarray(
-                system.bc(mask.x1[ei], mask.x2[ej]), dtype=float)
+    mask = dom.mask
+    values = np.full(mask.cls.shape, np.nan)
+    values[ij[:, 0], ij[:, 1]] = x
+    values[mask.cls == CURVE] = 0.0
+    ei, ej = np.nonzero(mask.cls == EDGE)
+    values[ei, ej] = np.asarray(system.bc(mask.x1[ei], mask.x2[ej]),
+                                dtype=float)
     return DiscreteSolution(values=values, vec=x, residual_norm=res,
-                            iterations=iterations, dom=dom, method=method,
+                            iterations=iterations, dom=dom, method="splu",
                             fill=fill)
 
 

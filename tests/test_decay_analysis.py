@@ -252,29 +252,3 @@ def test_sector_harmonic_is_even():
     for theta in (2.0 * math.pi / 3.0, 0.56 * math.pi, 1.2):
         u = D.sector_harmonic(theta)
         np.testing.assert_array_equal(u(-x1, x2), u(x1, x2))
-
-
-def _recording_solve(monkeypatch):
-    """Patch fd_solver.solve to record the keyword arguments of each call."""
-    calls = []
-    inner = D.fds.solve
-
-    def solve(system, **kwargs):
-        calls.append(kwargs)
-        return inner(system, **kwargs)
-
-    monkeypatch.setattr(D.fds, "solve", solve)
-    return calls
-
-
-def test_solver_settings_reach_solve(monkeypatch):
-    calls = _recording_solve(monkeypatch)
-    cfg = D.HopfExperiment(profile="log1", R0=0.5, K=2, h=2.0**-6)
-    D.run_experiment(cfg)
-    assert calls == [{"tol": 1e-10, "max_iter": None}]
-    calls.clear()
-    cfg = D.HopfExperiment(profile="log1", R0=0.5, K=2, h=2.0**-6,
-                           tol=1e-7, max_iter=123)
-    D.run_experiment(cfg)
-    D.contrast_suite(["log1", "flat"], "laplace", cfg)
-    assert calls == [{"tol": 1e-7, "max_iter": 123}] * 3
