@@ -17,6 +17,10 @@ gives the discrete maximum and comparison principles.  Drift terms are
 upwinded.  Dirichlet data: u = 0 on the curve, caller-supplied values on
 the top and lateral box sides.
 
+Assembly is one pass: every coefficient goes straight into the array of
+its neighbor slot, and the slots, taken in column order, give the
+canonical CSR matrix with no COO stage, duplicate sum or sort.
+
 The direct solve eliminates the unknowns in a geometric nested-dissection
 order built from their grid coordinates: grid lines separate both
 stencils, so the LU factors fill far less than under a column ordering
@@ -39,7 +43,9 @@ so the result carries double-precision accuracy.  A refinement that
 stalls, which takes a condition number near 1/u_32, falls back to a
 double-precision factor driven by the same loop (Buttari et al., ACM
 TOMS 34(4), 2008; Higham, Accuracy and Stability of Numerical
-Algorithms, ch. 12).
+Algorithms, ch. 12).  While SuperLU runs, the solve holds one copy of
+the matrix besides the system's own: the permuted factor input, whose
+float32 copy shares its index arrays.
 """
 
 from __future__ import annotations
@@ -160,72 +166,87 @@ def discretize(op: EllipticOperator, dom: DiscreteDomain,
     ``bc_top_side(x1, x2)`` supplies Dirichlet data on the box top and
     lateral sides; the curve carries u = 0.  Raises
     ``StencilMonotonicityError`` when |a12| > min(a11, a22) at a node.
+
+    Assembly is one pass.  Each stencil coefficient is added straight
+    into the array of its neighbor slot: the four axis neighbors, the
+    node itself, and the diagonal pair of each sign that a12 takes.  No
+    entry gets more than two contributions (the axis second difference
+    and the upwinded drift), so its sum does not depend on their order.
+    Unknowns are numbered by (i, j), so the slots in (di, dj) order are
+    the row's columns in ascending order: the row counts give ``indptr``
+    by a cumsum, the nonzero slots give ``data`` and ``indices``, and the
+    result is a canonical CSR matrix with no duplicate to sum and nothing
+    to sort.
     """
     mask = dom.mask
     h = mask.h
     x1, x2 = mask.x1, mask.x2
     cls = mask.cls
-    idx = dom.index
     ii = dom.interior_ij[:, 0]
     jj = dom.interior_ij[:, 1]
     N = ii.size
 
     X1 = x1[ii]
     X2 = x2[jj]
-    a11, a22, a12 = (np.asarray(v, dtype=float)
+    a11, a22, a12 = (np.broadcast_to(np.asarray(v, dtype=float), (N,))
                      for v in op.a_grid(X1, X2))
-    b1, b2 = (np.asarray(v, dtype=float) for v in op.b_grid(X1, X2))
-    a11 = np.broadcast_to(a11, (N,)).copy()
-    a22 = np.broadcast_to(a22, (N,)).copy()
-    a12 = np.broadcast_to(a12, (N,)).copy()
-    b1 = np.broadcast_to(b1, (N,)).copy()
-    b2 = np.broadcast_to(b2, (N,)).copy()
+    b1, b2 = (np.broadcast_to(np.asarray(v, dtype=float), (N,))
+              for v in op.b_grid(X1, X2))
+    del X1, X2
 
     bad = np.abs(a12) > np.minimum(a11, a22) + a12_tol
     if np.any(bad):
         k = int(np.nonzero(bad)[0][0])
         raise StencilMonotonicityError(
             f"|a12| = {abs(a12[k]):g} exceeds min(a11, a22) = "
-            f"{min(a11[k], a22[k]):g} at ({X1[k]:g}, {X2[k]:g})")
+            f"{min(a11[k], a22[k]):g} at ({x1[ii[k]]:g}, {x2[jj[k]]:g})")
 
     A1 = a11 - np.abs(a12)
     A2 = a22 - np.abs(a12)
+    del a11, a22
 
-    diag = np.zeros(N)
+    slots = [(-1, 0), (0, -1), (0, 0), (0, 1), (1, 0)]
+    if np.any(a12 > 0.0):
+        slots += [(-1, -1), (1, 1)]
+    if np.any(a12 < 0.0):
+        slots += [(-1, 1), (1, -1)]
+    slots.sort()
+    slot = {d: s for s, d in enumerate(slots)}
+    V = np.zeros((N, len(slots)))   # V[k, slot[di, dj]]: the row k entry
+    diag = V[:, slot[0, 0]]
     rhs = np.zeros(N)
-    rows: list = []
-    cols: list = []
-    vals: list = []
 
-    def couple(k_arr, target_i, target_j, coef):
-        """Route coefficients: unknown column, curve (u = 0) or bc value."""
-        tcls = cls[target_i, target_j]
+    def couple(k, di, dj, coef):
+        """Route the arms from the nodes k to (i + di, j + dj): an unknown
+        takes the coefficient, a box side its product with the data
+        into rhs, the curve (u = 0) nothing."""
+        tcls = cls[ii[k] + di, jj[k] + dj]
         unk = tcls == INTERIOR
-        if np.any(unk):
-            rows.append(k_arr[unk])
-            cols.append(idx[target_i[unk], target_j[unk]])
-            vals.append(coef[unk])
+        V[k[unk], slot[di, dj]] += coef[unk]
         bcn = tcls == EDGE
         if np.any(bcn):
-            g = np.asarray(bc_top_side(x1[target_i[bcn]], x2[target_j[bcn]]),
+            kb = k[bcn]
+            g = np.asarray(bc_top_side(x1[ii[kb] + di], x2[jj[kb] + dj]),
                            dtype=float)
-            rhs[k_arr[bcn]] -= coef[bcn] * g
-        # CURVE neighbors carry u = 0: nothing to add
+            rhs[kb] -= coef[bcn] * g
+
+    def axis_arm(frac, di, dj):
+        """Shortley-Weller fractions of the axis arms toward (di, dj), 1
+        where the arm is whole, and whether the arm crosses the curve."""
+        f = frac[ii, jj]
+        whole = np.isnan(f)
+        cross = ~whole & (cls[ii + di, jj + dj] == EXTERIOR)
+        f[whole] = 1.0
+        return f, cross
 
     karr = np.arange(N)
 
     # ---- axis second differences with Shortley-Weller arms -------------
-    fw = mask.frac_w[ii, jj]
-    fe = mask.frac_e[ii, jj]
-    fs = mask.frac_s[ii, jj]
-    alpha_w = np.where(np.isnan(fw), 1.0, fw)
-    alpha_e = np.where(np.isnan(fe), 1.0, fe)
-    alpha_s = np.where(np.isnan(fs), 1.0, fs)
-    alpha_n = np.ones(N)  # the graph never crosses an upward arm
-
-    cross_w = ~np.isnan(fw) & (cls[ii - 1, jj] == EXTERIOR)
-    cross_e = ~np.isnan(fe) & (cls[ii + 1, jj] == EXTERIOR)
-    cross_s = ~np.isnan(fs) & (cls[ii, jj - 1] == EXTERIOR)
+    alpha_w, cross_w = axis_arm(mask.frac_w, -1, 0)
+    alpha_e, cross_e = axis_arm(mask.frac_e, 1, 0)
+    alpha_s, cross_s = axis_arm(mask.frac_s, 0, -1)
+    alpha_n = 1.0   # the graph never crosses an upward arm
+    cross_n = np.zeros(N, dtype=bool)
 
     def second_diff(k, weight, a_minus, a_plus, di, dj, cross_minus,
                     cross_plus, denom):
@@ -234,16 +255,15 @@ def discretize(op: EllipticOperator, dom: DiscreteDomain,
         c_m = -2.0 * weight / (a_minus * (a_minus + a_plus) * denom)
         c_p = -2.0 * weight / (a_plus * (a_minus + a_plus) * denom)
         diag[k] += 2.0 * weight / (a_minus * a_plus * denom)
-        i, j = ii[k], jj[k]
         keep_m = ~cross_minus & (np.abs(c_m) > 0.0)
-        couple(k[keep_m], i[keep_m] - di, j[keep_m] - dj, c_m[keep_m])
+        couple(k[keep_m], -di, -dj, c_m[keep_m])
         keep_p = ~cross_plus & (np.abs(c_p) > 0.0)
-        couple(k[keep_p], i[keep_p] + di, j[keep_p] + dj, c_p[keep_p])
+        couple(k[keep_p], di, dj, c_p[keep_p])
         # crossing arms end on the curve where u = 0: only the diagonal term
 
     second_diff(karr, A1, alpha_w, alpha_e, 1, 0, cross_w, cross_e, h * h)
-    second_diff(karr, A2, alpha_s, alpha_n, 0, 1, cross_s,
-                np.zeros(N, dtype=bool), h * h)
+    second_diff(karr, A2, alpha_s, alpha_n, 0, 1, cross_s, cross_n, h * h)
+    del A1, A2
 
     # ---- mixed term: second difference along the diagonal (s, 1) with
     # s = sign(a12), spacing sqrt(2) h.  The arm toward (i+s, j+1) goes
@@ -251,46 +271,56 @@ def discretize(op: EllipticOperator, dom: DiscreteDomain,
     # two arms both end on box data its rhs update comes first.
     for s in (1, -1):
         k = np.nonzero(s * a12 > 0.0)[0]
+        if k.size == 0:
+            continue
         i, j = ii[k], jj[k]
         fp = arm_fraction(mask, dom.profile, i, j, s, 1)
         fm = arm_fraction(mask, dom.profile, i, j, -s, -1)
         second_diff(k, 2.0 * np.abs(a12[k]), fp, fm, -s, -1,
                     cls[i + s, j + 1] == EXTERIOR,
                     cls[i - s, j - 1] == EXTERIOR, 2.0 * h * h)
+        del k, i, j, fp, fm
+    del a12
 
-    # ---- upwinded drift -------------------------------------------------
-    up1 = b1 > 0.0
-    if np.any(np.abs(b1) > 0.0):
-        # positive b1: backward difference (u_P - u_W)/(alpha_w h)
-        c = np.where(up1, b1 / (alpha_w * h), 0.0)
-        diag[:] += c
-        keep = up1 & ~cross_w & (np.abs(c) > 0)
-        couple(karr[keep], ii[keep] - 1, jj[keep], -c[keep])
-        # negative b1: forward difference (u_E - u_P)/(alpha_e h)
-        c = np.where(~up1, -b1 / (alpha_e * h), 0.0)
-        diag[:] += c
-        keep = ~up1 & ~cross_e & (np.abs(c) > 0)
-        couple(karr[keep], ii[keep] + 1, jj[keep], -c[keep])
-    up2 = b2 > 0.0
-    if np.any(np.abs(b2) > 0.0):
-        c = np.where(up2, b2 / (alpha_s * h), 0.0)
-        diag[:] += c
-        keep = up2 & ~cross_s & (np.abs(c) > 0)
-        couple(karr[keep], ii[keep], jj[keep] - 1, -c[keep])
-        c = np.where(~up2, -b2 / (alpha_n * h), 0.0)
-        diag[:] += c
-        keep = ~up2 & (np.abs(c) > 0)
-        couple(karr[keep], ii[keep], jj[keep] + 1, -c[keep])
+    # ---- upwinded drift: a positive component takes the backward
+    # difference, (u_P - u_W)/(alpha_w h) along x1, a negative one the
+    # forward difference, (u_E - u_P)/(alpha_e h)
+    for b, back, forward in (
+            (b1, (-1, 0, alpha_w, cross_w), (1, 0, alpha_e, cross_e)),
+            (b2, (0, -1, alpha_s, cross_s), (0, 1, alpha_n, cross_n))):
+        if not np.any(np.abs(b) > 0.0):
+            continue
+        up = b > 0.0
+        for on, sign, (di, dj, alpha, cross) in ((up, 1.0, back),
+                                                 (~up, -1.0, forward)):
+            c = np.where(on, sign * b / (alpha * h), 0.0)
+            diag += c
+            keep = on & ~cross & (np.abs(c) > 0)
+            couple(karr[keep], di, dj, -c[keep])
+            del c, keep
+    del b1, b2, alpha_w, alpha_e, alpha_s, cross_w, cross_e, cross_s, karr
 
     if source is not None:
-        rhs += np.asarray(source(X1, X2), dtype=float)
+        rhs += np.asarray(source(x1[ii], x2[jj]), dtype=float)
 
-    rows.append(karr)
-    cols.append(karr)
-    vals.append(diag)
-    matrix = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(N, N))
+    # ---- canonical CSR: a row's entries are its nonzero slots in slot
+    # order, plus the diagonal, which is always stored.  A slot no arm
+    # reached is 0; the contributions to one slot share a sign on this
+    # monotone stencil, so a slot an arm reached is nonzero
+    present = V != 0.0
+    present[:, slot[0, 0]] = True
+    nnz = int(np.count_nonzero(present))
+    itype = np.int32 if max(N, nnz) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(N + 1, dtype=itype)
+    np.cumsum(np.count_nonzero(present, axis=1), out=indptr[1:])
+    data = V[present]
+    del V, diag
+    cols = np.empty(present.shape, dtype=itype)
+    for s, (di, dj) in enumerate(slots):
+        cols[:, s] = dom.index[ii + di, jj + dj]
+    indices = cols[present]
+    del cols, present
+    matrix = sp.csr_matrix((data, indices, indptr), shape=(N, N))
     return LinearSystem(matrix=matrix, rhs=rhs, dom=dom, bc=bc_top_side)
 
 
@@ -361,6 +391,10 @@ def _mirror_fold(system: LinearSystem):
     alone (duplicates summed: on the center column the W and E arms
     merge, so off-diagonals stay <= 0 and row sums do not change).
 
+    A matrix with sorted indices, as ``discretize`` gives, is compared
+    as it is, and the mirrored copy is sorted in place and freed before
+    the half is built.
+
     Returns ``(keep, rep, matrix)``: the kept unknowns, ``rep`` mapping
     every unknown to its row in the half system (so ``x = xf[rep]``),
     and the half system's matrix in CSC form.
@@ -370,11 +404,16 @@ def _mirror_fold(system: LinearSystem):
     m = dom.index[dom.mask.x1.size - 1 - ii, jj]
     if np.any(m < 0) or not np.array_equal(system.rhs[m], system.rhs):
         return None
-    A = system.matrix.tocsr().sorted_indices()
-    B = A[m][:, m].sorted_indices()
-    if not (np.array_equal(A.indptr, B.indptr)
-            and np.array_equal(A.indices, B.indices)
-            and np.array_equal(A.data, B.data)):
+    A = system.matrix.tocsr()
+    if not A.has_sorted_indices:
+        A = A.sorted_indices()
+    B = A[m][:, m]
+    B.sort_indices()
+    mirrored = (np.array_equal(A.indptr, B.indptr)
+                and np.array_equal(A.indices, B.indices)
+                and np.array_equal(A.data, B.data))
+    del B
+    if not mirrored:
         return None
     right = ii >= dom.mask.center_col
     keep = np.nonzero(right)[0]
@@ -390,9 +429,14 @@ def _mirror_fold(system: LinearSystem):
 _MAX_SOLVES = 10   # triangular solves per factor before it counts as stalled
 
 
-def _refined_lu_solve(A: sp.spmatrix, b: np.ndarray, p: np.ndarray):
-    """Solve A x = b by a float32 LU of A[p][:, p] refined in float64.
+def _refined_lu_solve(A: sp.csc_matrix, b: np.ndarray):
+    """Solve A x = b by a float32 LU of the CSC matrix A, refined in float64.
 
+    ``A`` comes in its elimination order: SuperLU factorizes it as it is
+    (``permc_spec="NATURAL"``).  A is put in canonical form in place,
+    which SuperLU requires and which changes no matrix-vector product,
+    so that the float32 copy handed to SuperLU can share A's index
+    arrays; so does |A|, which the stop test needs.
     Starting from x = 0, each step solves for the correction d with the
     factor, the residual scaled by max|r| first so that no entry
     underflows in float32, adds d to x in float64 and recomputes
@@ -409,19 +453,22 @@ def _refined_lu_solve(A: sp.spmatrix, b: np.ndarray, p: np.ndarray):
 
     Returns ``(x, SuperLU.nnz of the last factor, triangular solves)``.
     """
-    A = A[p][:, p].tocsc()
-    b = b[p]
+    A.sum_duplicates()   # in place: SuperLU needs canonical indices
     m = int(np.bincount(A.indices, minlength=b.size).max()) + 1
     u = np.finfo(np.float64).eps / 2.0
     gamma = m * u / (1.0 - m * u)
+    abs_b = np.abs(b)
+    abs_A = sp.csc_matrix((np.abs(A.data), A.indices, A.indptr),
+                          shape=A.shape)
 
     def at_rounding_level(r, x):
-        return bool(np.all(np.abs(r)
-                           <= gamma * (np.abs(b) + abs(A) @ np.abs(x))))
+        return bool(np.all(np.abs(r) <= gamma * (abs_b + abs_A @ np.abs(x))))
 
     solves = 0
     for dtype in (np.float32, np.float64):
-        lu = spla.splu(A.astype(dtype, copy=False), permc_spec="NATURAL")
+        lu = spla.splu(sp.csc_matrix((A.data.astype(dtype, copy=False),
+                                      A.indices, A.indptr), shape=A.shape),
+                       permc_spec="NATURAL")
         fill = int(lu.nnz)
         x = np.zeros(b.size)
         r, last = b, np.inf
@@ -442,9 +489,7 @@ def _refined_lu_solve(A: sp.spmatrix, b: np.ndarray, p: np.ndarray):
         if done:
             break
         del lu   # free the stalled factor before the next one
-    out = np.empty(b.size)
-    out[p] = x
-    return out, fill, solves
+    return x, fill, solves
 
 
 def solve(system: LinearSystem) -> DiscreteSolution:
@@ -475,20 +520,32 @@ def solve(system: LinearSystem) -> DiscreteSolution:
     unknown; about half the factorization work on the radial profiles.
     Any other system, for instance one with a12 != 0 or a drift, is
     factorized whole.  Either way the residual is that of the full
-    system."""
-    A = system.matrix.tocsc()
+    system.
+
+    Besides ``system`` itself, the factorization holds one copy of the
+    matrix: the permuted one it factorizes.  The half matrix of a fold
+    is freed once permuted, and the CSC copy for the final residual is
+    built after the factor is freed."""
     b = system.rhs
     dom = system.dom
     ij = dom.interior_ij
     fold = _mirror_fold(system)
     if fold is None:
-        x, fill, iterations = _refined_lu_solve(A, b, _nested_dissection(ij))
+        rep, A, b_f, p = None, system.matrix, b, _nested_dissection(ij)
     else:
-        keep, rep, half = fold
-        x, fill, iterations = _refined_lu_solve(
-            half, b[keep], _nested_dissection(ij[keep]))
+        keep, rep, A = fold
+        b_f, p = b[keep], _nested_dissection(ij[keep])
+    del fold
+    A = A[p][:, p].tocsc()
+    y, fill, iterations = _refined_lu_solve(A, b_f[p])
+    del A
+    x = np.empty(y.size)
+    x[p] = y
+    if rep is not None:
         x = x[rep]
+    A = system.matrix.tocsc()
     res = float(np.linalg.norm(b - A @ x) / max(np.linalg.norm(b), 1e-300))
+    del A
 
     mask = dom.mask
     values = np.full(mask.cls.shape, np.nan)
@@ -606,25 +663,25 @@ def convergence_study(op: EllipticOperator, profile: BoundaryProfile,
 def dump_matrix(path, matrix: sp.spmatrix) -> None:
     """Coordinate text format: row, col, value per line."""
     coo = matrix.tocoo()
+    lines = zip(coo.row.tolist(), coo.col.tolist(),
+                np.asarray(coo.data, dtype=float).tolist())
     with open(path, "w", encoding="utf-8") as fh:
-        for r, c, v in zip(coo.row, coo.col, coo.data):
-            fh.write(f"{int(r)} {int(c)} {float(v)!r}\n")
+        fh.write("".join(f"{r} {c} {v!r}\n" for r, c, v in lines))
 
 
 def dump_vector(path, vec: np.ndarray) -> None:
+    values = np.asarray(vec, dtype=float).ravel().tolist()
     with open(path, "w", encoding="utf-8") as fh:
-        for v in np.asarray(vec).ravel():
-            fh.write(f"{float(v)!r}\n")
+        fh.write("".join(f"{v!r}\n" for v in values))
 
 
 def dump_solution_csv(path, sol: DiscreteSolution) -> None:
     """Solution snapshot as CSV rows (x1, x2, u) over defined nodes."""
     mask = sol.dom.mask
+    x1 = [repr(v) for v in mask.x1.tolist()]   # each grid line once
+    x2 = [repr(v) for v in mask.x2.tolist()]
+    i, j = np.nonzero(np.isfinite(sol.values))   # x1-major, as the grid
+    lines = zip(i.tolist(), j.tolist(), sol.values[i, j].tolist())
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("x1,x2,u\n")
-        for i in range(mask.x1.size):
-            for j in range(mask.x2.size):
-                v = sol.values[i, j]
-                if np.isfinite(v):
-                    fh.write(f"{float(mask.x1[i])!r},{float(mask.x2[j])!r},"
-                             f"{float(v)!r}\n")
+        fh.write("".join(f"{x1[a]},{x2[b]},{u!r}\n" for a, b, u in lines))

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -228,6 +229,205 @@ def test_aleksandrov_bound_stable_across_presets():
     assert runs["laplace"]["sup_u"] <= 0.5**2 / 4.0 + 1e-6
 
 
+# ---------------------------------------------------------------- assembly
+
+def coo_reference_discretize(op, dom, bc_top_side, source=None,
+                             a12_tol=1e-12):
+    """Reference: the COO assembly that ``discretize`` replaced.  Every
+    coefficient is appended to row/col/value lists, and the COO -> CSR
+    conversion sums the duplicates."""
+    mask = dom.mask
+    h = mask.h
+    x1, x2 = mask.x1, mask.x2
+    cls = mask.cls
+    idx = dom.index
+    ii = dom.interior_ij[:, 0]
+    jj = dom.interior_ij[:, 1]
+    N = ii.size
+
+    X1 = x1[ii]
+    X2 = x2[jj]
+    a11, a22, a12 = (np.asarray(v, dtype=float)
+                     for v in op.a_grid(X1, X2))
+    b1, b2 = (np.asarray(v, dtype=float) for v in op.b_grid(X1, X2))
+    a11 = np.broadcast_to(a11, (N,)).copy()
+    a22 = np.broadcast_to(a22, (N,)).copy()
+    a12 = np.broadcast_to(a12, (N,)).copy()
+    b1 = np.broadcast_to(b1, (N,)).copy()
+    b2 = np.broadcast_to(b2, (N,)).copy()
+    if np.any(np.abs(a12) > np.minimum(a11, a22) + a12_tol):
+        raise F.StencilMonotonicityError("|a12| > min(a11, a22)")
+
+    A1 = a11 - np.abs(a12)
+    A2 = a22 - np.abs(a12)
+
+    diag = np.zeros(N)
+    rhs = np.zeros(N)
+    rows: list = []
+    cols: list = []
+    vals: list = []
+
+    def couple(k_arr, target_i, target_j, coef):
+        tcls = cls[target_i, target_j]
+        unk = tcls == G.INTERIOR
+        if np.any(unk):
+            rows.append(k_arr[unk])
+            cols.append(idx[target_i[unk], target_j[unk]])
+            vals.append(coef[unk])
+        bcn = tcls == G.EDGE
+        if np.any(bcn):
+            g = np.asarray(bc_top_side(x1[target_i[bcn]], x2[target_j[bcn]]),
+                           dtype=float)
+            rhs[k_arr[bcn]] -= coef[bcn] * g
+
+    karr = np.arange(N)
+    fw = mask.frac_w[ii, jj]
+    fe = mask.frac_e[ii, jj]
+    fs = mask.frac_s[ii, jj]
+    alpha_w = np.where(np.isnan(fw), 1.0, fw)
+    alpha_e = np.where(np.isnan(fe), 1.0, fe)
+    alpha_s = np.where(np.isnan(fs), 1.0, fs)
+    alpha_n = np.ones(N)
+    cross_w = ~np.isnan(fw) & (cls[ii - 1, jj] == G.EXTERIOR)
+    cross_e = ~np.isnan(fe) & (cls[ii + 1, jj] == G.EXTERIOR)
+    cross_s = ~np.isnan(fs) & (cls[ii, jj - 1] == G.EXTERIOR)
+
+    def second_diff(k, weight, a_minus, a_plus, di, dj, cross_minus,
+                    cross_plus, denom):
+        c_m = -2.0 * weight / (a_minus * (a_minus + a_plus) * denom)
+        c_p = -2.0 * weight / (a_plus * (a_minus + a_plus) * denom)
+        diag[k] += 2.0 * weight / (a_minus * a_plus * denom)
+        i, j = ii[k], jj[k]
+        keep_m = ~cross_minus & (np.abs(c_m) > 0.0)
+        couple(k[keep_m], i[keep_m] - di, j[keep_m] - dj, c_m[keep_m])
+        keep_p = ~cross_plus & (np.abs(c_p) > 0.0)
+        couple(k[keep_p], i[keep_p] + di, j[keep_p] + dj, c_p[keep_p])
+
+    second_diff(karr, A1, alpha_w, alpha_e, 1, 0, cross_w, cross_e, h * h)
+    second_diff(karr, A2, alpha_s, alpha_n, 0, 1, cross_s,
+                np.zeros(N, dtype=bool), h * h)
+    for s in (1, -1):
+        k = np.nonzero(s * a12 > 0.0)[0]
+        i, j = ii[k], jj[k]
+        fp = G.arm_fraction(mask, dom.profile, i, j, s, 1)
+        fm = G.arm_fraction(mask, dom.profile, i, j, -s, -1)
+        second_diff(k, 2.0 * np.abs(a12[k]), fp, fm, -s, -1,
+                    cls[i + s, j + 1] == G.EXTERIOR,
+                    cls[i - s, j - 1] == G.EXTERIOR, 2.0 * h * h)
+
+    up1 = b1 > 0.0
+    if np.any(np.abs(b1) > 0.0):
+        c = np.where(up1, b1 / (alpha_w * h), 0.0)
+        diag[:] += c
+        keep = up1 & ~cross_w & (np.abs(c) > 0)
+        couple(karr[keep], ii[keep] - 1, jj[keep], -c[keep])
+        c = np.where(~up1, -b1 / (alpha_e * h), 0.0)
+        diag[:] += c
+        keep = ~up1 & ~cross_e & (np.abs(c) > 0)
+        couple(karr[keep], ii[keep] + 1, jj[keep], -c[keep])
+    up2 = b2 > 0.0
+    if np.any(np.abs(b2) > 0.0):
+        c = np.where(up2, b2 / (alpha_s * h), 0.0)
+        diag[:] += c
+        keep = up2 & ~cross_s & (np.abs(c) > 0)
+        couple(karr[keep], ii[keep], jj[keep] - 1, -c[keep])
+        c = np.where(~up2, -b2 / (alpha_n * h), 0.0)
+        diag[:] += c
+        keep = ~up2 & (np.abs(c) > 0)
+        couple(karr[keep], ii[keep], jj[keep] + 1, -c[keep])
+
+    if source is not None:
+        rhs += np.asarray(source(X1, X2), dtype=float)
+
+    rows.append(karr)
+    cols.append(karr)
+    vals.append(diag)
+    matrix = sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(N, N))
+    return F.LinearSystem(matrix=matrix, rhs=rhs, dom=dom, bc=bc_top_side)
+
+
+def assert_same_system(system, ref):
+    A, R = system.matrix, ref.matrix
+    assert A.has_canonical_format
+    for a, r in ((A.indptr, R.indptr), (A.indices, R.indices),
+                 (A.data, R.data), (system.rhs, ref.rhs)):
+        assert a.dtype == r.dtype
+        assert a.tobytes() == r.tobytes()
+
+
+def _a12_both_signs():
+    """a11 = 1, a22 = 1.2 and an a12 that changes sign across the grid."""
+    def a_grid(X1, X2):
+        a12 = 0.8 * np.sin(7.0 * np.asarray(X1) + 3.0 * np.asarray(X2))
+        return np.ones_like(a12), np.full(a12.shape, 1.2), a12
+
+    return E.EllipticOperator(nu=0.1, a_grid=a_grid,
+                              b_grid=E.preset_operator("drift:-2").b_grid)
+
+
+@pytest.mark.parametrize("op", [
+    pytest.param(E.preset_operator(o), id=o)
+    for o in ("laplace", "aniso:0.5,2", "checker:0.25", "drift:1.5")
+] + MIXED_DRIFT + [pytest.param(_a12_both_signs(), id="a12-both-signs")])
+@pytest.mark.parametrize("profile_id", ["log1", "power:0.5", "cone:0.4",
+                                        "flat", "wedge:2.0944"])
+def test_one_pass_assembly_matches_coo_reference(profile_id, op):
+    prof = G.preset_profile(profile_id, R0=0.5)
+    bc = sector_harmonic(2.0944) if profile_id.startswith("wedge") \
+        else bc_linear
+    dom = F.DiscreteDomain.build(prof, 2.0**-6)
+    assert_same_system(F.discretize(op, dom, bc),
+                       coo_reference_discretize(op, dom, bc))
+
+
+@settings(max_examples=30, deadline=None)
+@given(slopes=st.lists(st.floats(-0.9, 0.9), min_size=2, max_size=4),
+       offsets=st.lists(st.floats(-0.3, 0.0), min_size=4, max_size=4),
+       a11=st.floats(0.5, 2.0), a22=st.floats(0.5, 2.0),
+       t=st.floats(-1.0, 1.0),
+       b=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+       g=st.tuples(_unit, _unit, _unit))
+def test_random_assembly_matches_coo_reference(slopes, offsets, a11, a22,
+                                               t, b, g):
+    # a random max-affine graph through the origin and a random admissible
+    # constant operator, drift included: bitwise the COO assembly, with a
+    # source term and boundary data of both signs
+    slopes = [abs(slopes[0]), -abs(slopes[1])] + slopes[2:]
+    prof = _max_affine(slopes, [0.0, 0.0] + offsets[:len(slopes) - 2])
+    dom = F.DiscreteDomain.build(prof, 2.0**-5)
+    op = _constant_operator(a11, a22, t * min(a11, a22), *b)
+    data = _linear_data(*g)
+    source = _linear_data(g[2], g[0], g[1])
+    assert_same_system(F.discretize(op, dom, data, source=source),
+                       coo_reference_discretize(op, dom, data,
+                                                source=source))
+
+
+@pytest.mark.parametrize("op", [
+    pytest.param(E.preset_operator(o), id=o) for o in ("laplace", "drift:1.5")
+] + MIXED_DRIFT[:1])
+def test_assembly_peak_memory(op):
+    # the transient peak of one assembly stays within 4x the bytes of the
+    # system it returns
+    dom = F.DiscreteDomain.build(G.preset_profile("log1", R0=0.5), 2.0**-8)
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        system = F.discretize(op, dom, bc_linear)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    A = system.matrix
+    size = (A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
+            + system.rhs.nbytes)
+    assert peak <= 4 * size
+
+
 # ---------------------------------------------------------------- oscillation
 
 def _manufactured_solution(dom, fn):
@@ -309,7 +509,10 @@ def _unfolded_nd_solve(system):
     the direct path of a system that does not fold.  Returns
     (x, SuperLU.nnz)."""
     p = F._nested_dissection(system.dom.interior_ij)
-    x, fill, _ = F._refined_lu_solve(system.matrix.tocsc(), system.rhs, p)
+    y, fill, _ = F._refined_lu_solve(system.matrix[p][:, p].tocsc(),
+                                     system.rhs[p])
+    x = np.empty(y.size)
+    x[p] = y
     return x, fill
 
 
@@ -462,7 +665,7 @@ def test_stalled_refinement_falls_back_to_float64(monkeypatch):
     x_true = np.random.default_rng(2).normal(size=n)
     b = A @ x_true
     dtypes = _record_factor_dtypes(monkeypatch)
-    x, _, _ = F._refined_lu_solve(A, b, np.arange(n))
+    x, _, _ = F._refined_lu_solve(A.tocsc(), b)
     assert dtypes == [np.float32, np.float64]
     assert np.linalg.norm(b - A @ x) / np.linalg.norm(b) <= 1e-12
     assert np.abs(x - x_true).max() <= 1e-9
