@@ -33,7 +33,9 @@ __all__ = [
     "AleksandrovFit",
     "BarrierSpec",
     "ChainReport",
+    "ChainSpacingError",
     "CylinderCertificate",
+    "OutOfDomainError",
     "RadialCertificate",
     "aleksandrov_constant_fit",
     "barrier_eval",
@@ -311,11 +313,13 @@ def chain_geometry(nu: float, n: int, r: float,
     return z0, zt, rho0, (4.0 * dist / (3.0 * rho0), 2.0 * dist / rho0)
 
 
+_SPHERE_SAMPLES = 256   # boundary points of a chain ball that theta samples
+
+
 def growth_chain(v_lower: float, nu: float, n: int, r: float,
                  chain_length: int, drift_term: float = 0.0,
                  z_prime: Optional[np.ndarray] = None,
-                 check_spacing: bool = True,
-                 sphere_samples: int = 256) -> ChainReport:
+                 check_spacing: bool = True) -> ChainReport:
     """Propagate a positivity bound along a chain of overlapping balls.
 
     One step moves the bound from a ball to the next center through the
@@ -338,10 +342,11 @@ def growth_chain(v_lower: float, nu: float, n: int, r: float,
     spec = annulus_barrier(1.0, rho0, s, center=np.zeros(n))
     rng = np.random.default_rng(0)
     if n == 2:
-        ang = np.linspace(0.0, 2.0 * math.pi, sphere_samples, endpoint=False)
+        ang = np.linspace(0.0, 2.0 * math.pi, _SPHERE_SAMPLES,
+                          endpoint=False)
         dirs = np.column_stack((np.cos(ang), np.sin(ang)))
     else:
-        dirs = rng.standard_normal((sphere_samples, n))
+        dirs = rng.standard_normal((_SPHERE_SAMPLES, n))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     next_center = step_vec if step > 0.0 else np.zeros(n)
     e1 = np.array([1.0] + [0.0] * (n - 1))

@@ -47,7 +47,6 @@ __all__ = [
     "delta1",
     "domain_mask",
     "extremal_frame",
-    "maxaffine_from_csv",
     "preset_profile",
     "profile_height",
     "sandwich_check",
@@ -200,28 +199,6 @@ def preset_profile(spec: str, R0: float = 0.5, ambient_dim: int = 2) -> Boundary
         return RadialProfile(f=_f, df=_df, R0=R0,
                              ambient_dim=ambient_dim, preset=spec)
     raise ValueError(f"unknown profile preset {spec!r}")
-
-
-def maxaffine_from_csv(path, R0: float = 0.5, ambient_dim: int = 2) -> MaxAffineProfile:
-    """Load a max-affine profile from CSV rows (p_1, ..., p_{n-1}, c)."""
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            parts = [p.strip() for p in line.split(",")]
-            try:
-                rows.append([float(p) for p in parts])
-            except ValueError:
-                if not rows:
-                    continue
-                raise ValueError(f"malformed CSV row: {line!r}")
-    arr = np.asarray(rows, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != ambient_dim:
-        raise ValueError("each row must hold ambient_dim-1 slopes plus an offset")
-    return MaxAffineProfile(slopes=arr[:, :-1], offsets=arr[:, -1],
-                            R0=R0, ambient_dim=ambient_dim)
 
 
 def validate_profile(profile: BoundaryProfile, samples: int = 200,
@@ -496,10 +473,17 @@ def ball_inclusion_check(profile: BoundaryProfile, frame: ExtremalFrame,
 
 EXTERIOR, INTERIOR, CURVE, EDGE = 0, 1, 2, 3
 
+# a node within this distance of the graph lies on it; crossing fractions
+# are bisected to this width per unit arm
+_CURVE_TOL = 1e-12
+
+# interior nodes the x1 = 0 column needs for the grid to resolve the domain
+_MIN_COLUMN_NODES = 4
+
 
 @dataclass(frozen=True)
 class DomainMask:
-    """Node classification of the box [-R0, R0] x [0, height].
+    """Node classification of the box [-R0, R0] x [0, R0].
 
     ``cls`` holds EXTERIOR/INTERIOR/CURVE/EDGE per node, indexed [i, j]
     for column i, row j.  ``frac_w/e/s`` store, for interior nodes whose
@@ -523,12 +507,11 @@ class DomainMask:
         return (self.x1.size - 1) // 2
 
 
-def curve_crossing_fraction(profile: BoundaryProfile, p_from, p_to,
-                            tol: float = 1e-12):
+def curve_crossing_fraction(profile: BoundaryProfile, p_from, p_to):
     """Fractions s in (0, 1] along the segments p_from -> p_to (points
     along the last axis) at which they cross the graph x2 = F(x1).  Every
     p_from must lie strictly above the graph, every p_to on or below it.
-    All segments are bisected together to |ds| <= tol; the width halves
+    All segments are bisected together to |ds| <= 1e-12; the width halves
     exactly from 1, so each takes the steps it would take alone.  One
     segment gives a float."""
     p_from = np.asarray(p_from, dtype=float)
@@ -545,13 +528,13 @@ def curve_crossing_fraction(profile: BoundaryProfile, p_from, p_to,
         raise ValueError("segment end must lie on or below the graph")
     lo, hi = np.zeros(x0.shape), np.ones(x0.shape)
     width = 1.0
-    while width > tol:
+    while width > _CURVE_TOL:
         mid = 0.5 * (lo + hi)
         above = g(mid) > 0.0
         lo = np.where(above, mid, lo)
         hi = np.where(above, hi, mid)
         width *= 0.5
-    out = np.maximum(hi, tol)
+    out = np.maximum(hi, _CURVE_TOL)
     return float(out) if out.ndim == 0 else out
 
 
@@ -571,45 +554,40 @@ def arm_fraction(mask: DomainMask, profile: BoundaryProfile, i, j,
     return frac
 
 
-def domain_mask(profile: BoundaryProfile, h: float,
-                height: Optional[float] = None,
-                min_column_nodes: int = 4) -> DomainMask:
-    """Classify grid nodes of the solver box against the graph.
+def domain_mask(profile: BoundaryProfile, h: float) -> DomainMask:
+    """Classify grid nodes of the solver box [-R0, R0] x [0, R0] against
+    the graph.
 
-    The x1 = 0 column is a grid line; R0 and the box height must be
-    integer multiples of h.  Fractional distances to the curve are exact
-    along the vertical axis and located by one vectorized bisection over
-    all crossing arms along the horizontal axis (tolerance 1e-12 per unit
-    arm)."""
+    The x1 = 0 column is a grid line; R0 must be an integer multiple of
+    h.  Fractional distances to the curve are exact along the vertical
+    axis and located by one vectorized bisection over all crossing arms
+    along the horizontal axis (tolerance 1e-12 per unit arm)."""
     if profile.ambient_dim != 2:
         raise ValueError("rasterization supports planar profiles only")
     R0 = profile.R0
-    height = R0 if height is None else height
     M = int(round(R0 / h))
-    P = int(round(height / h))
-    if M < 2 or P < 2 or abs(M * h - R0) > 1e-9 * h or abs(P * h - height) > 1e-9 * h:
-        raise ResolutionError("R0 and height must be integer multiples of h")
+    if M < 2 or abs(M * h - R0) > 1e-9 * h:
+        raise ResolutionError("R0 must be an integer multiple of h")
     x1 = (np.arange(2 * M + 1) - M) * h
-    x2 = np.arange(P + 1) * h
+    x2 = np.arange(M + 1) * h
     F = np.asarray(profile.height(x1), dtype=float)
-    tol = 1e-12
 
     X2 = x2[None, :]
     Fc = F[:, None]
-    cls = np.where(X2 > Fc + tol, INTERIOR,
-                   np.where(np.abs(X2 - Fc) <= tol, CURVE, EXTERIOR)).astype(np.int8)
+    cls = np.where(X2 > Fc + _CURVE_TOL, INTERIOR,
+                   np.where(np.abs(X2 - Fc) <= _CURVE_TOL, CURVE,
+                            EXTERIOR)).astype(np.int8)
     edge = np.zeros_like(cls, dtype=bool)
     edge[0, :] = True
     edge[-1, :] = True
     edge[:, -1] = True
     cls[edge & (cls == INTERIOR)] = EDGE
 
-    M_col = M
-    interior_center = int(np.count_nonzero(cls[M_col, :] == INTERIOR))
-    if interior_center < min_column_nodes:
+    interior_center = int(np.count_nonzero(cls[M, :] == INTERIOR))
+    if interior_center < _MIN_COLUMN_NODES:
         raise ResolutionError(
             f"only {interior_center} interior nodes on the x1 = 0 column; "
-            f"need at least {min_column_nodes}")
+            f"need at least {_MIN_COLUMN_NODES}")
 
     frac_w = np.full(cls.shape, np.nan)
     frac_e = np.full(cls.shape, np.nan)
@@ -624,7 +602,7 @@ def domain_mask(profile: BoundaryProfile, h: float,
     s_mask[:, 1:] &= crossed[:, :-1]
     s_mask[:, 0] = False
     ii, jj = np.nonzero(s_mask)
-    frac_s[ii, jj] = np.clip((x2[jj] - F[ii]) / h, tol, 1.0)
+    frac_s[ii, jj] = np.clip((x2[jj] - F[ii]) / h, _CURVE_TOL, 1.0)
 
     # horizontal arms need a root find against the graph; the box sides
     # hold no interior node, so rolling the columns wraps onto none

@@ -155,7 +155,6 @@ class DecayReport:
     verdict: HopfVerdict
     dini_verdict: Verdict
     residual: float
-    grid_h: float
     unknowns: int
 
     def usable_pairs(self):
@@ -237,7 +236,7 @@ def run_experiment(cfg: HopfExperiment) -> DecayReport:
         deltas=tuple(deltas), kappa=kappa, products=tuple(products),
         trace=tuple(float(t) for t in trace), trace_heights=tuple(heights),
         verdict=verdict, dini_verdict=dini, residual=sol.residual_norm,
-        grid_h=cfg.h, unknowns=dom.n_unknowns)
+        unknowns=dom.n_unknowns)
 
 
 # ----------------------------------------------------------------------
@@ -280,8 +279,7 @@ def product_bound(delta_fn: Callable[[float], float], kappa: float,
         return np.asarray([float(delta_fn(v)) for v in flat]).reshape(
             np.shape(t))
 
-    integral = _panel_integral(Modulus(fn=_delta_arr),
-                               radii[-1] / 2.0, radii[0] / 2.0,
+    integral = _panel_integral(_delta_arr, radii[-1] / 2.0, radii[0] / 2.0,
                                panels=4 * (K + 1))
     # nonincreasing delta along shrinking radii: one extra dyadic block
     # bounds the tail sum by delta(r_K/2) * (extra levels), and below the
@@ -324,13 +322,13 @@ class RecursionReport:
 def growth_recursion_bound(sigma: Modulus, mathfrak_b: float,
                            mathfrak_f: float, vartheta: float, k0: int,
                            rho_ratio: float = 1.0, horizon: int = 200,
-                           m1: float = 1.0, n2: float = 1.0,
-                           n3: float = 1.0) -> RecursionReport:
+                           m1: float = 1.0) -> RecursionReport:
     """Evaluate the supremum-propagation recursion driven by sigma.
 
     gamma_k = (1-t/2)^-1 (2 zeta_k/zeta_{k+1})
               (exp(-lambda/(2 zeta_k)) + N2 B sigma(2^-k rho/rho*)/(t/2)),
-    zeta_k = 1/(k+k0), lambda = -ln(1 - t/2).  Requires gamma_1 <= 1/2;
+    zeta_k = 1/(k+k0), lambda = -ln(1 - t/2); the structural constants,
+    N2 here and N3 in the source of M_k, are 1.  Requires gamma_1 <= 1/2;
     otherwise ``AdjustK0Error`` carries the minimal admissible k0 (when
     the sigma term alone blocks the bound, no k0 works and the error says
     to shrink rho_ratio).  The M_k trajectory takes the recursion as
@@ -348,7 +346,7 @@ def growth_recursion_bound(sigma: Modulus, mathfrak_b: float,
         zr = 2.0 * (k + k0v + 1.0) / (k + k0v)
         sig = float(sigma(min(2.0 ** -k * rho_ratio, 1.0)))
         return pref * zr * (math.exp(-lam * (k + k0v) / 2.0)
-                            + n2 * mathfrak_b * sig / half_t)
+                            + mathfrak_b * sig / half_t)
 
     if gamma_at(1, k0) > 0.5:
         minimal = None
@@ -375,7 +373,7 @@ def growth_recursion_bound(sigma: Modulus, mathfrak_b: float,
     try:
         j_small = dini_integral(sigma, min(2.0 ** -horizon * rho_ratio, 1.0),
                                 rel_tol=1e-6, max_intervals=900)
-        sig_tail = (pref * 2.0 * n2 * mathfrak_b / half_t
+        sig_tail = (pref * 2.0 * mathfrak_b / half_t
                     * j_small / math.log(2.0))
     except Exception:
         sig_tail = math.inf
@@ -386,7 +384,7 @@ def growth_recursion_bound(sigma: Modulus, mathfrak_b: float,
     zeta_fac = (ks + k0 + 1.0) / (ks + k0)  # zeta_k / zeta_{k+1}
     m_vals = [m1]
     for k in range(horizon):
-        src = (n3 * mathfrak_f * sig_terms[k] * 2.0 * zeta_fac[k]
+        src = (mathfrak_f * sig_terms[k] * 2.0 * zeta_fac[k]
                / ((1.0 - half_t) * half_t))
         m_vals.append(m_vals[-1] * (1.0 + gam[k]) + src)
     m_bound = np.asarray(m_vals)
@@ -427,9 +425,11 @@ class ContrastReport:
     common_kappa: float
 
 
+_COMMON_KAPPA = 0.1   # the one kappa every profile's damping product uses
+
+
 def contrast_suite(profiles: Sequence[str], operator: str,
-                   cfg: HopfExperiment,
-                   common_kappa: float = 0.1) -> ContrastReport:
+                   cfg: HopfExperiment) -> ContrastReport:
     """Run the experiment per profile and cross-compare damping products.
 
     Requires at least one Dini and one non-Dini profile.  Consistency
@@ -448,7 +448,7 @@ def contrast_suite(profiles: Sequence[str], operator: str,
     for p in profiles:
         prof = geo.preset_profile(p, R0=cfg.R0)
         prods[p] = product_bound(lambda r, prof=prof: geo.delta(prof, r),
-                                 common_kappa, cfg.R0, 40).partials[-1]
+                                 _COMMON_KAPPA, cfg.R0, 40).partials[-1]
     dini_products = [prods[p] for p in profiles
                      if verdicts[p] == Verdict.DINI]
     nondini_products = [prods[p] for p in profiles
@@ -464,7 +464,7 @@ def contrast_suite(profiles: Sequence[str], operator: str,
          "verdict": str(reports[p].verdict)}
         for p in profiles)
     return ContrastReport(rows=rows, consistency_ok=bool(ok),
-                          common_kappa=common_kappa)
+                          common_kappa=_COMMON_KAPPA)
 
 
 # ----------------------------------------------------------------------

@@ -26,6 +26,7 @@ __all__ = [
     "ApproximantPair",
     "EllipticOperator",
     "EmptyRegionError",
+    "approximate",
     "correct_drift",
     "ellipticity_check",
     "local_norm",
@@ -52,23 +53,12 @@ class EllipticOperator:
     nu: float
     a_grid: Callable
     b_grid: Callable
-    preset: Optional[str] = None
     params: dict = field(default_factory=dict)
-
-    def a(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        a11, a22, a12 = self.a_grid(np.asarray(x[0]), np.asarray(x[1]))
-        return np.array([[float(a11), float(a12)], [float(a12), float(a22)]])
 
     def b(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         b1, b2 = self.b_grid(np.asarray(x[0]), np.asarray(x[1]))
         return np.array([float(b1), float(b2)])
-
-    def apply(self, x, grad, hess) -> float:
-        """L u at a point from the analytic gradient and Hessian of u."""
-        a = self.a(x)
-        return float(-(a * np.asarray(hess)).sum() + self.b(x) @ np.asarray(grad))
 
 
 def _zero_b(X1, X2):
@@ -84,7 +74,7 @@ def preset_operator(spec: str) -> EllipticOperator:
             ones = np.ones(np.broadcast(X1, X2).shape)
             return ones, ones.copy(), np.zeros_like(ones)
         return EllipticOperator(nu=1.0, a_grid=a_grid, b_grid=_zero_b,
-                                preset=spec, params={})
+                                params={})
     if name == "aniso":
         l1, l2 = (float(v) for v in arg.split(","))
         if l1 <= 0 or l2 <= 0:
@@ -95,7 +85,7 @@ def preset_operator(spec: str) -> EllipticOperator:
             shape = np.broadcast(X1, X2).shape
             return (np.full(shape, l1), np.full(shape, l2), np.zeros(shape))
         return EllipticOperator(nu=nu, a_grid=a_grid, b_grid=_zero_b,
-                                preset=spec, params={"l1": l1, "l2": l2})
+                                params={"l1": l1, "l2": l2})
     if name == "checker":
         eps0 = float(arg) if arg else 0.25
         if eps0 <= 0:
@@ -110,7 +100,7 @@ def preset_operator(spec: str) -> EllipticOperator:
             a22 = np.where(parity == 0, hi, lo)
             return a11, a22, np.zeros_like(a11)
         return EllipticOperator(nu=0.5, a_grid=a_grid, b_grid=_zero_b,
-                                preset=spec, params={"eps0": eps0})
+                                params={"eps0": eps0})
     if name == "drift":
         scale = float(arg) if arg else 1.0
 
@@ -124,7 +114,7 @@ def preset_operator(spec: str) -> EllipticOperator:
             return (-s * np.sin(math.pi * X2) * np.ones_like(X1),
                     s * np.cos(math.pi * X1) * np.ones_like(X2))
         return EllipticOperator(nu=1.0, a_grid=a_grid, b_grid=b_grid,
-                                preset=spec, params={"scale": scale})
+                                params={"scale": scale})
     raise ValueError(f"unknown operator preset {spec!r}")
 
 
@@ -216,10 +206,14 @@ def correct_drift(b_tilde, b, grad_u) -> np.ndarray:
 # leading-coefficient mollification
 # ----------------------------------------------------------------------
 
-def _bump_points_weights(points_per_axis: int):
-    # even count keeps quadrature mass off jump interfaces that pass
-    # through the evaluation point, preserving the symmetric average there
-    q = (np.arange(points_per_axis) + 0.5) / points_per_axis  # (0, 1)
+# quadrature points per axis of the mollifier; an even count keeps
+# quadrature mass off jump interfaces that pass through the evaluation
+# point, preserving the symmetric average there
+_POINTS_PER_AXIS = 6
+
+
+def _bump_points_weights():
+    q = (np.arange(_POINTS_PER_AXIS) + 0.5) / _POINTS_PER_AXIS  # (0, 1)
     t = 2.0 * q - 1.0
     w = np.exp(-1.0 / (1.0 - t**2))
     T1, T2 = np.meshgrid(t, t, indexing="ij")
@@ -229,8 +223,7 @@ def _bump_points_weights(points_per_axis: int):
     return T1.ravel(), T2.ravel(), (W / W.sum()).ravel()
 
 
-def mollify_a(a_grid: Callable, epsilon: float, box,
-              points_per_axis: int = 6) -> Callable:
+def mollify_a(a_grid: Callable, epsilon: float, box) -> Callable:
     """Mollified matrix field: kernel-weighted average over a radius-eps
     disc with a smooth bump kernel, extension by the identity outside
     ``box`` = (x1_min, x1_max, x2_min, x2_max).
@@ -239,7 +232,7 @@ def mollify_a(a_grid: Callable, epsilon: float, box,
     combination of admissible ones and the eigenvalue interval survives."""
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
-    t1, t2, w = _bump_points_weights(points_per_axis)
+    t1, t2, w = _bump_points_weights()
     x1_min, x1_max, x2_min, x2_max = (float(v) for v in box)
 
     def a_eps(X1, X2):
@@ -283,12 +276,12 @@ class ApproximantPair:
         return correct_drift(bt, b, grad)
 
 
-def approximate(op: EllipticOperator, epsilon: float, box,
-                points_per_axis: int = 6) -> ApproximantPair:
+def approximate(op: EllipticOperator, epsilon: float,
+                box) -> ApproximantPair:
     """Approximating operator: mollified a plus truncated drift."""
     return ApproximantPair(
         epsilon=epsilon,
-        a_eps=mollify_a(op.a_grid, epsilon, box, points_per_axis),
+        a_eps=mollify_a(op.a_grid, epsilon, box),
         b_eps_raw=truncate_drift(op.b_grid, epsilon),
         b_grid=op.b_grid,
     )

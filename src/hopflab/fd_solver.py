@@ -1,6 +1,6 @@
 """Finite-difference solver on the region above a convex boundary graph.
 
-The domain is the part of the box [-R0, R0] x [0, height] above the graph
+The domain is the part of the box [-R0, R0] x [0, R0] above the graph
 x2 = F(x1).  Second derivatives use central differences with
 Shortley-Weller shortened arms where a neighbor lies across the curve; a
 nonzero mixed coefficient is split as
@@ -98,11 +98,8 @@ class DiscreteDomain:
     interior_ij: np.ndarray  # (N, 2)
 
     @classmethod
-    def build(cls, profile: BoundaryProfile, h: float,
-              height: Optional[float] = None,
-              min_column_nodes: int = 4) -> "DiscreteDomain":
-        mask = domain_mask(profile, h, height=height,
-                           min_column_nodes=min_column_nodes)
+    def build(cls, profile: BoundaryProfile, h: float) -> "DiscreteDomain":
+        mask = domain_mask(profile, h)
         interior = mask.cls == INTERIOR
         index = np.full(mask.cls.shape, -1, dtype=np.int64)
         ii, jj = np.nonzero(interior)
@@ -158,9 +155,12 @@ class DiscreteSolution:
     fill: int = 0
 
 
+_A12_TOL = 1e-12   # slack of the monotonicity test |a12| <= min(a11, a22)
+
+
 def discretize(op: EllipticOperator, dom: DiscreteDomain,
-               bc_top_side: Callable, source: Optional[Callable] = None,
-               a12_tol: float = 1e-12) -> LinearSystem:
+               bc_top_side: Callable,
+               source: Optional[Callable] = None) -> LinearSystem:
     """Assemble the sparse system for L u = source on the masked grid.
 
     ``bc_top_side(x1, x2)`` supplies Dirichlet data on the box top and
@@ -194,7 +194,7 @@ def discretize(op: EllipticOperator, dom: DiscreteDomain,
               for v in op.b_grid(X1, X2))
     del X1, X2
 
-    bad = np.abs(a12) > np.minimum(a11, a22) + a12_tol
+    bad = np.abs(a12) > np.minimum(a11, a22) + _A12_TOL
     if np.any(bad):
         k = int(np.nonzero(bad)[0][0])
         raise StencilMonotonicityError(
@@ -391,13 +391,13 @@ def _mirror_fold(system: LinearSystem):
     alone (duplicates summed: on the center column the W and E arms
     merge, so off-diagonals stay <= 0 and row sums do not change).
 
-    A matrix with sorted indices, as ``discretize`` gives, is compared
-    as it is, and the mirrored copy is sorted in place and freed before
-    the half is built.
+    The diagonal is compared first, a necessary condition that rejects a
+    drift, for instance, before the mirrored copy of the whole matrix is
+    built.  A matrix with sorted indices, as ``discretize`` gives, is
+    compared as it is, and the mirrored copy is sorted in place and freed.
 
-    Returns ``(keep, rep, matrix)``: the kept unknowns, ``rep`` mapping
-    every unknown to its row in the half system (so ``x = xf[rep]``),
-    and the half system's matrix in CSC form.
+    Returns ``(keep, rep)``: the kept unknowns, and ``rep`` mapping every
+    unknown to its row in the half system (so ``x = xf[rep]``).
     """
     dom = system.dom
     ii, jj = dom.interior_ij[:, 0], dom.interior_ij[:, 1]
@@ -405,6 +405,9 @@ def _mirror_fold(system: LinearSystem):
     if np.any(m < 0) or not np.array_equal(system.rhs[m], system.rhs):
         return None
     A = system.matrix.tocsr()
+    diag = A.diagonal()
+    if not np.array_equal(diag[m], diag):
+        return None
     if not A.has_sorted_indices:
         A = A.sorted_indices()
     B = A[m][:, m]
@@ -420,10 +423,33 @@ def _mirror_fold(system: LinearSystem):
     rep = np.empty(ii.size, dtype=np.intp)
     rep[keep] = np.arange(keep.size)
     rep[~right] = rep[m[~right]]
-    half = A[keep].tocoo()
-    matrix = sp.csc_matrix((half.data, (half.row, rep[half.col])),
-                           shape=(keep.size, keep.size))
-    return keep, rep, matrix
+    return keep, rep
+
+
+def _factor_input(system: LinearSystem):
+    """``(A, b, unfold)``: the CSC matrix SuperLU factorizes, its rhs, and
+    the map ``x = y[unfold]`` from its solution to that of ``system``.
+
+    The kept unknowns of a fold (``_mirror_fold``; without one ``keep``
+    and ``rep`` are the identity) go in ``_nested_dissection`` order, and
+    one COO to CSC conversion puts every entry of a kept row at
+    ``(pos[row], pos[rep[col]])``, ``pos`` the int32 elimination position,
+    summing the entries that the fold merges."""
+    A = system.matrix.tocsr()
+    n = A.shape[0]
+    keep, rep = _mirror_fold(system) or (np.arange(n), np.arange(n))
+    p = _nested_dissection(system.dom.interior_ij[keep])
+    pos = np.empty(p.size, dtype=np.int32)
+    pos[p] = np.arange(p.size, dtype=np.int32)
+    unfold = pos[rep]
+    kept = np.zeros(n, dtype=bool)
+    kept[keep] = True
+    counts = np.diff(A.indptr)
+    on = np.repeat(kept, counts)
+    rows = np.repeat(unfold[kept], counts[kept])
+    A = sp.csc_matrix((A.data[on], (rows, unfold[A.indices[on]])),
+                      shape=(p.size, p.size))
+    return A, system.rhs[keep][p], unfold
 
 
 _MAX_SOLVES = 10   # triangular solves per factor before it counts as stalled
@@ -523,26 +549,15 @@ def solve(system: LinearSystem) -> DiscreteSolution:
     system.
 
     Besides ``system`` itself, the factorization holds one copy of the
-    matrix: the permuted one it factorizes.  The half matrix of a fold
-    is freed once permuted, and the CSC copy for the final residual is
-    built after the factor is freed."""
+    matrix: the permuted one it factorizes (``_factor_input``).  The CSC
+    copy for the final residual is built after the factor is freed."""
     b = system.rhs
     dom = system.dom
     ij = dom.interior_ij
-    fold = _mirror_fold(system)
-    if fold is None:
-        rep, A, b_f, p = None, system.matrix, b, _nested_dissection(ij)
-    else:
-        keep, rep, A = fold
-        b_f, p = b[keep], _nested_dissection(ij[keep])
-    del fold
-    A = A[p][:, p].tocsc()
-    y, fill, iterations = _refined_lu_solve(A, b_f[p])
+    A, b_f, unfold = _factor_input(system)
+    y, fill, iterations = _refined_lu_solve(A, b_f)
     del A
-    x = np.empty(y.size)
-    x[p] = y
-    if rep is not None:
-        x = x[rep]
+    x = y[unfold]
     A = system.matrix.tocsc()
     res = float(np.linalg.norm(b - A @ x) / max(np.linalg.norm(b), 1e-300))
     del A
@@ -585,11 +600,14 @@ def hopf_trace(sol: DiscreteSolution, heights: Sequence[float]) -> np.ndarray:
     return out
 
 
+_NOISE_FLOOR_CELLS = 2
+
+
 def oscillation(sol: DiscreteSolution, profile: BoundaryProfile,
-                r: float, noise_floor_cells: int = 2) -> float:
+                r: float) -> float:
     """max - min of u(x)/x2 over interior nodes of the cylinder
-    {|x1| < r, 0 < x2 < r}, excluding rows x2 < noise_floor_cells*h where
-    the quotient amplifies discretization noise."""
+    {|x1| < r, 0 < x2 < r}, excluding rows x2 < 2h where the quotient
+    amplifies discretization noise."""
     if r > profile.R0 + 1e-12:
         raise ValueError(f"r = {r} exceeds the patch radius {profile.R0}")
     dom = sol.dom
@@ -597,7 +615,7 @@ def oscillation(sol: DiscreteSolution, profile: BoundaryProfile,
     X1 = mask.x1[:, None]
     X2 = mask.x2[None, :]
     region = ((mask.cls == INTERIOR) & (np.abs(X1) < r) & (X2 < r)
-              & (X2 >= noise_floor_cells * mask.h - 1e-15))
+              & (X2 >= _NOISE_FLOOR_CELLS * mask.h - 1e-15))
     if not np.any(region):
         raise EmptyRegionError(f"no interior nodes in the cylinder r = {r}")
     quot = sol.values[region] / np.broadcast_to(X2, mask.cls.shape)[region]
@@ -619,8 +637,7 @@ class ConvergenceReport:
 
 def convergence_study(op: EllipticOperator, profile: BoundaryProfile,
                       bc: Callable, h_list: Sequence[float],
-                      exact: Optional[Callable] = None,
-                      height: Optional[float] = None) -> ConvergenceReport:
+                      exact: Optional[Callable] = None) -> ConvergenceReport:
     """Observed order from max-norm errors across grids.
 
     With ``exact`` the error is max |u_h - exact| over interior nodes;
@@ -631,7 +648,7 @@ def convergence_study(op: EllipticOperator, profile: BoundaryProfile,
         raise ValueError("h_list must be strictly decreasing with >= 2 entries")
     errors = []
     for h in h_list:
-        dom = DiscreteDomain.build(profile, h, height=height)
+        dom = DiscreteDomain.build(profile, h)
         sol = solve(discretize(op, dom, bc))
         if exact is not None:
             ii, jj = dom.interior_ij[:, 0], dom.interior_ij[:, 1]
@@ -639,7 +656,7 @@ def convergence_study(op: EllipticOperator, profile: BoundaryProfile,
                              dtype=float)
             err = float(np.abs(sol.vec - ref).max())
         else:
-            dom2 = DiscreteDomain.build(profile, h / 2.0, height=height)
+            dom2 = DiscreteDomain.build(profile, h / 2.0)
             sol2 = solve(discretize(op, dom2, bc))
             ii, jj = dom.interior_ij[:, 0], dom.interior_ij[:, 1]
             fine = sol2.values[2 * ii, 2 * jj]

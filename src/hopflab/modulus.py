@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -41,6 +41,7 @@ __all__ = [
     "NotMonotoneError",
     "NotNormalizedError",
     "DiniDivergenceError",
+    "DomainError",
     "QuadratureToleranceError",
     "RelationReport",
     "Verdict",
@@ -104,10 +105,6 @@ class Modulus:
     ----------
     fn : callable
         Vectorized evaluation, mapping t in [0, 1] to sigma(t).
-    kind : str
-        "closed-form" or "tabulated".
-    preset : str or None
-        Preset id when constructed from one.
     closed_form_j : callable or None
         Closed form of the Dini integral J(s), when known.
     dini_flag : Verdict or None
@@ -116,11 +113,8 @@ class Modulus:
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
-    kind: str = "closed-form"
-    preset: Optional[str] = None
     closed_form_j: Optional[Callable[[float], float]] = None
     dini_flag: Optional[Verdict] = None
-    label: str = "custom"
 
     def __call__(self, t):
         t_arr = np.asarray(t, dtype=float)
@@ -199,10 +193,8 @@ def preset_modulus(spec: str) -> Modulus:
     if name == "linear":
         return Modulus(
             fn=lambda t: np.asarray(t, dtype=float),
-            preset=spec,
             closed_form_j=lambda s: s,
             dini_flag=Verdict.DINI,
-            label="sigma(t) = t",
         )
     if name == "power":
         alpha = float(arg)
@@ -210,10 +202,8 @@ def preset_modulus(spec: str) -> Modulus:
             raise ValueError(f"power modulus needs alpha in (0, 1], got {alpha}")
         return Modulus(
             fn=lambda t, a=alpha: np.power(np.asarray(t, dtype=float), a),
-            preset=spec,
             closed_form_j=lambda s, a=alpha: s**a / a,
             dini_flag=Verdict.DINI,
-            label=f"sigma(t) = t^{alpha}",
         )
     if name == "log1":
         def _log1(t):
@@ -222,10 +212,8 @@ def preset_modulus(spec: str) -> Modulus:
 
         return Modulus(
             fn=_log1,
-            preset=spec,
             closed_form_j=None,  # J diverges at zero
             dini_flag=Verdict.NON_DINI,
-            label="sigma(t) = 1/ln(e/t)",
         )
     if name == "log2":
         def _log2(t):
@@ -234,10 +222,8 @@ def preset_modulus(spec: str) -> Modulus:
 
         return Modulus(
             fn=_log2,
-            preset=spec,
             closed_form_j=lambda s: 1.0 / (1.0 - math.log(s)),
             dini_flag=Verdict.DINI,
-            label="sigma(t) = 1/ln(e/t)^2",
         )
     raise ValueError(f"unknown modulus preset {spec!r}")
 
@@ -298,7 +284,7 @@ def from_table(t: Sequence[float], s: Sequence[float]) -> Modulus:
         out[x >= 1.0] = ss[-1]
         return out
 
-    return Modulus(fn=_eval, kind="tabulated", label="tabulated")
+    return Modulus(fn=_eval)
 
 
 def load_csv(path) -> Modulus:
@@ -353,21 +339,18 @@ def regularize(sigma_raw: Callable[[float], float], grid_size: int = 400) -> Mod
     suffix = np.maximum.accumulate(ratio[::-1])[::-1]
     reg = grid * suffix
     # suffix max can only raise values, and the result ends at sigma(1) = 1
-    table_t = np.concatenate(([0.0], grid))
-    table_s = np.concatenate(([0.0], reg))
-    m = from_table(table_t, table_s)
-    return Modulus(
-        fn=m.fn, kind="tabulated", preset=None, closed_form_j=None,
-        dini_flag=None, label="regularized",
-    )
+    return from_table(np.concatenate(([0.0], grid)),
+                      np.concatenate(([0.0], reg)))
 
 
 # ----------------------------------------------------------------------
 # quadrature
 # ----------------------------------------------------------------------
 
-def _panel_integral(sigma: Modulus, a: float, b: float, panels: int = 4) -> float:
-    """Integral of sigma(tau)/tau over [a, b] by panelled Gauss-Legendre."""
+def _panel_integral(sigma: Callable, a: float, b: float,
+                    panels: int = 4) -> float:
+    """Integral of sigma(tau)/tau over [a, b] by panelled Gauss-Legendre;
+    ``sigma`` maps an array of abscissae to an array of the same shape."""
     edges = np.linspace(a, b, panels + 1)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])

@@ -404,15 +404,7 @@ def test_crossing_fraction_batch_rejects_bad_segment():
 
 def test_mask_resolution_error():
     with pytest.raises(G.ResolutionError):
-        G.domain_mask(G.preset_profile("flat", R0=0.5), h=0.25,
-                      min_column_nodes=4)
-
-
-def test_maxaffine_csv(tmp_path):
-    path = tmp_path / "prof.csv"
-    path.write_text("0.0,0.0\n2.0,-0.1\n", encoding="utf-8")
-    ma = G.maxaffine_from_csv(path, R0=0.5)
-    assert G.delta(ma, 0.1) == pytest.approx(1.0)
+        G.domain_mask(G.preset_profile("flat", R0=0.5), h=0.25)
 
 
 def test_validate_profile_accepts_presets():

@@ -405,6 +405,20 @@ def test_random_assembly_matches_coo_reference(slopes, offsets, a11, a22,
                                                 source=source))
 
 
+def _traced_peak(fn, *args):
+    """(fn(*args), the peak bytes traced above those held before it)."""
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
 @pytest.mark.parametrize("op", [
     pytest.param(E.preset_operator(o), id=o) for o in ("laplace", "drift:1.5")
 ] + MIXED_DRIFT[:1])
@@ -412,16 +426,7 @@ def test_assembly_peak_memory(op):
     # the transient peak of one assembly stays within 4x the bytes of the
     # system it returns
     dom = F.DiscreteDomain.build(G.preset_profile("log1", R0=0.5), 2.0**-8)
-    tracing = tracemalloc.is_tracing()
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        system = F.discretize(op, dom, bc_linear)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        if not tracing:
-            tracemalloc.stop()
+    system, peak = _traced_peak(F.discretize, op, dom, bc_linear)
     A = system.matrix
     size = (A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
             + system.rhs.nbytes)
@@ -537,13 +542,15 @@ def test_mirror_fold_matches_full_solve(profile_id, h):
     assert sol.residual_norm <= 1e-12
     assert 0 < sol.fill < _unfolded_nd_solve(system)[1]
     # the fold only merges columns: the half matrix is still an M-matrix
-    # with the row sums of the kept rows
-    keep, _, half = fold
+    # with the row sums of the kept rows, here in elimination order
+    keep, _ = fold
+    half, _, _ = F._factor_input(system)
+    kept = keep[F._nested_dissection(system.dom.interior_ij[keep])]
     coo = half.tocoo()
     assert coo.data[coo.row != coo.col].max() <= 0.0
     np.testing.assert_allclose(np.asarray(half.sum(axis=1)).ravel(),
                                np.asarray(system.matrix.sum(axis=1)).ravel()
-                               [keep], rtol=1e-12, atol=1e-9)
+                               [kept], rtol=1e-12, atol=1e-9)
 
 
 @pytest.mark.parametrize("where", ["rhs", "matrix"])
@@ -587,6 +594,21 @@ def test_mirror_fold_skips_asymmetric_systems(profile, op):
     system = F.discretize(op, dom, bc_linear)
     assert F._mirror_fold(system) is None
     assert F.solve(system).fill == _unfolded_nd_solve(system)[1]
+
+
+def test_mirror_fold_rejects_on_the_diagonal_without_a_copy():
+    # drift:1.5 on log1 passes the rhs test, and its diagonal already
+    # differs under the mirror: the fold is rejected before the mirrored
+    # copy A[m][:, m], which takes at least A's data and indices, is built
+    dom = F.DiscreteDomain.build(G.preset_profile("log1", R0=0.5), 2.0**-8)
+    system = F.discretize(E.preset_operator("drift:1.5"), dom, bc_linear)
+    ii, jj = dom.interior_ij[:, 0], dom.interior_ij[:, 1]
+    m = dom.index[dom.mask.x1.size - 1 - ii, jj]
+    assert np.array_equal(system.rhs[m], system.rhs)
+    fold, peak = _traced_peak(F._mirror_fold, system)
+    assert fold is None
+    A = system.matrix
+    assert peak < A.data.nbytes + A.indices.nbytes
 
 
 _max_affine_pieces = st.lists(
@@ -669,6 +691,25 @@ def test_stalled_refinement_falls_back_to_float64(monkeypatch):
     assert dtypes == [np.float32, np.float64]
     assert np.linalg.norm(b - A @ x) / np.linalg.norm(b) <= 1e-12
     assert np.abs(x - x_true).max() <= 1e-9
+
+
+def test_refined_solve_canonicalizes_in_place():
+    # SuperLU sorts the index arrays of a non-canonical input in place; the
+    # float32 copy shares them with A, so A is made canonical first, or
+    # its indices would be reordered under its own data
+    system = _laplace_system(G.preset_profile("log1", R0=0.5), 2.0**-6)
+    A = system.matrix.tocsc()
+    ref = F._refined_lu_solve(A.copy(), system.rhs)
+    cols = np.repeat(np.arange(A.shape[1]), np.diff(A.indptr))
+    order = np.lexsort((np.random.default_rng(0).random(A.nnz), cols))
+    shuffled = sp.csc_matrix((A.data[order], A.indices[order], A.indptr),
+                             shape=A.shape)
+    assert not shuffled.has_sorted_indices
+    v = np.random.default_rng(1).normal(size=A.shape[1])
+    x, fill, solves = F._refined_lu_solve(shuffled, system.rhs)
+    np.testing.assert_array_equal(x, ref[0])
+    assert (fill, solves) == ref[1:]
+    np.testing.assert_array_equal(shuffled @ v, A @ v)
 
 
 def test_zero_rhs_gives_zero_solution():
