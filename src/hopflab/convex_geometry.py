@@ -232,19 +232,29 @@ def validate_profile(profile: BoundaryProfile, samples: int = 200,
 # delta and delta1
 # ----------------------------------------------------------------------
 
-def _check_scale(profile: BoundaryProfile, r: float, limit: float = None):
+def _check_scale(profile: BoundaryProfile, r, limit: float = None):
+    """Reject a scale, or any scale in an array, outside (0, limit]."""
     limit = profile.R0 if limit is None else limit
-    if not 0.0 < r <= limit + 1e-12:
-        raise DomainError(f"scale r = {r} outside (0, {limit}]")
+    r = np.asarray(r, dtype=float)
+    bad = ~((r > 0.0) & (r <= limit + 1e-12))
+    if np.any(bad):
+        raise DomainError(f"scale r = {r[bad].flat[0]} outside (0, {limit}]")
 
 
-def delta(profile: BoundaryProfile, r: float) -> float:
-    """Boundary slope modulus: max over |x'| <= r of F(x')/|x'|."""
+def delta(profile: BoundaryProfile, r):
+    """Boundary slope modulus: max over |x'| <= r of F(x')/|x'|.
+
+    ``r`` is a radius or an array of radii, each in (0, R0]; the result
+    is a float or an array of r's shape."""
     _check_scale(profile, r)
+    r = np.asarray(r, dtype=float)
     if isinstance(profile, RadialProfile):
-        return float(profile.f(r)) / r
-    vals = np.linalg.norm(profile.slopes, axis=1) + profile.offsets / r
-    return float(vals.max())
+        out = np.asarray(profile.f(r), dtype=float) / r
+    else:
+        norms = np.linalg.norm(profile.slopes, axis=1)
+        out = (norms[:, None] + profile.offsets[:, None] / r.reshape(-1)
+               ).max(axis=0).reshape(r.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 def delta1(profile: BoundaryProfile, r: float) -> float:
@@ -636,7 +646,7 @@ def boundary_modulus(profile: BoundaryProfile):
     if d_R0 <= 0.0:
         return None, Verdict.DINI
     ts = np.geomspace(1e-8, 1.0, 200)
-    vals = np.array([delta(profile, t * profile.R0) for t in ts]) / d_R0
+    vals = delta(profile, ts * profile.R0) / d_R0
     table = from_table(np.concatenate(([0.0], ts)),
                        np.concatenate(([0.0], np.maximum.accumulate(vals))))
     return table, None

@@ -30,8 +30,9 @@ import numpy as np
 from . import convex_geometry as geo
 from . import fd_solver as fds
 from .elliptic_operator import EmptyRegionError, preset_operator
-from .modulus import (Modulus, Verdict, dini_classify, dini_integral,
-                      _panel_integral)
+from .modulus import (DiniDivergenceError, Modulus,
+                      QuadratureToleranceError, Verdict, dini_classify,
+                      dini_integral, _dyadic_increments)
 
 __all__ = [
     "AdjustK0Error",
@@ -202,13 +203,9 @@ def run_experiment(cfg: HopfExperiment) -> DecayReport:
     radii = radii[:len(osc)]
     ratios = [osc[k + 1] / osc[k] if osc[k] > 1e-300 else 1.0
               for k in range(len(osc) - 1)]
-    deltas = [geo.delta(profile, r / 2.0) for r in radii]
+    deltas = geo.delta(profile, np.asarray(radii) / 2.0)
     kappa = _fit_kappa(osc, deltas)
-    products = []
-    p = 1.0
-    for d in deltas:
-        p *= 1.0 - kappa * d
-        products.append(p)
+    products = np.cumprod(1.0 - kappa * deltas)
 
     heights = [round(r / cfg.h) * cfg.h for r in radii]
     trace = fds.hopf_trace(sol, heights)
@@ -233,7 +230,8 @@ def run_experiment(cfg: HopfExperiment) -> DecayReport:
 
     return DecayReport(
         config=cfg, radii=tuple(radii), osc=tuple(osc), ratios=tuple(ratios),
-        deltas=tuple(deltas), kappa=kappa, products=tuple(products),
+        deltas=tuple(deltas.tolist()), kappa=kappa,
+        products=tuple(products.tolist()),
         trace=tuple(float(t) for t in trace), trace_heights=tuple(heights),
         verdict=verdict, dini_verdict=dini, residual=sol.residual_norm,
         unknowns=dom.n_unknowns)
@@ -249,54 +247,47 @@ class ProductReport:
     partials: tuple            # prod_{i<=j} (1 - kappa delta(r_i/2))
     delta_sum: float
     integral: float            # int of delta(r)/r over [r_K/2, r_0/2]
-    sum_to_integral: float
+    sum_to_integral: float     # ~ 1/ln 8 for slowly varying delta
     limit_estimate: float      # partial_K damped by the analytic tail bound
     tail_sum_bound: float
 
 
-def product_bound(delta_fn: Callable[[float], float], kappa: float,
+def product_bound(delta_fn: Callable[[np.ndarray], np.ndarray], kappa: float,
                   R0: float, K: int) -> ProductReport:
     """Partial products prod_{j=0..k} (1 - kappa delta(8^-j R0 / 2)).
 
-    Also reports the dyadic sum of delta values against the integral of
-    delta(r)/r over the covered range (they agree within a factor ln 8),
-    and a tail-bounded limit estimate using one extra dyadic block."""
+    ``delta_fn`` maps an array of radii to an array of their delta values
+    (a scalar is broadcast).  Also reports the dyadic sum of the delta
+    values against the integral of delta(r)/r over [r_K/2, r_0/2], summed
+    over its 3K dyadic intervals (`_dyadic_increments`): for slowly
+    varying delta the sum is about integral / ln 8, and for a constant
+    delta exactly (K+1)/(K ln 8) times it.  A tail-bounded limit estimate
+    uses one extra dyadic block."""
     if not 0.0 < kappa < 1.0:
         raise ValueError("kappa must lie in (0, 1)")
-    radii = [8.0 ** -j * R0 for j in range(K + 1)]
-    deltas = [float(delta_fn(r / 2.0)) for r in radii]
+    radii = 8.0 ** -np.arange(K + 1) * R0
+    deltas = np.broadcast_to(np.asarray(delta_fn(radii / 2.0), dtype=float),
+                             radii.shape)
     if deltas[0] * kappa >= 1.0:
         raise geo.DomainError("kappa * delta(r0/2) >= 1: factors not positive")
-    partials = []
-    p = 1.0
-    for d in deltas:
-        p *= 1.0 - kappa * d
-        partials.append(p)
+    partials = np.cumprod(1.0 - kappa * deltas)
     delta_sum = float(np.sum(deltas))
-
-    def _delta_arr(t):
-        flat = np.atleast_1d(np.asarray(t, dtype=float)).ravel()
-        return np.asarray([float(delta_fn(v)) for v in flat]).reshape(
-            np.shape(t))
-
-    integral = _panel_integral(_delta_arr, radii[-1] / 2.0, radii[0] / 2.0,
-                               panels=4 * (K + 1))
+    integral = float(_dyadic_increments(delta_fn, radii[0] / 2.0, 3 * K).sum())
     # nonincreasing delta along shrinking radii: one extra dyadic block
     # bounds the tail sum by delta(r_K/2) * (extra levels), and below the
     # last computed level the factors only shrink the limit further by at
     # most kappa * tail of the delta sum; estimate with a geometric-t0
     # continuation of the last increment ratio
-    incs = np.asarray(deltas)
-    if K >= 2 and incs[-2] > 0.0:
-        q = min(incs[-1] / incs[-2], 0.999999)
+    if K >= 2 and deltas[-2] > 0.0:
+        q = min(deltas[-1] / deltas[-2], 0.999999)
     else:
         q = 0.0
-    tail = incs[-1] * q / (1.0 - q) if q > 0.0 else 0.0
+    tail = deltas[-1] * q / (1.0 - q) if q > 0.0 else 0.0
     limit_estimate = partials[-1] * math.exp(-kappa * tail / max(
-        1.0 - kappa * incs[-1], 1e-12))
+        1.0 - kappa * deltas[-1], 1e-12))
     return ProductReport(
-        radii=tuple(radii), partials=tuple(partials), delta_sum=delta_sum,
-        integral=float(integral),
+        radii=tuple(radii.tolist()), partials=tuple(partials.tolist()),
+        delta_sum=delta_sum, integral=integral,
         sum_to_integral=float(delta_sum / integral) if integral > 0 else math.inf,
         limit_estimate=float(limit_estimate), tail_sum_bound=float(tail))
 
@@ -342,11 +333,14 @@ def growth_recursion_bound(sigma: Modulus, mathfrak_b: float,
     pref = 1.0 / (1.0 - vartheta / 2.0)
     half_t = vartheta / 2.0
 
+    ks = np.arange(1, horizon + 1)
+    sig_terms = np.array([float(sigma(min(2.0 ** -int(k) * rho_ratio, 1.0)))
+                          for k in ks])
+
     def gamma_at(k: int, k0v: int) -> float:
         zr = 2.0 * (k + k0v + 1.0) / (k + k0v)
-        sig = float(sigma(min(2.0 ** -k * rho_ratio, 1.0)))
         return pref * zr * (math.exp(-lam * (k + k0v) / 2.0)
-                            + mathfrak_b * sig / half_t)
+                            + mathfrak_b * sig_terms[k - 1] / half_t)
 
     if gamma_at(1, k0) > 0.5:
         minimal = None
@@ -359,7 +353,6 @@ def growth_recursion_bound(sigma: Modulus, mathfrak_b: float,
                   else "; no k0 suffices, reduce rho_ratio"))
         raise AdjustK0Error(msg, minimal_k0=minimal)
 
-    ks = np.arange(1, horizon + 1)
     gam = np.array([gamma_at(int(k), k0) for k in ks])
     pi_partials = np.cumprod(1.0 + gam)
     pi_value = float(pi_partials[-1])
@@ -375,12 +368,10 @@ def growth_recursion_bound(sigma: Modulus, mathfrak_b: float,
                                 rel_tol=1e-6, max_intervals=900)
         sig_tail = (pref * 2.0 * mathfrak_b / half_t
                     * j_small / math.log(2.0))
-    except Exception:
+    except (DiniDivergenceError, QuadratureToleranceError):
         sig_tail = math.inf
     pi_tail_bound = exp_tail + sig_tail
 
-    sig_terms = np.array([float(sigma(min(2.0 ** -int(k) * rho_ratio, 1.0)))
-                          for k in ks])
     zeta_fac = (ks + k0 + 1.0) / (ks + k0)  # zeta_k / zeta_{k+1}
     m_vals = [m1]
     for k in range(horizon):
@@ -390,14 +381,11 @@ def growth_recursion_bound(sigma: Modulus, mathfrak_b: float,
     m_bound = np.asarray(m_vals)
 
     sigma_sum = float(sig_terms.sum())
-    j_val = dini_integral(sigma, rho_ratio, rel_tol=1e-9, max_intervals=1400) \
-        if sigma.closed_form_j is not None else None
-    if j_val is None:
-        try:
-            j_val = dini_integral(sigma, rho_ratio, rel_tol=1e-6,
-                                  max_intervals=900)
-        except Exception:
-            j_val = math.inf
+    try:
+        j_val = dini_integral(sigma, rho_ratio, rel_tol=1e-6,
+                              max_intervals=900)
+    except (DiniDivergenceError, QuadratureToleranceError):
+        j_val = math.inf
     denom = m1 + mathfrak_f * (j_val if math.isfinite(j_val) else 0.0)
     c4 = float(m_bound.max() / denom) if denom > 0 else math.inf
     return RecursionReport(

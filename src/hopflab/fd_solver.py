@@ -549,8 +549,7 @@ def solve(system: LinearSystem) -> DiscreteSolution:
     system.
 
     Besides ``system`` itself, the factorization holds one copy of the
-    matrix: the permuted one it factorizes (``_factor_input``).  The CSC
-    copy for the final residual is built after the factor is freed."""
+    matrix: the permuted one it factorizes (``_factor_input``)."""
     b = system.rhs
     dom = system.dom
     ij = dom.interior_ij
@@ -558,9 +557,8 @@ def solve(system: LinearSystem) -> DiscreteSolution:
     y, fill, iterations = _refined_lu_solve(A, b_f)
     del A
     x = y[unfold]
-    A = system.matrix.tocsc()
-    res = float(np.linalg.norm(b - A @ x) / max(np.linalg.norm(b), 1e-300))
-    del A
+    res = float(np.linalg.norm(b - system.matrix @ x)
+                / max(np.linalg.norm(b), 1e-300))
 
     mask = dom.mask
     values = np.full(mask.cls.shape, np.nan)

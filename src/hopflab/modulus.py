@@ -93,8 +93,9 @@ class Verdict(str, enum.Enum):
         return self.value
 
 
-# 16-point Gauss-Legendre rule, used panel-wise on dyadic subintervals.
+# 16-point Gauss-Legendre rule on _PANELS equal panels of a dyadic interval.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+_PANELS = 4
 
 
 @dataclass(frozen=True)
@@ -315,13 +316,16 @@ def load_csv(path) -> Modulus:
 # regularization: sigma~(t) = t * sup_{tau in [t,1]} sigma(tau)/tau
 # ----------------------------------------------------------------------
 
-def regularize(sigma_raw: Callable[[float], float], grid_size: int = 400) -> Modulus:
+def regularize(sigma_raw: Callable[[np.ndarray], np.ndarray],
+               grid_size: int = 400) -> Modulus:
     """Ratio-monotone majorant of a raw nondecreasing modulus.
 
-    Evaluates ``t * sup over tau in [t, 1] of sigma(tau)/tau`` on a
-    geometric grid (suffix maximum of the sampled ratio) and returns the
-    tabulated result.  A modulus whose ratio is already nonincreasing is a
-    fixed point at the grid nodes.
+    ``sigma_raw`` is vectorized: it is called once on the whole geometric
+    grid and must return an array of the grid's shape.  Evaluates
+    ``t * sup over tau in [t, 1] of sigma(tau)/tau`` on that grid (suffix
+    maximum of the sampled ratio) and returns the tabulated result.  A
+    modulus whose ratio is already nonincreasing is a fixed point at the
+    grid nodes.
     """
     if grid_size < 8:
         raise ValueError("grid_size must be at least 8")
@@ -332,7 +336,7 @@ def regularize(sigma_raw: Callable[[float], float], grid_size: int = 400) -> Mod
         raise NotNormalizedError(
             f"need sigma(0) = 0 and sigma(1) = 1, got {raw0!r} and {raw1!r}"
         )
-    vals = np.asarray([float(sigma_raw(t)) for t in grid])
+    vals = np.asarray(sigma_raw(grid), dtype=float)
     if np.any(np.diff(vals) < -1e-12):
         raise NotMonotoneError("sigma decreases on the evaluation grid")
     ratio = vals / grid
@@ -347,16 +351,21 @@ def regularize(sigma_raw: Callable[[float], float], grid_size: int = 400) -> Mod
 # quadrature
 # ----------------------------------------------------------------------
 
-def _panel_integral(sigma: Callable, a: float, b: float,
-                    panels: int = 4) -> float:
-    """Integral of sigma(tau)/tau over [a, b] by panelled Gauss-Legendre;
-    ``sigma`` maps an array of abscissae to an array of the same shape."""
-    edges = np.linspace(a, b, panels + 1)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = mid[:, None] + half[:, None] * _GL_NODES[None, :]
+def _dyadic_increments(sigma: Callable, s: float, count: int) -> np.ndarray:
+    """Integrals of sigma(tau)/tau over [s 2^-m, s 2^-(m-1)], m = 1..count.
+
+    Each interval is split into 4 panels of 16 Gauss-Legendre nodes, and
+    ``sigma`` is called once on the whole (count, 4, 16) node array: it
+    must map an array of abscissae to an array of that shape, or to a
+    scalar.  Each increment sums its 64 weighted values in one reduction."""
+    hi = np.ldexp(s, -np.arange(count))
+    edges = np.linspace(hi / 2.0, hi, _PANELS + 1, axis=-1)
+    mid = 0.5 * (edges[:, 1:] + edges[:, :-1])
+    half = 0.5 * (edges[:, 1:] - edges[:, :-1])
+    nodes = mid[..., None] + half[..., None] * _GL_NODES
     vals = sigma(nodes) / nodes
-    return float(np.sum(vals * _GL_WEIGHTS[None, :] * half[:, None]))
+    return (vals * _GL_WEIGHTS * half[..., None]).reshape(
+        count, _PANELS * _GL_NODES.size).sum(axis=1)
 
 
 def _improper_quadrature(sigma: Modulus, s: float, rel_tol: float,
@@ -364,32 +373,23 @@ def _improper_quadrature(sigma: Modulus, s: float, rel_tol: float,
     """Sum of dyadic-interval contributions of J(s), with divergence and
     budget guards.  Returns (partial_sum, intervals_used).
 
+    Every contribution the budget allows is evaluated up front, down to
+    the last interval whose low end stays above 1e-280; the contributions
+    are then added in order until the tail estimate meets ``rel_tol``.
     Divergence fires when consecutive contributions keep a ratio of at
     least 1 - 1e-3 for 20 intervals.  When the abscissae exhaust double
     precision first (contributions of log-type moduli approach that ratio
     only around interval 1000, past the 1e-280 floor), the decay exponent
     fitted on the last intervals decides: contributions shrinking no
     faster than 1/m integrate to a divergent tail."""
+    lows = np.ldexp(s, -np.arange(1, max_intervals + 1))
+    count = int(np.count_nonzero(lows >= 1e-280))
+    history = _dyadic_increments(sigma, s, count)
     total = 0.0
     prev = None
     stall = 0
-    hi = s
-    history: list = []
-    for m in range(max_intervals):
-        lo = hi / 2.0
-        if lo < 1e-280:
-            p = _decay_exponent(history)
-            if p <= 1.01:
-                raise DiniDivergenceError(
-                    f"contributions decay like m^-{p:.3f} (tail diverges); "
-                    f"detected at the double-precision floor, interval {m}",
-                    partial=total)
-            raise QuadratureToleranceError(
-                f"rel_tol {rel_tol:g} not reached before exhausting "
-                f"double-precision range at interval {m}", partial=total)
-        c = _panel_integral(sigma, lo, hi)
+    for m, c in enumerate(history.tolist()):
         total += c
-        history.append(c)
         if c == 0.0:
             return total, m + 1
         if prev is not None and prev > 0.0:
@@ -408,15 +408,20 @@ def _improper_quadrature(sigma: Modulus, s: float, rel_tol: float,
             if tail_estimate <= rel_tol * max(total, 1e-300):
                 return total, m + 1
         prev = c
-        hi = lo
+    if count < max_intervals:
+        diverges = f"detected at the double-precision floor, interval {count}"
+        stopped = ("before exhausting double-precision range at interval "
+                   f"{count}")
+    else:
+        diverges = f"budget of {max_intervals} intervals exhausted"
+        stopped = f"within {max_intervals} dyadic intervals"
     p = _decay_exponent(history)
     if p <= 1.01:
         raise DiniDivergenceError(
             f"contributions decay like m^-{p:.3f} (tail diverges); "
-            f"budget of {max_intervals} intervals exhausted", partial=total)
+            f"{diverges}", partial=total)
     raise QuadratureToleranceError(
-        f"rel_tol {rel_tol:g} not reached within {max_intervals} dyadic "
-        f"intervals", partial=total)
+        f"rel_tol {rel_tol:g} not reached {stopped}", partial=total)
 
 
 def _decay_exponent(history, window: int = 40) -> float:
@@ -473,7 +478,9 @@ def dini_integral(sigma: Modulus, s: float, rel_tol: float = 1e-9,
 def dini_classify(sigma: Modulus, depth: int = 40) -> DiniVerdict:
     """Numeric Dini classification from partial integrals over [2^-m, 1].
 
-    Increments I_m = J over [2^-m, 2^-(m-1)] are inspected over the last 10
+    The increments I_m = J over [2^-m, 2^-(m-1)], m = 1..depth, come from
+    one vectorized evaluation of ``sigma`` (`_dyadic_increments`), and the
+    partial integrals add them in order.  They are inspected over the last 10
     levels: all successive ratios below 0.9 reads as geometric decay (Dini),
     all above 0.99 as non-decaying increments (NonDini), anything between is
     Inconclusive.  A preset's stored analytic flag overrides the verdict;
@@ -484,18 +491,9 @@ def dini_classify(sigma: Modulus, depth: int = 40) -> DiniVerdict:
     """
     if depth < 12:
         raise ValueError("depth must be at least 12")
-    increments = []
-    partials = []
-    total = 0.0
-    hi = 1.0
-    for m in range(1, depth + 1):
-        lo = 2.0 ** -m
-        c = _panel_integral(sigma, lo, hi)
-        total += c
-        increments.append(c)
-        partials.append((lo, total))
-        hi = lo
-    inc = np.asarray(increments)
+    inc = _dyadic_increments(sigma, 1.0, depth)
+    partials = tuple(zip(np.ldexp(1.0, -np.arange(1, depth + 1)).tolist(),
+                         np.cumsum(inc).tolist()))
 
     window = inc[-11:]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -523,7 +521,7 @@ def dini_classify(sigma: Modulus, depth: int = 40) -> DiniVerdict:
     return DiniVerdict(
         verdict=verdict,
         numeric_verdict=numeric,
-        partial_integrals=tuple(partials),
+        partial_integrals=partials,
         growth_exponent_estimate=float(exponent),
         increment_ratios=tuple(float(r) for r in ratios),
     )

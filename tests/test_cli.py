@@ -1,5 +1,7 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -218,9 +220,13 @@ def test_decay_byte_reproducible(tmp_path):
 # ---------------------------------------------------------------- process
 
 def test_console_entry_point(tmp_path):
+    # the child imports the same hopflab as this process, installed or not
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "hopflab.cli", "modulus", "--preset",
          "linear", "--out", str(tmp_path)],
-        capture_output=True, text=True)
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert "verdict: Dini" in proc.stdout

@@ -86,6 +86,35 @@ def test_delta_domain_error():
     assert G.DomainError is M.DomainError
 
 
+CLI_PROFILES = ["flat", "cone:0.4", "power:0.5", "power:0.4837", "log1",
+                "log2", "wedge:2.08"]
+
+
+def test_delta_on_arrays_matches_scalar_calls():
+    rng = np.random.default_rng(29)
+    profiles = [G.preset_profile(pid, R0=0.5) for pid in CLI_PROFILES]
+    profiles += [random_maxaffine(rng), random_maxaffine(rng, ambient_dim=3)]
+    r = np.concatenate((np.geomspace(1e-9, 0.5, 61),
+                        rng.uniform(1e-6, 0.5, 20)))
+    for prof in profiles:
+        got = G.delta(prof, r)
+        want = np.array([G.delta(prof, float(x)) for x in r])
+        assert got.shape == r.shape
+        assert got.tobytes() == want.tobytes(), prof
+        grid = G.delta(prof, r[:80].reshape(4, 20))
+        assert grid.tobytes() == want[:80].tobytes()
+        assert type(G.delta(prof, 0.125)) is float
+
+
+def test_delta_array_domain_error():
+    for prof in (G.preset_profile("log1", R0=0.5),
+                 random_maxaffine(np.random.default_rng(3))):
+        with pytest.raises(G.DomainError):
+            G.delta(prof, np.array([0.1, 0.6, 0.2]))
+        with pytest.raises(G.DomainError):
+            G.delta(prof, np.array([0.1, 0.0]))
+
+
 # ---------------------------------------------------------------- delta1
 
 def test_delta1_cone():

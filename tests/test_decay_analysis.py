@@ -110,6 +110,45 @@ def test_product_sum_integral_band():
         assert lo <= rep.sum_to_integral <= hi, (pid, rep.sum_to_integral)
 
 
+@pytest.mark.parametrize("delta_of", ["cone", "scalar"])
+def test_product_integral_constant_delta(delta_of):
+    # delta = c: the integral over [r_K/2, r_0/2] is c K ln 8, and the
+    # dyadic sum of K+1 values is (K+1)/(K ln 8) times it
+    c, K = 0.4, 40
+    prof = G.preset_profile(f"cone:{c}", R0=0.5)
+    fn = (lambda r: G.delta(prof, r)) if delta_of == "cone" else (lambda r: c)
+    rep = D.product_bound(fn, 0.1, 0.5, K)
+    assert rep.integral == pytest.approx(c * K * math.log(8.0), rel=1e-12)
+    assert rep.sum_to_integral == pytest.approx(
+        (K + 1) / (K * math.log(8.0)), rel=1e-12)
+
+
+def test_product_integral_closed_forms():
+    # delta = r^alpha for power:alpha; 1/L and 1/L^2 with
+    # L(r) = 1 + ln(R0/r) for log1 and log2
+    R0 = 0.5
+    L = lambda r: 1.0 + math.log(R0 / r)
+    exact = {"log1": lambda a, b: math.log(L(a) / L(b)),
+             "log2": lambda a, b: 1.0 / L(b) - 1.0 / L(a)}
+    for alpha in (0.25, 0.5, 1.0):
+        exact[f"power:{alpha}"] = \
+            lambda a, b, al=alpha: (b**al - a**al) / al
+    for pid, integral in exact.items():
+        prof = G.preset_profile(pid, R0=R0)
+        for K in (5, 40):
+            rep = D.product_bound(lambda r: G.delta(prof, r), 0.1, R0, K)
+            a, b = rep.radii[-1] / 2.0, rep.radii[0] / 2.0
+            assert rep.integral == pytest.approx(integral(a, b), rel=1e-12), \
+                (pid, K)
+
+
+def test_product_report_holds_python_floats():
+    prof = G.preset_profile("log1", R0=0.5)
+    rep = D.product_bound(lambda r: G.delta(prof, r), 0.1, 0.5, 6)
+    for value in rep.radii + rep.partials + (rep.delta_sum, rep.integral):
+        assert type(value) is float
+
+
 def test_product_log1_decreases_log2_levels_off():
     prof1 = G.preset_profile("log1", R0=0.5)
     prof2 = G.preset_profile("log2", R0=0.5)

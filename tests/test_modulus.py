@@ -150,6 +150,40 @@ def test_dini_integral_domain():
         M.dini_integral(M.preset_modulus("linear"), 1.5)
 
 
+def per_interval_increments(sigma, s, count):
+    """Reference: 4 panels of 16 Gauss-Legendre nodes of sigma(tau)/tau on
+    each [lo, hi], one dyadic interval at a time from [s/2, s] down."""
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    out, hi = [], s
+    for _ in range(count):
+        lo = hi / 2.0
+        edges = np.linspace(lo, hi, 5)
+        mid = 0.5 * (edges[1:] + edges[:-1])
+        half = 0.5 * (edges[1:] - edges[:-1])
+        x = mid[:, None] + half[:, None] * nodes[None, :]
+        out.append(float(np.sum(sigma(x) / x * weights[None, :]
+                                * half[:, None])))
+        hi = lo
+    return out
+
+
+def test_dyadic_increments_match_per_interval_reference():
+    table = M.from_table([0.0, 1e-6, 1e-3, 0.1, 0.5, 1.0],
+                         [0.0, 1e-3, 0.02, 0.3, 0.7, 1.0])
+    for sigma in [M.preset_modulus(pid) for pid in ALL_PRESETS] + [table]:
+        calls = []
+
+        def counted(t, sigma=sigma):
+            calls.append(np.shape(t))
+            return sigma(t)
+
+        for s in (1.0, 0.3, 1e-9):
+            calls.clear()
+            inc = M._dyadic_increments(counted, s, 40)
+            assert calls == [(40, 4, 16)]
+            assert inc.tolist() == per_interval_increments(sigma, s, 40)
+
+
 # ---------------------------------------------------------------- classify
 
 def test_classify_preset_verdicts():
