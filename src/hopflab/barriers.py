@@ -200,6 +200,8 @@ def cylinder_barrier_certificate(nu: float, n: int = 2, samples: int = 10000,
     exactly; ``gamma_scale`` != 1 perturbs the aspect to expose failure."""
     if not 0.0 < nu <= 1.0:
         raise ValueError("nu must lie in (0, 1]")
+    if n < 2:
+        raise ValueError(f"the cylinder barrier needs n >= 2, got {n}")
     gamma = gamma_scale * nu / math.sqrt(n - 1)
     rng = np.random.default_rng(seed)
     mats = sample_admissible_matrices(nu, n, samples, rng)

@@ -1,13 +1,15 @@
 """Command-line surface: modulus, geometry, verify, solve, decay.
 
-Exit codes: 0 success, 1 certificate/acceptance failure, 2 configuration
-error, 3 numerical failure (including a system whose factorization runs
-out of memory).  Reports are plain text (key: value) and CSV,
-byte-reproducible for a fixed (config, seed, build); every report embeds
-the resolved configuration.  ``--config FILE`` reads key=value lines
-for grid.h, grid.R0 and bc.kind, which flags then override; any other
-key is a configuration error.  The default output directory comes from
-HOPFLAB_OUT.
+Exit codes, decided in ``main`` alone: 0 success; 1 a failed check,
+returned only by ``verify`` (certificates, property suites) and
+``geometry`` (sandwich check); 2 configuration error, for every bad flag,
+config key or missing file; 3 numerical failure (including a system
+whose factorization runs out of memory).  Reports are plain text
+(key: value) and CSV, byte-reproducible for a fixed (config, seed,
+build); every report embeds the resolved configuration.  ``--config
+FILE`` reads key=value lines for grid.h, grid.R0 and bc.kind, which
+flags then override; any other key is a configuration error.  The
+default output directory comes from HOPFLAB_OUT.
 """
 
 from __future__ import annotations
@@ -72,33 +74,31 @@ def _echo_config(pairs) -> str:
 # modulus
 # ----------------------------------------------------------------------
 
-def _cmd_modulus(args) -> int:
+def _j_cell(sigma, t: float) -> str:
+    """J(t) for the modulus table: "inf" where the integral diverges,
+    "budget" where the quadrature runs out of intervals."""
     try:
-        if args.csv:
-            sigma = mod.load_csv(args.csv)
-            label = f"csv:{args.csv}"
-        else:
-            sigma = mod.preset_modulus(args.preset)
-            label = args.preset
-    except (mod.NotMonotoneError, mod.NotNormalizedError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return repr(mod.dini_integral(sigma, t, rel_tol=1e-9,
+                                      max_intervals=1400))
+    except mod.DiniDivergenceError:
+        return "inf"
+    except mod.QuadratureToleranceError:
+        return "budget"
 
+
+def _cmd_modulus(args) -> int:
+    if args.csv:
+        sigma = mod.load_csv(args.csv)
+        label = f"csv:{args.csv}"
+    else:
+        sigma = mod.preset_modulus(args.preset)
+        label = args.preset
     out = _out_dir(args)
     verdict = mod.dini_classify(sigma, depth=args.depth)
-    ts = np.geomspace(2.0 ** -args.depth, 1.0, 25)
     rows = ["t,sigma,ratio,j_sigma"]
-    for t in ts:
-        s = sigma(float(t))
-        try:
-            j = mod.dini_integral(sigma, float(t), rel_tol=1e-9,
-                                  max_intervals=1400)
-            jtxt = repr(j)
-        except mod.DiniDivergenceError:
-            jtxt = "inf"
-        except mod.QuadratureToleranceError:
-            jtxt = "budget"
-        rows.append(f"{float(t)!r},{s!r},{s / float(t)!r},{jtxt}")
+    for t in np.geomspace(2.0 ** -args.depth, 1.0, 25).tolist():
+        s = sigma(t)
+        rows.append(f"{t!r},{s!r},{s / t!r},{_j_cell(sigma, t)}")
     (out / "modulus_table.csv").write_text("\n".join(rows) + "\n",
                                            encoding="utf-8")
     summary = _echo_config({
@@ -119,11 +119,9 @@ def _cmd_modulus(args) -> int:
 # ----------------------------------------------------------------------
 
 def _cmd_geometry(args) -> int:
-    try:
-        profile = geo.preset_profile(args.profile, R0=args.R0)
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    profile = geo.preset_profile(args.profile, R0=args.R0)
+    if args.levels < 1:
+        raise ValueError(f"--levels must be at least 1, got {args.levels}")
     out = _out_dir(args)
     rs = [args.R0 / 2.0 ** k for k in range(2, 2 + args.levels)]
     rows = ["r,delta,delta1,lower_ok,upper_ok"]
@@ -228,21 +226,13 @@ def _cmd_verify(args) -> int:
 # ----------------------------------------------------------------------
 
 def _cmd_solve(args) -> int:
-    try:
-        h, R0, bc_kind = _resolve_config(args, 2**-6)
-        profile = geo.preset_profile(args.profile, R0=R0)
-        op = ell.preset_operator(args.op)
-        bc = decay.boundary_data(bc_kind, profile)
-        dom = fds.DiscreteDomain.build(profile, h)
-    except (ConfigError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        system = fds.discretize(op, dom, bc)
-        sol = fds.solve(system)
-    except (MemoryError, fds.StencilMonotonicityError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    h, R0, bc_kind = _resolve_config(args, 2**-6)
+    profile = geo.preset_profile(args.profile, R0=R0)
+    op = ell.preset_operator(args.op)
+    bc = decay.boundary_data(bc_kind, profile)
+    dom = fds.DiscreteDomain.build(profile, h)
+    system = fds.discretize(op, dom, bc)
+    sol = fds.solve(system)
     out = _out_dir(args)
     if args.dump_matrix:
         fds.dump_matrix(out / "system_matrix.txt", system.matrix)
@@ -264,63 +254,41 @@ def _cmd_solve(args) -> int:
 # ----------------------------------------------------------------------
 
 def _cmd_decay(args) -> int:
-    try:
-        h, R0, bc_kind = _resolve_config(args, 2**-7)
-        base = decay.HopfExperiment(profile=args.profile or "log1",
-                                    operator=args.op, R0=R0, K=args.K, h=h,
-                                    bc=bc_kind, seed=args.seed)
-        base.validate()
-        if args.contrast:
-            profiles = [p.strip() for p in args.contrast.split(",") if p.strip()]
-            if args.profile:
-                profiles = [args.profile] + profiles
-        else:
-            profiles = None
-    except (ConfigError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
+    h, R0, bc_kind = _resolve_config(args, 2**-7)
+    base = decay.HopfExperiment(profile=args.profile or "log1",
+                                operator=args.op, R0=R0, K=args.K, h=h,
+                                bc=bc_kind, seed=args.seed)
+    base.validate()
     out = _out_dir(args)
-    written = []
-    try:
-        if profiles is None:
-            rep = decay.run_experiment(base)
-            csv_path = out / "decay_levels.csv"
-            csv_path.write_text(decay.report_csv(rep), encoding="utf-8")
-            written.append(csv_path)
-            summary = decay.report_summary(rep)
-            (out / "decay_summary.txt").write_text(summary, encoding="utf-8")
-            sys.stdout.write(summary)
-        else:
-            rep = decay.contrast_suite(profiles, args.op, base)
-            rows = ["profile,dini,trace_first,trace_last,kappa,product_K,verdict"]
-            for row in rep.rows:
-                rows.append(",".join(repr(row[k]) if isinstance(row[k], float)
-                                     else str(row[k])
-                                     for k in ("profile", "dini", "trace_first",
-                                               "trace_last", "kappa",
-                                               "product_K", "verdict")))
-            csv_path = out / "decay_contrast.csv"
-            csv_path.write_text("\n".join(rows) + "\n", encoding="utf-8")
-            written.append(csv_path)
-            summary = _echo_config({
-                "profiles": ";".join(profiles),
-                "operator": args.op,
-                "consistency_ok": rep.consistency_ok,
-                "common_kappa": repr(rep.common_kappa),
-                "grid.h": repr(h), "grid.R0": repr(R0), "K": args.K,
-                "bc.kind": bc_kind, "seed": args.seed,
-            })
-            (out / "decay_summary.txt").write_text(summary, encoding="utf-8")
-            sys.stdout.write(summary)
-    except (MemoryError, decay.ScaleStarvedError) as exc:
-        for path in written:  # partial outputs removed on failure
-            path.unlink(missing_ok=True)
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    if not args.contrast:
+        rep = decay.run_experiment(base)
+        (out / "decay_levels.csv").write_text(decay.report_csv(rep),
+                                              encoding="utf-8")
+        summary = decay.report_summary(rep)
+    else:
+        profiles = [p.strip() for p in args.contrast.split(",") if p.strip()]
+        if args.profile:
+            profiles = [args.profile] + profiles
+        rep = decay.contrast_suite(profiles, args.op, base)
+        rows = ["profile,dini,trace_first,trace_last,kappa,product_K,verdict"]
+        for row in rep.rows:
+            rows.append(",".join(repr(row[k]) if isinstance(row[k], float)
+                                 else str(row[k])
+                                 for k in ("profile", "dini", "trace_first",
+                                           "trace_last", "kappa",
+                                           "product_K", "verdict")))
+        (out / "decay_contrast.csv").write_text("\n".join(rows) + "\n",
+                                                encoding="utf-8")
+        summary = _echo_config({
+            "profiles": ";".join(profiles),
+            "operator": args.op,
+            "consistency_ok": rep.consistency_ok,
+            "common_kappa": repr(rep.common_kappa),
+            "grid.h": repr(h), "grid.R0": repr(R0), "K": args.K,
+            "bc.kind": bc_kind, "seed": args.seed,
+        })
+    (out / "decay_summary.txt").write_text(summary, encoding="utf-8")
+    sys.stdout.write(summary)
     return EXIT_OK
 
 
@@ -334,69 +302,71 @@ def build_parser() -> argparse.ArgumentParser:
                     "solves and decay experiments.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("modulus", help="modulus table and Dini verdict")
+    # flags shared by several subcommands, declared once
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--out", default=None)
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--op", default="laplace")
+    run.add_argument("--h", type=float, default=None)
+    run.add_argument("--R0", type=float, default=None)
+    run.add_argument("--bc", default=None, choices=(None, "linear", "sector"))
+    run.add_argument("--config", default=None)
+
+    p = sub.add_parser("modulus", parents=[common],
+                       help="modulus table and Dini verdict")
     p.add_argument("--preset", default="linear")
     p.add_argument("--csv", default=None, help="tabulated modulus CSV")
     p.add_argument("--depth", type=int, default=40)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_modulus)
 
-    p = sub.add_parser("geometry", help="delta/delta1 table, frame and ball")
+    p = sub.add_parser("geometry", parents=[common],
+                       help="delta/delta1 table, frame and ball")
     p.add_argument("--profile", default="power:0.5")
     p.add_argument("--R0", type=float, default=0.5)
     p.add_argument("--nu", type=float, default=0.5)
     p.add_argument("--levels", type=int, default=4)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_geometry)
 
-    p = sub.add_parser("verify", help="barrier certificates and property suites")
+    p = sub.add_parser("verify", parents=[common],
+                       help="barrier certificates and property suites")
     p.add_argument("--nu", type=float, default=0.5)
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--s", type=float, default=None,
                    help="radial exponent override (default n/nu^2)")
     p.add_argument("--samples", type=int, default=10000)
     p.add_argument("--profiles", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("solve", help="one finite-difference solve")
+    p = sub.add_parser("solve", parents=[common, run],
+                       help="one finite-difference solve")
     p.add_argument("--profile", default="flat")
-    p.add_argument("--op", default="laplace")
-    p.add_argument("--h", type=float, default=None)
-    p.add_argument("--R0", type=float, default=None)
-    p.add_argument("--bc", default=None, choices=(None, "linear", "sector"))
-    p.add_argument("--config", default=None)
     p.add_argument("--dump-matrix", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("decay", help="dyadic decay experiment / contrast")
+    p = sub.add_parser("decay", parents=[common, run],
+                       help="dyadic decay experiment / contrast")
     p.add_argument("--profile", default=None)
-    p.add_argument("--op", default="laplace")
     p.add_argument("--K", type=int, default=3)
-    p.add_argument("--h", type=float, default=None)
-    p.add_argument("--R0", type=float, default=None)
-    p.add_argument("--bc", default=None, choices=(None, "linear", "sector"))
     p.add_argument("--contrast", default=None,
                    help="comma-separated profile list")
-    p.add_argument("--config", default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_decay)
     return ap
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; this table alone maps errors to exit codes."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (mod.DiniDivergenceError, mod.QuadratureToleranceError) as exc:
+    # StencilMonotonicityError is a ValueError: this clause comes first
+    except (MemoryError, fds.StencilMonotonicityError,
+            mod.DiniDivergenceError, mod.QuadratureToleranceError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except (ValueError, OSError) as exc:  # bad flag, config key or file
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -574,6 +574,9 @@ def domain_mask(profile: BoundaryProfile, h: float) -> DomainMask:
     along the horizontal axis (tolerance 1e-12 per unit arm)."""
     if profile.ambient_dim != 2:
         raise ValueError("rasterization supports planar profiles only")
+    if not (math.isfinite(h) and h > 0.0):
+        raise ResolutionError(f"grid spacing h must be finite and positive, "
+                              f"got {h}")
     R0 = profile.R0
     M = int(round(R0 / h))
     if M < 2 or abs(M * h - R0) > 1e-9 * h:

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import convex_geometry as geo
 from . import fd_solver as fds
-from .elliptic_operator import EmptyRegionError, preset_operator
+from .elliptic_operator import preset_operator
 from .modulus import (DiniDivergenceError, Modulus,
                       QuadratureToleranceError, Verdict, dini_classify,
                       dini_integral, _dyadic_increments)
@@ -55,7 +55,7 @@ __all__ = [
 
 
 class ScaleStarvedError(ValueError):
-    """Fewer than three usable dyadic levels on the grid."""
+    """Fewer than three dyadic levels (K < 2)."""
 
 
 class AdjustK0Error(ValueError):
@@ -79,8 +79,10 @@ class HopfVerdict(str, enum.Enum):
 class HopfExperiment:
     """Configuration of one decay experiment.
 
-    Radii are r_k = 2^-k R0 for k = 0..K; the smallest cylinder must hold
-    at least 8 grid cells (2^-K R0 >= 8h)."""
+    Radii are r_k = 2^-k R0 for k = 0..K with K >= 2 (three levels); the
+    smallest cylinder must hold at least 8 grid cells (2^-K R0 >= 8h).
+    Then every level's cylinder holds the interior nodes 2h..7h of the
+    x1 = 0 column, so every level is usable."""
 
     profile: str
     operator: str = "laplace"
@@ -91,8 +93,10 @@ class HopfExperiment:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.K < 1:
-            raise ValueError("dyadic depth K must be at least 1")
+        if self.K < 2:
+            raise ScaleStarvedError(
+                f"dyadic depth K = {self.K} gives fewer than three levels; "
+                f"K must be at least 2")
         if 2.0 ** -self.K * self.R0 < 8.0 * self.h - 1e-12:
             raise ValueError(
                 f"smallest cylinder 2^-K R0 = {2.0**-self.K * self.R0:g} "
@@ -182,6 +186,8 @@ def run_experiment(cfg: HopfExperiment) -> DecayReport:
     the last four levels and the boundary modulus classifies NonDini;
     HopfHolds when the trace varies by less than 5% relatively over the
     last four levels and the modulus classifies Dini; else Inconclusive.
+    At K = 2 the "last four levels" window holds the three levels there
+    are.
     """
     cfg.validate()
     profile = geo.preset_profile(cfg.profile, R0=cfg.R0)
@@ -191,16 +197,7 @@ def run_experiment(cfg: HopfExperiment) -> DecayReport:
     sol = fds.solve(fds.discretize(op, dom, bc))
 
     radii = [2.0 ** -k * cfg.R0 for k in range(cfg.K + 1)]
-    osc = []
-    for r in radii:
-        try:
-            osc.append(fds.oscillation(sol, profile, r))
-        except EmptyRegionError:
-            break
-    if len(osc) < 3:
-        raise ScaleStarvedError(
-            f"only {len(osc)} usable dyadic levels at h = {cfg.h}")
-    radii = radii[:len(osc)]
+    osc = [fds.oscillation(sol, profile, r) for r in radii]
     ratios = [osc[k + 1] / osc[k] if osc[k] > 1e-300 else 1.0
               for k in range(len(osc) - 1)]
     deltas = geo.delta(profile, np.asarray(radii) / 2.0)
@@ -334,26 +331,24 @@ def growth_recursion_bound(sigma: Modulus, mathfrak_b: float,
     half_t = vartheta / 2.0
 
     ks = np.arange(1, horizon + 1)
-    sig_terms = np.array([float(sigma(min(2.0 ** -int(k) * rho_ratio, 1.0)))
-                          for k in ks])
+    sig_terms = sigma(np.minimum(np.ldexp(rho_ratio, -ks), 1.0))
 
-    def gamma_at(k: int, k0v: int) -> float:
-        zr = 2.0 * (k + k0v + 1.0) / (k + k0v)
-        return pref * zr * (math.exp(-lam * (k + k0v) / 2.0)
-                            + mathfrak_b * sig_terms[k - 1] / half_t)
+    def gamma(kk, sig):
+        """gamma at k + k0 = kk with sigma term sig."""
+        return pref * (2.0 * (kk + 1.0) / kk) * (np.exp(-lam * kk / 2.0)
+                                                 + mathfrak_b * sig / half_t)
 
-    if gamma_at(1, k0) > 0.5:
-        minimal = None
-        for cand in range(k0 + 1, 400):
-            if gamma_at(1, cand) <= 0.5:
-                minimal = cand
-                break
-        msg = (f"gamma_1 = {gamma_at(1, k0):.4f} > 1/2 at k0 = {k0}"
+    gamma_1 = float(gamma(1 + k0, sig_terms[0]))
+    if gamma_1 > 0.5:
+        cands = np.arange(k0 + 1, 400)
+        admissible = cands[gamma(1 + cands, sig_terms[0]) <= 0.5]
+        minimal = int(admissible[0]) if admissible.size else None
+        msg = (f"gamma_1 = {gamma_1:.4f} > 1/2 at k0 = {k0}"
                + (f"; minimal admissible k0 = {minimal}" if minimal
                   else "; no k0 suffices, reduce rho_ratio"))
         raise AdjustK0Error(msg, minimal_k0=minimal)
 
-    gam = np.array([gamma_at(int(k), k0) for k in ks])
+    gam = gamma(ks + k0, sig_terms)
     pi_partials = np.cumprod(1.0 + gam)
     pi_value = float(pi_partials[-1])
     increment = float(pi_partials[-1] - pi_partials[-2])

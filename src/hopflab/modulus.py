@@ -218,8 +218,11 @@ def preset_modulus(spec: str) -> Modulus:
         )
     if name == "log2":
         def _log2(t):
+            # 1/(L*L) rounds alike on numpy scalars and arrays; L**-2.0
+            # does not
             t = np.asarray(t, dtype=float)
-            return np.where(t > 0.0, _log_e_over(np.maximum(t, 1e-300)) ** -2.0, 0.0)
+            L = _log_e_over(np.maximum(t, 1e-300))
+            return np.where(t > 0.0, 1.0 / (L * L), 0.0)
 
         return Modulus(
             fn=_log2,

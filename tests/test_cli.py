@@ -168,6 +168,42 @@ def test_out_of_memory_exit_3(tmp_path, capsys, monkeypatch, command):
     assert not (tmp_path / "decay_levels.csv").exists()
 
 
+# each input once exited 1 with a traceback, the code of a failed check
+@pytest.mark.parametrize("command", [
+    ["geometry", "--nu", "0"],
+    ["geometry", "--nu", "1.5"],
+    ["geometry", "--levels", "0"],
+    ["verify", "--nu", "0"],
+    ["verify", "--s", "-1"],
+    ["verify", "--n", "1"],
+    ["verify", "--n", "0"],
+    ["modulus", "--depth", "5"],
+    ["modulus", "--csv", "{missing}"],
+    ["solve", "--config", "{missing}"],
+    ["solve", "--h", "0"],
+    ["decay", "--profile", "log1", "--K", "2", "--h", "0"],
+], ids=lambda c: " ".join(c))
+def test_bad_input_exit_2(tmp_path, capsys, command):
+    missing = str(tmp_path / "missing.txt")
+    assert run_cli([a.format(missing=missing) for a in command],
+                   tmp_path) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ")
+
+
+def test_decay_too_few_levels_exit_2_before_solving(tmp_path, capsys,
+                                                    monkeypatch):
+    from hopflab import fd_solver
+
+    def solve(system):
+        raise AssertionError("solved a system for a rejected depth")
+
+    monkeypatch.setattr(fd_solver, "solve", solve)
+    assert run_cli(["decay", "--profile", "log1", "--K", "1",
+                    "--h", "0.015625"], tmp_path) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
 def test_solve_bad_grid_exit_2(tmp_path):
     assert run_cli(["solve", "--profile", "flat", "--h", "0.3"],
                    tmp_path) == 2

@@ -436,6 +436,12 @@ def test_mask_resolution_error():
         G.domain_mask(G.preset_profile("flat", R0=0.5), h=0.25)
 
 
+@pytest.mark.parametrize("h", [0.0, -2.0**-6, math.nan, math.inf])
+def test_mask_rejects_nonpositive_or_nonfinite_h(h):
+    with pytest.raises(G.ResolutionError, match="finite and positive"):
+        G.domain_mask(G.preset_profile("flat", R0=0.5), h=h)
+
+
 def test_validate_profile_accepts_presets():
     for pid in ("flat", "cone:0.4", "power:0.5", "log1", "log2",
                 "wedge:2.0943951023931953"):

@@ -225,6 +225,66 @@ def test_recursion_pi_monotone_and_k0_monotone():
     assert rep2.pi_value <= rep.pi_value + 1e-12
 
 
+def _recursion_reference(sigma, mathfrak_b, mathfrak_f, vartheta, k0,
+                         rho_ratio, horizon=200, m1=1.0):
+    """growth_recursion_bound's recursion one level at a time: the
+    fields it feeds, or {"minimal_k0": ...} when gamma_1 > 1/2."""
+    lam = -math.log(1.0 - vartheta / 2.0)
+    pref = 1.0 / (1.0 - vartheta / 2.0)
+    half_t = vartheta / 2.0
+    sig_terms = [float(sigma(min(2.0 ** -k * rho_ratio, 1.0)))
+                 for k in range(1, horizon + 1)]
+
+    def gamma_at(k, k0v):
+        zr = 2.0 * (k + k0v + 1.0) / (k + k0v)
+        return pref * zr * (math.exp(-lam * (k + k0v) / 2.0)
+                            + mathfrak_b * sig_terms[k - 1] / half_t)
+
+    if gamma_at(1, k0) > 0.5:
+        return {"minimal_k0": next((c for c in range(k0 + 1, 400)
+                                    if gamma_at(1, c) <= 0.5), None)}
+    gam = [gamma_at(k, k0) for k in range(1, horizon + 1)]
+    m_vals = [m1]
+    for k in range(horizon):
+        zeta_fac = (k + 1 + k0 + 1.0) / (k + 1 + k0)
+        src = (mathfrak_f * sig_terms[k] * 2.0 * zeta_fac
+               / ((1.0 - half_t) * half_t))
+        m_vals.append(m_vals[-1] * (1.0 + gam[k]) + src)
+    return {"gamma": gam, "pi_partials": np.cumprod(1.0 + np.array(gam)),
+            "m_bound": m_vals, "sigma_sum": sum(sig_terms)}
+
+
+_TABLE_T = np.geomspace(1e-6, 1.0, 30)
+
+
+@pytest.mark.parametrize("sigma", [
+    M.preset_modulus("linear"), M.preset_modulus("power:0.5"),
+    M.preset_modulus("log2"), M.from_table(_TABLE_T, _TABLE_T ** 0.7),
+], ids=["linear", "power:0.5", "log2", "table"])
+@pytest.mark.parametrize("params, adjusts", [
+    (dict(mathfrak_b=1.0, mathfrak_f=1.0, vartheta=0.5, k0=30,
+          rho_ratio=2.0**-10), False),
+    (dict(mathfrak_b=0.001, mathfrak_f=0.5, vartheta=0.3, k0=80,
+          rho_ratio=2.0**-30, horizon=300, m1=2.0), False),
+    # gamma_1 > 1/2; the minimal admissible k0 is 12..14
+    (dict(mathfrak_b=0.05, mathfrak_f=1.0, vartheta=0.5, k0=2,
+          rho_ratio=0.1), True),
+], ids=["k0=30", "k0=80", "adjust-k0"])
+def test_recursion_matches_per_level_reference(sigma, params, adjusts):
+    ref = _recursion_reference(sigma, **params)
+    assert ("minimal_k0" in ref) == adjusts
+    if adjusts:
+        assert ref["minimal_k0"] is not None
+        with pytest.raises(D.AdjustK0Error) as exc:
+            D.growth_recursion_bound(sigma, **params)
+        assert exc.value.minimal_k0 == ref["minimal_k0"]
+        return
+    rep = D.growth_recursion_bound(sigma, **params)
+    for field, want in ref.items():
+        np.testing.assert_allclose(getattr(rep, field), want, rtol=1e-14,
+                                   atol=0.0, err_msg=field)
+
+
 # ---------------------------------------------------------------- contrast
 
 def test_contrast_requires_both_classes():

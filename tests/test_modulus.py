@@ -41,6 +41,13 @@ def test_ratio_monotone_presets(pid):
     assert M.check_invariants(M.preset_modulus(pid)).ratio_monotone_ok
 
 
+def test_log2_scalar_calls_match_array_call():
+    sigma = M.preset_modulus("log2")
+    t = np.geomspace(1e-12, 1.0, 400)
+    scalar = np.array([sigma(float(x)) for x in t])
+    assert np.array_equal(scalar, sigma(t))
+
+
 def test_log2_ratio_rises_near_one():
     # 1/ln(e/t)^2 has sigma(t)/t increasing again on [1/e, 1]; the
     # regularized majorant restores the ratio monotonicity
