@@ -59,11 +59,17 @@ def _resolve_config(args, default_h: float):
     return h, R0, args.bc or cfg.get("bc.kind", "linear")
 
 
-def _out_dir(args) -> Path:
-    out = args.out or os.environ.get("HOPFLAB_OUT") or "."
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+def _out_file(args, name: str) -> Path:
+    """Path of the report ``name`` in the output directory.  The directory
+    is made here, at a command's first write, which comes after every
+    input check, so a rejected input leaves nothing behind."""
+    out = Path(args.out or os.environ.get("HOPFLAB_OUT") or ".")
+    out.mkdir(parents=True, exist_ok=True)
+    return out / name
+
+
+def _write(args, name: str, text: str) -> None:
+    _out_file(args, name).write_text(text, encoding="utf-8")
 
 
 def _echo_config(pairs) -> str:
@@ -93,14 +99,12 @@ def _cmd_modulus(args) -> int:
     else:
         sigma = mod.preset_modulus(args.preset)
         label = args.preset
-    out = _out_dir(args)
     verdict = mod.dini_classify(sigma, depth=args.depth)
     rows = ["t,sigma,ratio,j_sigma"]
     for t in np.geomspace(2.0 ** -args.depth, 1.0, 25).tolist():
         s = sigma(t)
         rows.append(f"{t!r},{s!r},{s / t!r},{_j_cell(sigma, t)}")
-    (out / "modulus_table.csv").write_text("\n".join(rows) + "\n",
-                                           encoding="utf-8")
+    _write(args, "modulus_table.csv", "\n".join(rows) + "\n")
     summary = _echo_config({
         "modulus": label,
         "depth": args.depth,
@@ -109,7 +113,7 @@ def _cmd_modulus(args) -> int:
         "growth_exponent": repr(verdict.growth_exponent_estimate),
         "seed": args.seed,
     })
-    (out / "modulus_summary.txt").write_text(summary, encoding="utf-8")
+    _write(args, "modulus_summary.txt", summary)
     sys.stdout.write(summary)
     return EXIT_OK
 
@@ -122,7 +126,6 @@ def _cmd_geometry(args) -> int:
     profile = geo.preset_profile(args.profile, R0=args.R0)
     if args.levels < 1:
         raise ValueError(f"--levels must be at least 1, got {args.levels}")
-    out = _out_dir(args)
     rs = [args.R0 / 2.0 ** k for k in range(2, 2 + args.levels)]
     rows = ["r,delta,delta1,lower_ok,upper_ok"]
     all_ok = True
@@ -134,8 +137,7 @@ def _cmd_geometry(args) -> int:
     frame = geo.extremal_frame(profile, rs[0])
     ball = geo.ball_inclusion_check(profile, frame, nu=args.nu,
                                     seed=args.seed)
-    (out / "geometry_table.csv").write_text("\n".join(rows) + "\n",
-                                            encoding="utf-8")
+    _write(args, "geometry_table.csv", "\n".join(rows) + "\n")
     summary = _echo_config({
         "profile": args.profile,
         "R0": repr(args.R0),
@@ -147,7 +149,7 @@ def _cmd_geometry(args) -> int:
         "smallness_ok": ball.smallness_ok,
         "seed": args.seed,
     })
-    (out / "geometry_summary.txt").write_text(summary, encoding="utf-8")
+    _write(args, "geometry_summary.txt", summary)
     sys.stdout.write(summary)
     return EXIT_OK if all_ok else EXIT_CERT_FAIL
 
@@ -208,11 +210,10 @@ def _cmd_verify(args) -> int:
     if drift_bad:
         failures.append(f"{drift_bad} drift-correction violations")
 
-    out = _out_dir(args)
     lines.update({"nu": repr(args.nu), "n": args.n, "seed": args.seed,
                   "samples": args.samples})
     summary = _echo_config(lines)
-    (out / "verify_summary.txt").write_text(summary, encoding="utf-8")
+    _write(args, "verify_summary.txt", summary)
     sys.stdout.write(summary)
     if failures:
         for f in failures:
@@ -233,18 +234,17 @@ def _cmd_solve(args) -> int:
     dom = fds.DiscreteDomain.build(profile, h)
     system = fds.discretize(op, dom, bc)
     sol = fds.solve(system)
-    out = _out_dir(args)
     if args.dump_matrix:
-        fds.dump_matrix(out / "system_matrix.txt", system.matrix)
-        fds.dump_vector(out / "system_rhs.txt", system.rhs)
-    fds.dump_solution_csv(out / "solution.csv", sol)
+        fds.dump_matrix(_out_file(args, "system_matrix.txt"), system.matrix)
+        fds.dump_vector(_out_file(args, "system_rhs.txt"), system.rhs)
+    fds.dump_solution_csv(_out_file(args, "solution.csv"), sol)
     summary = _echo_config({
         "profile": args.profile, "operator": args.op,
         "grid.h": repr(h), "grid.R0": repr(R0), "bc.kind": bc_kind,
         "residual": repr(sol.residual_norm), "method": sol.method,
         "unknowns": dom.n_unknowns, "seed": args.seed,
     })
-    (out / "solve_summary.txt").write_text(summary, encoding="utf-8")
+    _write(args, "solve_summary.txt", summary)
     sys.stdout.write(summary)
     return EXIT_OK
 
@@ -259,11 +259,9 @@ def _cmd_decay(args) -> int:
                                 operator=args.op, R0=R0, K=args.K, h=h,
                                 bc=bc_kind, seed=args.seed)
     base.validate()
-    out = _out_dir(args)
     if not args.contrast:
         rep = decay.run_experiment(base)
-        (out / "decay_levels.csv").write_text(decay.report_csv(rep),
-                                              encoding="utf-8")
+        _write(args, "decay_levels.csv", decay.report_csv(rep))
         summary = decay.report_summary(rep)
     else:
         profiles = [p.strip() for p in args.contrast.split(",") if p.strip()]
@@ -277,8 +275,7 @@ def _cmd_decay(args) -> int:
                                  for k in ("profile", "dini", "trace_first",
                                            "trace_last", "kappa",
                                            "product_K", "verdict")))
-        (out / "decay_contrast.csv").write_text("\n".join(rows) + "\n",
-                                                encoding="utf-8")
+        _write(args, "decay_contrast.csv", "\n".join(rows) + "\n")
         summary = _echo_config({
             "profiles": ";".join(profiles),
             "operator": args.op,
@@ -287,7 +284,7 @@ def _cmd_decay(args) -> int:
             "grid.h": repr(h), "grid.R0": repr(R0), "K": args.K,
             "bc.kind": bc_kind, "seed": args.seed,
         })
-    (out / "decay_summary.txt").write_text(summary, encoding="utf-8")
+    _write(args, "decay_summary.txt", summary)
     sys.stdout.write(summary)
     return EXIT_OK
 

@@ -587,8 +587,12 @@ def domain_mask(profile: BoundaryProfile, h: float) -> DomainMask:
 
     X2 = x2[None, :]
     Fc = F[:, None]
+    # a node that is not interior is exterior only when it lies more than
+    # the tolerance below the graph: X2 - F can round to just over the
+    # tolerance where X2 > F + tol rounds false, and such a node, above
+    # the graph, is on the curve
     cls = np.where(X2 > Fc + _CURVE_TOL, INTERIOR,
-                   np.where(np.abs(X2 - Fc) <= _CURVE_TOL, CURVE,
+                   np.where(X2 - Fc >= -_CURVE_TOL, CURVE,
                             EXTERIOR)).astype(np.int8)
     edge = np.zeros_like(cls, dtype=bool)
     edge[0, :] = True

@@ -19,13 +19,18 @@ the top and lateral box sides.
 
 Assembly is one pass: every coefficient goes straight into the array of
 its neighbor slot, and the slots, taken in column order, give the
-canonical CSR matrix with no COO stage, duplicate sum or sort.
+canonical CSR matrix with no COO stage, duplicate sum or sort.  Neighbors
+are read at flat offsets of the raveled grid, each neighbor class once
+per direction, and the arms that every node has fill whole slot columns.
 
 The direct solve eliminates the unknowns in a geometric nested-dissection
 order built from their grid coordinates: grid lines separate both
 stencils, so the LU factors fill far less than under a column ordering
-that does not know the grid.  SuperLU's threshold partial pivoting
-stays on as a guard, although on these M-matrices it exchanges no rows.
+that does not know the grid.  The order is computed box by box, with
+each box's node count and tight bounds read off a summed-area table of
+the nodes, so no level passes over the nodes.  SuperLU's threshold
+partial pivoting stays on as a guard, although on these M-matrices it
+exchanges no rows.
 Every system goes through this factorization; one whose factor does not
 fit in memory raises ``MemoryError``.
 
@@ -57,7 +62,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .convex_geometry import (CURVE, EDGE, EXTERIOR, INTERIOR,
+from .convex_geometry import (CURVE, EDGE, INTERIOR,
                               BoundaryProfile, DomainMask, arm_fraction,
                               domain_mask)
 from .elliptic_operator import EllipticOperator, EmptyRegionError
@@ -172,19 +177,28 @@ def discretize(op: EllipticOperator, dom: DiscreteDomain,
     node itself, and the diagonal pair of each sign that a12 takes.  No
     entry gets more than two contributions (the axis second difference
     and the upwinded drift), so its sum does not depend on their order.
-    Unknowns are numbered by (i, j), so the slots in (di, dj) order are
-    the row's columns in ascending order: the row counts give ``indptr``
-    by a cumsum, the nonzero slots give ``data`` and ``indices``, and the
-    result is a canonical CSR matrix with no duplicate to sum and nothing
-    to sort.
+    Neighbors are read at flat offsets on the raveled grid: the neighbor
+    (i + di, j + dj) of a node sits ``di * n2 + dj`` entries after it, n2
+    the grid's row count.  Each neighbor's class is looked up once per
+    direction, and the arms that every node has (axis second differences,
+    drift, and the mixed term where a12 keeps one sign) are added to whole
+    slot columns under a mask; only the rhs updates from box-side
+    neighbors, and a mixed term whose a12 changes sign, touch node
+    subsets.  Unknowns are numbered by (i, j), so the slots in (di, dj)
+    order are the row's columns in ascending order: the row counts give
+    ``indptr`` by a cumsum, the nonzero slots give ``data`` and
+    ``indices``, and the result is a canonical CSR matrix with no
+    duplicate to sum and nothing to sort.
     """
     mask = dom.mask
     h = mask.h
     x1, x2 = mask.x1, mask.x2
-    cls = mask.cls
+    n2 = x2.size
+    cls = mask.cls.ravel()
     ii = dom.interior_ij[:, 0]
     jj = dom.interior_ij[:, 1]
     N = ii.size
+    flat = ii * n2 + jj          # each node's offset in the raveled grid
 
     X1 = x1[ii]
     X2 = x2[jj]
@@ -216,53 +230,70 @@ def discretize(op: EllipticOperator, dom: DiscreteDomain,
     diag = V[:, slot[0, 0]]
     rhs = np.zeros(N)
 
-    def couple(k, di, dj, coef):
-        """Route the arms from the nodes k to (i + di, j + dj): an unknown
-        takes the coefficient, a box side its product with the data
-        into rhs, the curve (u = 0) nothing."""
-        tcls = cls[ii[k] + di, jj[k] + dj]
-        unk = tcls == INTERIOR
-        V[k[unk], slot[di, dj]] += coef[unk]
-        bcn = tcls == EDGE
-        if np.any(bcn):
-            kb = k[bcn]
+    def ends(f, di, dj):
+        """Where the arms from the nodes at raveled offsets f toward
+        (i + di, j + dj) end: on an unknown (mask) or on box data
+        (positions in f)."""
+        tcls = cls.take(f + (di * n2 + dj))
+        return tcls == INTERIOR, np.flatnonzero(tcls == EDGE)
+
+    def couple(di, dj, coef, end, k=None):
+        """Route the arms toward (i + di, j + dj) of the nodes k (all
+        nodes when None): an unknown takes the coefficient, a box side
+        its product with the data into rhs, the curve (u = 0) nothing.
+        A zero coefficient leaves its slot at 0, so only the box sides
+        need it masked."""
+        unk, edge = end
+        col = V[:, slot[di, dj]]
+        if k is None:
+            np.add(col, coef, out=col, where=unk)
+        else:
+            col[k[unk]] += coef[unk]
+        edge = edge[np.abs(coef[edge]) > 0.0]
+        if edge.size:
+            kb = edge if k is None else k[edge]
             g = np.asarray(bc_top_side(x1[ii[kb] + di], x2[jj[kb] + dj]),
                            dtype=float)
-            rhs[kb] -= coef[bcn] * g
+            rhs[kb] -= coef[edge] * g
 
-    def axis_arm(frac, di, dj):
-        """Shortley-Weller fractions of the axis arms toward (di, dj), 1
-        where the arm is whole, and whether the arm crosses the curve."""
-        f = frac[ii, jj]
-        whole = np.isnan(f)
-        cross = ~whole & (cls[ii + di, jj + dj] == EXTERIOR)
-        f[whole] = 1.0
-        return f, cross
+    def second_diff(weight, a_minus, a_plus, di, dj, end_minus, end_plus,
+                    denom, k=None):
+        """-(weight) d^2/ds^2 at the nodes k (all nodes when None) along
+        the step (di, dj), whose squared length is denom; an arm that
+        crosses the curve ends where u = 0 and adds only to the diagonal.
+        Temporaries are reused: at 10^5-10^6 nodes each fresh one costs
+        about as much as the arithmetic."""
+        w2 = 2.0 * weight
+        t = a_minus * a_plus
+        t *= denom
+        np.divide(w2, t, out=t)
+        if k is None:
+            diag[:] += t
+        else:
+            diag[k] += t
+        span = np.add(a_minus, a_plus, out=t)
+        w2 *= -1.0
+        c = a_minus * span
+        c *= denom
+        np.divide(w2, c, out=c)
+        couple(-di, -dj, c, end_minus, k)
+        np.multiply(a_plus, span, out=c)
+        c *= denom
+        np.divide(w2, c, out=c)
+        couple(di, dj, c, end_plus, k)
 
-    karr = np.arange(N)
-
-    # ---- axis second differences with Shortley-Weller arms -------------
-    alpha_w, cross_w = axis_arm(mask.frac_w, -1, 0)
-    alpha_e, cross_e = axis_arm(mask.frac_e, 1, 0)
-    alpha_s, cross_s = axis_arm(mask.frac_s, 0, -1)
+    # ---- axis second differences with Shortley-Weller arms: fractions
+    # are NaN on whole arms and in (0, 1] elsewhere, so fmin gives 1 on
+    # the whole ones
+    end_w, end_e, end_s, end_n = (ends(flat, di, dj) for di, dj in
+                                  ((-1, 0), (1, 0), (0, -1), (0, 1)))
+    alpha_w, alpha_e, alpha_s = (f.ravel().take(flat) for f in
+                                 (mask.frac_w, mask.frac_e, mask.frac_s))
+    for alpha in (alpha_w, alpha_e, alpha_s):
+        np.fmin(alpha, 1.0, out=alpha)
     alpha_n = 1.0   # the graph never crosses an upward arm
-    cross_n = np.zeros(N, dtype=bool)
-
-    def second_diff(k, weight, a_minus, a_plus, di, dj, cross_minus,
-                    cross_plus, denom):
-        """-(weight) d^2/ds^2 at the nodes k along the step (di, dj), whose
-        squared length is denom."""
-        c_m = -2.0 * weight / (a_minus * (a_minus + a_plus) * denom)
-        c_p = -2.0 * weight / (a_plus * (a_minus + a_plus) * denom)
-        diag[k] += 2.0 * weight / (a_minus * a_plus * denom)
-        keep_m = ~cross_minus & (np.abs(c_m) > 0.0)
-        couple(k[keep_m], -di, -dj, c_m[keep_m])
-        keep_p = ~cross_plus & (np.abs(c_p) > 0.0)
-        couple(k[keep_p], di, dj, c_p[keep_p])
-        # crossing arms end on the curve where u = 0: only the diagonal term
-
-    second_diff(karr, A1, alpha_w, alpha_e, 1, 0, cross_w, cross_e, h * h)
-    second_diff(karr, A2, alpha_s, alpha_n, 0, 1, cross_s, cross_n, h * h)
+    second_diff(A1, alpha_w, alpha_e, 1, 0, end_w, end_e, h * h)
+    second_diff(A2, alpha_s, alpha_n, 0, 1, end_s, end_n, h * h)
     del A1, A2
 
     # ---- mixed term: second difference along the diagonal (s, 1) with
@@ -273,32 +304,37 @@ def discretize(op: EllipticOperator, dom: DiscreteDomain,
         k = np.nonzero(s * a12 > 0.0)[0]
         if k.size == 0:
             continue
-        i, j = ii[k], jj[k]
-        fp = arm_fraction(mask, dom.profile, i, j, s, 1)
-        fm = arm_fraction(mask, dom.profile, i, j, -s, -1)
-        second_diff(k, 2.0 * np.abs(a12[k]), fp, fm, -s, -1,
-                    cls[i + s, j + 1] == EXTERIOR,
-                    cls[i - s, j - 1] == EXTERIOR, 2.0 * h * h)
-        del k, i, j, fp, fm
+        if k.size == N:   # a12 of one sign: whole slot columns
+            k = None
+            i, j, f, weight = ii, jj, flat, np.abs(a12)
+        else:
+            i, j, f, weight = ii[k], jj[k], flat[k], np.abs(a12[k])
+        weight *= 2.0
+        second_diff(weight, arm_fraction(mask, dom.profile, i, j, s, 1),
+                    arm_fraction(mask, dom.profile, i, j, -s, -1), -s, -1,
+                    ends(f, s, 1), ends(f, -s, -1), 2.0 * h * h, k)
+        del k, i, j, f, weight
     del a12
 
     # ---- upwinded drift: a positive component takes the backward
     # difference, (u_P - u_W)/(alpha_w h) along x1, a negative one the
-    # forward difference, (u_E - u_P)/(alpha_e h)
+    # forward difference, (u_E - u_P)/(alpha_e h).  c is the neighbor's
+    # coefficient; the diagonal takes its negative
     for b, back, forward in (
-            (b1, (-1, 0, alpha_w, cross_w), (1, 0, alpha_e, cross_e)),
-            (b2, (0, -1, alpha_s, cross_s), (0, 1, alpha_n, cross_n))):
+            (b1, (-1, 0, alpha_w, end_w), (1, 0, alpha_e, end_e)),
+            (b2, (0, -1, alpha_s, end_s), (0, 1, alpha_n, end_n))):
         if not np.any(np.abs(b) > 0.0):
             continue
         up = b > 0.0
-        for on, sign, (di, dj, alpha, cross) in ((up, 1.0, back),
-                                                 (~up, -1.0, forward)):
-            c = np.where(on, sign * b / (alpha * h), 0.0)
-            diag += c
-            keep = on & ~cross & (np.abs(c) > 0)
-            couple(karr[keep], di, dj, -c[keep])
-            del c, keep
-    del b1, b2, alpha_w, alpha_e, alpha_s, cross_w, cross_e, cross_s, karr
+        for on, sign, (di, dj, alpha, end) in ((up, 1.0, back),
+                                               (~up, -1.0, forward)):
+            c = b / (alpha * h)
+            c[~on] = 0.0
+            c *= -sign
+            diag -= c
+            couple(di, dj, c, end)
+            del c
+    del b1, b2, alpha_w, alpha_e, alpha_s, end_w, end_e, end_s, end_n
 
     if source is not None:
         rhs += np.asarray(source(x1[ii], x2[jj]), dtype=float)
@@ -311,13 +347,21 @@ def discretize(op: EllipticOperator, dom: DiscreteDomain,
     present[:, slot[0, 0]] = True
     nnz = int(np.count_nonzero(present))
     itype = np.int32 if max(N, nnz) <= np.iinfo(np.int32).max else np.int64
+    counts = present[:, 0].astype(itype)
+    for s in range(1, len(slots)):
+        counts += present[:, s]
     indptr = np.zeros(N + 1, dtype=itype)
-    np.cumsum(np.count_nonzero(present, axis=1), out=indptr[1:])
+    np.cumsum(counts, out=indptr[1:])
+    del counts
     data = V[present]
     del V, diag
+    # unknowns are numbered in (i, j) order, so the neighbors in the same
+    # column, where they are unknowns, are the previous and next ones
+    index = dom.index.ravel()
     cols = np.empty(present.shape, dtype=itype)
     for s, (di, dj) in enumerate(slots):
-        cols[:, s] = dom.index[ii + di, jj + dj]
+        cols[:, s] = (np.arange(dj, N + dj) if di == 0
+                      else index.take(flat + (di * n2 + dj)))
     indices = cols[present]
     del cols, present
     matrix = sp.csr_matrix((data, indices, indptr), shape=(N, N))
@@ -327,57 +371,166 @@ def discretize(op: EllipticOperator, dom: DiscreteDomain,
 _ND_LEAF = 4   # boxes of at most this many nodes are not cut further
 
 
+def _column_ranks(G: np.ndarray, H: int, a, b, c, d):
+    """Rank ranges of the nodes in each column of the boxes [a, b) x [c, d).
+
+    ``G[t * H + r]`` counts the nodes in the cells before (t, r) in
+    (i, j) order, so the nodes of a box in its column t are those with
+    ranks in [G[t H + c], G[t H + d]).  Returns ``(lo, hi, starts,
+    widths)``: these two rank bounds for every column of every box, box
+    after box, with box q's columns from ``starts[q]`` on."""
+    w = b - a
+    end = w.cumsum()
+    starts = end - w
+    f0 = ((a - starts) * H + c).repeat(w)
+    f0 += np.arange(0, int(end[-1]) * H, H)
+    f1 = (d - c).repeat(w)
+    f1 += f0
+    lo = G.take(f0)
+    del f0
+    return lo, G.take(f1), starts, w
+
+
 def _nested_dissection(ij: np.ndarray) -> np.ndarray:
     """Geometric nested-dissection elimination order of grid nodes.
 
-    ``ij`` holds the (i, j) grid coordinates of the N unknowns.  The
-    bounding box of a set of nodes is cut at the middle grid line of its
-    longer side; the nodes below the line are numbered first, then those
-    above, then the line itself, and each half is cut again until it
-    holds at most ``_ND_LEAF`` nodes (George 1973).  A grid line separates
-    the 5-point stencil and also the 9-point split, whose diagonal arms
-    move one column and one row.
+    ``ij`` holds the (i, j) grid coordinates of the N unknowns, distinct
+    and in (i, j) order, as ``DiscreteDomain`` numbers them.  The bounding
+    box of a set of nodes is cut at the middle grid line of its longer
+    side; the nodes below the line are numbered first, then those above,
+    then the line itself, and each half is cut again until it holds at
+    most ``_ND_LEAF`` nodes (George 1973).  The nodes of a leaf or of a
+    line keep their (i, j) order.  A grid line separates the 5-point
+    stencil and also the 9-point split, whose diagonal arms move one
+    column and one row.
 
-    Rather than recursing box by box, each level is one vectorized pass
-    that gives every node a base-3 digit (0 lower half, 1 upper half,
-    2 on the line or in a finished leaf); one stable argsort of the digit
-    strings gives the order.  Each level halves a box side, so a grid
-    with under 2^19 lines per side needs at most 39 digits, which fit in
-    int64.  Returns ``perm`` with unknown ``perm[k]`` eliminated k-th.
+    The boxes, not the nodes, go through the levels.  A prefix count of
+    the nodes over the raveled grid of their bounding box, a summed-area
+    table along the columns (Crow 1984), gives the rank range of a box's
+    nodes in each of its columns from two lookups.  One segmented sum of
+    these per box gives its node count, and its tight bounds come from
+    the first and last node of each nonempty column by segmented min and
+    max.  Each box knows the position of its first node in the order: the
+    lower half starts there, the upper half after the lower's nodes, the
+    line after both.  Every finished leaf and line is written into the
+    order once, at the end, as runs of consecutive ranks, one run per
+    column.  ``_ND_LEAF >= 4`` keeps the cut side of every box that is
+    cut at least three lines long, so no half is an empty range.
+
+    No digit string bounds the depth: positions and ranks are intp
+    indices, and the table holds one entry per cell of the bounding box.
+    Returns ``perm`` with unknown ``perm[k]`` eliminated k-th.
     """
     n = ij.shape[0]
-    node = np.arange(n)                 # nodes still being cut
-    i = ij[:, 0].astype(np.int32)
-    j = ij[:, 1].astype(np.int32)
-    box = np.zeros(n, dtype=np.intp)    # box of each node in ``node``
-    nbox = 1
-    key = np.zeros(n, dtype=np.int64)   # base-3 digit string per node
-    while node.size:
-        size = np.bincount(box, minlength=nbox)
-        bounds = []
-        for c in (i, j):
-            lo = np.full(nbox, np.iinfo(np.int32).max, dtype=np.int32)
-            hi = np.full(nbox, -1, dtype=np.int32)
-            np.minimum.at(lo, box, c)
-            np.maximum.at(hi, box, c)
-            bounds.append((lo, hi))
-        (lo_i, hi_i), (lo_j, hi_j) = bounds
-        cut_i = hi_i - lo_i >= hi_j - lo_j
-        line = np.where(cut_i, lo_i + hi_i, lo_j + hi_j) // 2
-        c = np.where(cut_i[box], i, j)
-        m = line[box]
-        digit = (c > m) + 2 * (c == m)
-        digit[size[box] <= _ND_LEAF] = 2
-        key *= 3
-        key[node] += digit
-        go = digit < 2
-        # the two halves of every box become the boxes of the next level
-        child = 2 * box[go] + digit[go]
-        used = np.bincount(child, minlength=2 * nbox) > 0
-        box = np.cumsum(used)[child] - 1
-        nbox = int(np.count_nonzero(used))
-        node, i, j = node[go], i[go], j[go]
-    return np.argsort(key, kind="stable")
+    if n <= _ND_LEAF:
+        return np.arange(n)
+    i = ij[:, 0] - ij[0, 0]
+    j = ij[:, 1] - ij[:, 1].min()
+    W = int(i[-1]) + 1
+    H = int(j.max()) + 1
+    cell = i * H
+    cell += j
+    if np.any(cell[1:] <= cell[:-1]):
+        raise ValueError("nodes must be distinct and in (i, j) order")
+    G = np.zeros(W * H + 1, dtype=np.intp)   # node i*H + j has rank G[i*H + j]
+    cell += 1
+    G[cell] = 1
+    del cell
+    G.cumsum(out=G)
+    jr = np.empty(n + 2, dtype=np.intp)   # jr[r + 1]: j of rank r; -1, H at
+    jr[0] = -1                            # ranks -1 and n
+    jr[1:-1] = j
+    jr[-1] = H
+    del j
+
+    lo_i, hi_i, lo_j, hi_j = (np.array([v]) for v in (0, W - 1, 0, H - 1))
+    first = np.zeros(1, dtype=np.intp)   # position of each box's first node
+    halves, firsts, leaves, lines, line_firsts = [], [], [], [], []
+    while True:
+        nb = first.size
+        along_j = hi_j - lo_j > hi_i - lo_i
+        m = np.where(along_j, lo_j + hi_j, lo_i + hi_i) >> 1
+        box = np.empty((4, nb), dtype=np.intp)   # rows a, b, c, d of
+        box[0] = lo_i                            # [a, b) x [c, d)
+        box[1] = hi_i + 1
+        box[2] = lo_j
+        box[3] = hi_j + 1
+        lines.append((box, m, along_j))
+        # the lower halves, then the upper ones, end just before and start
+        # just after the line on the cut axis.  half[r, q] sits at
+        # r * 2nb + q: the upper's lo (row 0 or 2, column nb + q) at nb + q
+        # or 5nb + q, the lower's hi (row 1 or 3, column q) nb further on
+        half = np.concatenate((box, box), axis=1)
+        at = np.where(along_j, 5 * nb, nb)
+        at += np.arange(nb)
+        cut_bound = half.reshape(-1)
+        cut_bound[at] = m + 1
+        at += nb
+        cut_bound[at] = m
+        lo, hi, col0, _ = _column_ranks(G, H, *half)
+        cnt = hi - lo
+        count = np.add.reduceat(cnt, col0)
+        first = np.concatenate((first, first + count[:nb]))
+        line_firsts.append(first[nb:] + count[nb:])
+        leaf = count <= _ND_LEAF
+        halves.append(half)
+        firsts.append(first)
+        leaves.append(leaf)
+        cut = ~leaf
+        if not cut.any():
+            break
+        # tight bounds of the halves to cut: empty columns drop out
+        empty = cnt == 0
+        del cnt
+        lo[empty] = n
+        hi[empty] = 0
+        lo_i = i.take(np.minimum.reduceat(lo, col0)[cut])
+        hi_i = i.take(np.maximum.reduceat(hi, col0)[cut] - 1)
+        lo += 1
+        lo_j = np.minimum.reduceat(jr.take(lo), col0)[cut]
+        hi_j = np.maximum.reduceat(jr.take(hi), col0)[cut]
+        first = first[cut]
+    del i, jr, lo, hi, cnt
+
+    # the finished pieces: the leaves, and the lines, each a box with its
+    # cut-axis bounds set to [m, m + 1) (box[r, q] sits at r * nl + q)
+    box, m, along_j = (np.concatenate(x, axis=-1) for x in zip(*lines))
+    nl = m.size
+    at = np.where(along_j, 2 * nl, 0)
+    at += np.arange(nl)
+    cut_bound = box.reshape(-1)
+    cut_bound[at] = m
+    at += nl
+    cut_bound[at] = m + 1
+    leaf = np.concatenate(leaves)
+    pieces = np.concatenate((np.concatenate(halves, axis=1)[:, leaf], box),
+                            axis=1)
+    first = np.concatenate((np.concatenate(firsts)[leaf], *line_firsts))
+    del halves, firsts, leaves, lines, line_firsts, box, m, along_j, at
+    lo, cnt, col0, w = _column_ranks(G, H, *pieces)
+    del G, pieces
+    cnt -= lo
+    # each column's nodes are a run of consecutive ranks; it goes to its
+    # piece's first position plus the nodes of the piece's earlier columns
+    pos = cnt.cumsum()
+    pos -= cnt
+    shift = pos[col0]
+    shift -= first
+    pos -= shift.repeat(w)
+    del shift
+    run = cnt > 0
+    pos, lo, cnt = pos[run], lo[run], cnt[run]
+    # perm rises by one along a run; where a run starts it jumps from
+    # the last rank of the run that ends just before
+    last = np.empty(n + 1, dtype=np.intp)
+    last[0] = 0
+    cnt -= 1
+    last[pos + cnt + 1] = lo + cnt
+    lo -= last[pos]
+    del last
+    perm = np.ones(n, dtype=np.intp)
+    perm[pos] = lo
+    return perm.cumsum(out=perm)
 
 
 def _mirror_fold(system: LinearSystem):
@@ -608,15 +761,19 @@ def oscillation(sol: DiscreteSolution, profile: BoundaryProfile,
     amplifies discretization noise."""
     if r > profile.R0 + 1e-12:
         raise ValueError(f"r = {r} exceeds the patch radius {profile.R0}")
-    dom = sol.dom
-    mask = dom.mask
-    X1 = mask.x1[:, None]
-    X2 = mask.x2[None, :]
-    region = ((mask.cls == INTERIOR) & (np.abs(X1) < r) & (X2 < r)
-              & (X2 >= _NOISE_FLOOR_CELLS * mask.h - 1e-15))
+    mask = sol.dom.mask
+    # the grid lines ascend, so the cylinder is an index window:
+    # -r < x1 < r and noise floor <= x2 < r
+    i0 = np.searchsorted(mask.x1, -r, side="right")
+    i1 = np.searchsorted(mask.x1, r)
+    j0 = np.searchsorted(mask.x2, _NOISE_FLOOR_CELLS * mask.h - 1e-15)
+    j1 = np.searchsorted(mask.x2, r)
+    window = (slice(i0, i1), slice(j0, j1))
+    region = mask.cls[window] == INTERIOR
     if not np.any(region):
         raise EmptyRegionError(f"no interior nodes in the cylinder r = {r}")
-    quot = sol.values[region] / np.broadcast_to(X2, mask.cls.shape)[region]
+    X2 = np.broadcast_to(mask.x2[j0:j1], region.shape)
+    quot = sol.values[window][region] / X2[region]
     return float(quot.max() - quot.min())
 
 

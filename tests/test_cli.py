@@ -184,11 +184,14 @@ def test_out_of_memory_exit_3(tmp_path, capsys, monkeypatch, command):
     ["decay", "--profile", "log1", "--K", "2", "--h", "0"],
 ], ids=lambda c: " ".join(c))
 def test_bad_input_exit_2(tmp_path, capsys, command):
+    # the output directory is made at the first write, so a rejected
+    # input leaves none behind
     missing = str(tmp_path / "missing.txt")
-    assert run_cli([a.format(missing=missing) for a in command],
-                   tmp_path) == 2
+    out = tmp_path / "out"
+    assert run_cli([a.format(missing=missing) for a in command], out) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: ")
+    assert not out.exists()
 
 
 def test_decay_too_few_levels_exit_2_before_solving(tmp_path, capsys,

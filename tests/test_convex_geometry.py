@@ -333,6 +333,18 @@ def test_mask_node_exactly_on_curve():
     assert m.cls[i, j] == G.CURVE
 
 
+def test_mask_node_just_over_tolerance_above_curve():
+    # F = max(0, x1/2 - 1e-12): the nodes (x1, x1/2) lie the tolerance
+    # above the graph up to rounding.  Where they fail the interior test
+    # they are on the curve; classed exterior, they made the horizontal
+    # arms toward them end above the graph and the bisection raise
+    prof = G.MaxAffineProfile(slopes=np.array([[0.0], [0.5]]),
+                              offsets=[0.0, -1e-12], R0=0.5)
+    m = G.domain_mask(prof, h=2.0**-5)
+    below = m.x2[None, :] - prof.height(m.x1)[:, None] < -1e-12
+    assert np.array_equal(m.cls == G.EXTERIOR, below)
+
+
 def test_mask_symmetric_for_radial_profile():
     m = G.domain_mask(G.preset_profile("log1", R0=0.5), h=2.0**-6)
     assert np.array_equal(m.cls, m.cls[::-1, :])

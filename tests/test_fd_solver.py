@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hopflab import convex_geometry as G
 from hopflab import elliptic_operator as E
@@ -474,6 +474,40 @@ def test_oscillation_monotone_in_r():
     assert np.all(np.diff(vals) >= -1e-13)
 
 
+def _full_grid_oscillation(sol, r):
+    """``oscillation`` as four boolean arrays over the whole grid."""
+    mask = sol.dom.mask
+    X1 = mask.x1[:, None]
+    X2 = mask.x2[None, :]
+    region = ((mask.cls == G.INTERIOR) & (np.abs(X1) < r) & (X2 < r)
+              & (X2 >= 2 * mask.h - 1e-15))
+    if not np.any(region):
+        return None
+    quot = sol.values[region] / np.broadcast_to(X2, mask.cls.shape)[region]
+    return float(quot.max() - quot.min())
+
+
+@pytest.mark.parametrize("profile_id", ["log1", "wedge:2.0944"])
+def test_oscillation_window_matches_full_grid(profile_id):
+    # the index window holds the nodes of the full-grid mask, so the
+    # oscillation is the same float, on grid-line radii and off them
+    h = 2.0**-6
+    bc = sector_harmonic(2.0944) if profile_id.startswith("wedge") \
+        else bc_linear
+    sol, _, dom = solve_preset(profile_id, "laplace", h, bc=bc)
+    prof = dom.profile
+    rng = np.random.default_rng(7)
+    radii = np.concatenate((rng.uniform(0.0, 0.5, 40),
+                            h * rng.integers(0, 33, 20), [0.5]))
+    for r in radii.tolist():
+        ref = _full_grid_oscillation(sol, r)
+        if ref is None:
+            with pytest.raises(E.EmptyRegionError):
+                F.oscillation(sol, prof, r)
+        else:
+            assert F.oscillation(sol, prof, r) == ref
+
+
 def test_oscillation_empty_region():
     prof = G.preset_profile("flat", R0=0.5)
     sol, _, _ = solve_preset("flat", "laplace", 2.0**-5)
@@ -507,6 +541,84 @@ def test_nested_dissection_separator_order():
     assert np.all(order[:6, 0] < 2)
     assert np.all(order[6:12, 0] > 2)
     assert np.all(order[12:, 0] == 2)
+
+
+def nd_reference(ij):
+    """Nested dissection box by box, as ``_nested_dissection`` documents
+    it: cut the tight bounding box at (lo + hi) // 2 of its longer side
+    (i on a tie), order the lower half, the upper half, then the line, and
+    keep a box of at most ``_ND_LEAF`` nodes in input order."""
+    def order(nodes):
+        if nodes.size <= F._ND_LEAF:
+            return [nodes]
+        c = ij[nodes]
+        lo, hi = c.min(axis=0), c.max(axis=0)
+        axis = 0 if hi[0] - lo[0] >= hi[1] - lo[1] else 1
+        m = (lo[axis] + hi[axis]) // 2
+        x = c[:, axis]
+        return order(nodes[x < m]) + order(nodes[x > m]) + [nodes[x == m]]
+
+    return np.concatenate(order(np.arange(ij.shape[0])))
+
+
+def assert_nd_matches_reference(ij):
+    perm = F._nested_dissection(ij)
+    ref = nd_reference(ij)
+    assert perm.dtype == ref.dtype
+    assert perm.tobytes() == ref.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@example(shape=(1, 1), density=1.0, hole=(0.0, 0.0, 0.0, 0.0),
+         offset=(3, 4), seed=0)                      # a single node
+@example(shape=(1, 9), density=1.0, hole=(0.0, 0.0, 0.0, 0.0),
+         offset=(2, 0), seed=0)                      # a single column
+@example(shape=(11, 1), density=1.0, hole=(0.0, 0.0, 0.0, 0.0),
+         offset=(0, 5), seed=0)                      # a single row
+@given(shape=st.tuples(st.integers(1, 30), st.integers(1, 30)),
+       density=st.floats(0.02, 1.0),
+       hole=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+                      st.floats(0.0, 0.8), st.floats(0.0, 0.8)),
+       offset=st.tuples(st.integers(0, 6), st.integers(0, 6)),
+       seed=st.integers(0, 2**32 - 1))
+def test_nested_dissection_matches_reference(shape, density, hole, offset,
+                                             seed):
+    # random node sets in (i, j) order, as the solver numbers them: holes,
+    # offsets from the origin, single rows or columns and single nodes
+    occupied = np.random.default_rng(seed).random(shape) < density
+    hi, hj = (int(f * n) for f, n in zip(hole[:2], shape))
+    wi, wj = (int(f * n) for f, n in zip(hole[2:], shape))
+    occupied[hi:hi + wi, hj:hj + wj] = False
+    ii, jj = np.nonzero(occupied)
+    assert_nd_matches_reference(np.column_stack((ii + offset[0],
+                                                 jj + offset[1])))
+
+
+@pytest.mark.parametrize("fold", [False, True], ids=["full", "folded"])
+@pytest.mark.parametrize("profile_id", ["log1", "power:0.5", "wedge:2.0944"])
+def test_nested_dissection_of_domains_matches_reference(profile_id, fold):
+    dom = F.DiscreteDomain.build(G.preset_profile(profile_id, R0=0.5),
+                                 2.0**-7)
+    ij = dom.interior_ij
+    if fold:
+        ij = ij[ij[:, 0] >= dom.mask.center_col]
+    assert_nd_matches_reference(ij)
+
+
+def test_nested_dissection_rejects_unordered_nodes():
+    with pytest.raises(ValueError):
+        F._nested_dissection(np.array([[0, 0], [1, 0], [0, 1], [1, 1],
+                                       [2, 0]]))
+
+
+def test_nested_dissection_peak_memory():
+    # the order's transient arrays stay within 85 bytes per node on the
+    # folded log1 node set
+    dom = F.DiscreteDomain.build(G.preset_profile("log1", R0=0.5), 2.0**-8)
+    ij = dom.interior_ij
+    ij = ij[ij[:, 0] >= dom.mask.center_col]
+    _, peak = _traced_peak(F._nested_dissection, ij)
+    assert peak <= 85 * ij.shape[0]
 
 
 def _unfolded_nd_solve(system):
