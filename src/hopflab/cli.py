@@ -159,6 +159,10 @@ def _cmd_geometry(args) -> int:
 # ----------------------------------------------------------------------
 
 def _cmd_verify(args) -> int:
+    for flag in ("samples", "profiles"):
+        if getattr(args, flag) < 0:
+            raise ConfigError(f"--{flag} must be nonnegative, got "
+                              f"{getattr(args, flag)}")
     rng = np.random.default_rng(args.seed)
     failures = []
     lines = {}

@@ -149,8 +149,8 @@ def preset_profile(spec: str, R0: float = 0.5, ambient_dim: int = 2) -> Boundary
                              ambient_dim=ambient_dim, preset=spec)
     if name == "cone":
         c = float(arg)
-        if c < 0:
-            raise ValueError("cone slope must be nonnegative")
+        if not 0 <= c < math.inf:
+            raise ValueError("cone slope must be nonnegative and finite")
         return RadialProfile(f=lambda rho, c=c: c * np.asarray(rho, float),
                              df=lambda r, c=c: c, R0=R0,
                              ambient_dim=ambient_dim, preset=spec)
@@ -554,12 +554,14 @@ def arm_fraction(mask: DomainMask, profile: BoundaryProfile, i, j,
 
     1 where the neighbor is a node of the closed domain (INTERIOR, EDGE
     or CURVE); where it lies below the graph, the fraction of the arm at
-    which the graph is crossed."""
-    ni, nj = i + di, j + dj
+    which the graph is crossed.  The neighbor classes are read at the
+    flat offset ``di * n2 + dj`` of the raveled grid, n2 its row count."""
+    n2 = mask.x2.size
+    out = mask.cls.ravel().take(i * n2 + j + (di * n2 + dj)) == EXTERIOR
     frac = np.ones(i.shape)
-    out = mask.cls[ni, nj] == EXTERIOR
-    p_from = np.stack((mask.x1[i[out]], mask.x2[j[out]]), axis=-1)
-    p_to = np.stack((mask.x1[ni[out]], mask.x2[nj[out]]), axis=-1)
+    io, jo = i[out], j[out]
+    p_from = np.stack((mask.x1[io], mask.x2[jo]), axis=-1)
+    p_to = np.stack((mask.x1[io + di], mask.x2[jo + dj]), axis=-1)
     frac[out] = curve_crossing_fraction(profile, p_from, p_to)
     return frac
 

@@ -417,7 +417,11 @@ def contrast_suite(profiles: Sequence[str], operator: str,
 
     Requires at least one Dini and one non-Dini profile.  Consistency
     property: with one common kappa, every non-Dini profile's partial
-    product at depth K sits below every Dini profile's."""
+    product at depth K sits below every Dini profile's.  A profile named
+    twice raises ``ValueError`` before any solve."""
+    repeated = sorted({p for p in profiles if profiles.count(p) > 1})
+    if repeated:
+        raise ValueError(f"contrast profile repeated: {', '.join(repeated)}")
     reports = {}
     for p in profiles:
         c = replace(cfg, profile=p, operator=operator)

@@ -77,8 +77,9 @@ def preset_operator(spec: str) -> EllipticOperator:
                                 params={})
     if name == "aniso":
         l1, l2 = (float(v) for v in arg.split(","))
-        if l1 <= 0 or l2 <= 0:
-            raise ValueError("anisotropy coefficients must be positive")
+        if not (0 < l1 < math.inf and 0 < l2 < math.inf):
+            raise ValueError("anisotropy coefficients must be positive "
+                             "and finite")
         nu = min(l1, l2, 1.0 / l1, 1.0 / l2)
 
         def a_grid(X1, X2, l1=l1, l2=l2):
@@ -88,8 +89,8 @@ def preset_operator(spec: str) -> EllipticOperator:
                                 params={"l1": l1, "l2": l2})
     if name == "checker":
         eps0 = float(arg) if arg else 0.25
-        if eps0 <= 0:
-            raise ValueError("checker cell size must be positive")
+        if not 0 < eps0 < math.inf:
+            raise ValueError("checker cell size must be positive and finite")
         lo, hi = 0.5, 2.0
 
         def a_grid(X1, X2, eps0=eps0):
@@ -103,6 +104,8 @@ def preset_operator(spec: str) -> EllipticOperator:
                                 params={"eps0": eps0})
     if name == "drift":
         scale = float(arg) if arg else 1.0
+        if not math.isfinite(scale):
+            raise ValueError("drift scale must be finite")
 
         def a_grid(X1, X2):
             ones = np.ones(np.broadcast(X1, X2).shape)

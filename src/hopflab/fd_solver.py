@@ -17,11 +17,13 @@ gives the discrete maximum and comparison principles.  Drift terms are
 upwinded.  Dirichlet data: u = 0 on the curve, caller-supplied values on
 the top and lateral box sides.
 
-Assembly is one pass: every coefficient goes straight into the array of
-its neighbor slot, and the slots, taken in column order, give the
-canonical CSR matrix with no COO stage, duplicate sum or sort.  Neighbors
-are read at flat offsets of the raveled grid, each neighbor class once
-per direction, and the arms that every node has fill whole slot columns.
+Assembly is one pass over whole slot columns: every coefficient goes
+straight into the column of its neighbor slot, a node that lacks a term
+(the drift's other side, the mixed term of the other sign) adding 0
+there.  The slot table, taken in column order, is the CSR matrix, and
+dropping its zero slots makes it canonical, with no COO stage,
+duplicate sum or sort.  Neighbors are read at flat offsets of the
+raveled grid, each neighbor class once per direction.
 
 The direct solve eliminates the unknowns in a geometric nested-dissection
 order built from their grid coordinates: grid lines separate both
@@ -38,7 +40,10 @@ A radial graph x2 = f(|x1|) with an even operator and even data gives a
 system that is exactly invariant under the mirror x1 -> -x1, and its
 solution is even.  The direct solve checks that invariance bitwise and
 then factorizes only the half grid i >= center_col, with each left-half
-column merged onto its mirror; any other system is solved whole.
+column merged onto its mirror; about half the factorization work on the
+radial profiles.  Any other system, for instance one with a12 != 0 or a
+drift, is solved whole.  Either way the residual is that of the full
+system.
 
 The LU factors are computed and stored in single precision, half the
 bytes of double, and the solution is refined in double precision
@@ -169,26 +174,26 @@ def discretize(op: EllipticOperator, dom: DiscreteDomain,
     """Assemble the sparse system for L u = source on the masked grid.
 
     ``bc_top_side(x1, x2)`` supplies Dirichlet data on the box top and
-    lateral sides; the curve carries u = 0.  Raises
-    ``StencilMonotonicityError`` when |a12| > min(a11, a22) at a node.
+    lateral sides; the curve carries u = 0.  Raises ``ValueError`` when a
+    coefficient is not finite at a node and ``StencilMonotonicityError``
+    when |a12| > min(a11, a22) at a node.
 
-    Assembly is one pass.  Each stencil coefficient is added straight
-    into the array of its neighbor slot: the four axis neighbors, the
-    node itself, and the diagonal pair of each sign that a12 takes.  No
-    entry gets more than two contributions (the axis second difference
-    and the upwinded drift), so its sum does not depend on their order.
-    Neighbors are read at flat offsets on the raveled grid: the neighbor
-    (i + di, j + dj) of a node sits ``di * n2 + dj`` entries after it, n2
-    the grid's row count.  Each neighbor's class is looked up once per
-    direction, and the arms that every node has (axis second differences,
-    drift, and the mixed term where a12 keeps one sign) are added to whole
-    slot columns under a mask; only the rhs updates from box-side
-    neighbors, and a mixed term whose a12 changes sign, touch node
-    subsets.  Unknowns are numbered by (i, j), so the slots in (di, dj)
-    order are the row's columns in ascending order: the row counts give
-    ``indptr`` by a cumsum, the nonzero slots give ``data`` and
-    ``indices``, and the result is a canonical CSR matrix with no
-    duplicate to sum and nothing to sort.
+    Assembly is one pass over whole slot columns.  Each stencil
+    coefficient is added straight into the column of its neighbor slot:
+    the four axis neighbors, the node itself, and the diagonal pair of
+    each sign that a12 takes somewhere.  A term that a node lacks adds 0
+    there: the drift's other side, and the mixed term of the other sign,
+    whose weight is 2 max(s a12, 0).  No entry gets more than two nonzero
+    contributions (the axis second difference and the upwinded drift),
+    so its sum does not depend on their order.  Neighbors are read at
+    flat offsets on the raveled grid: the neighbor (i + di, j + dj) of a
+    node sits ``di * n2 + dj`` entries after it, n2 the grid's row count,
+    and each neighbor's class is looked up once per direction.  Unknowns
+    are numbered by (i, j), so the slots in (di, dj) order are the row's
+    columns in ascending order: the slot table, read row by row, is a
+    CSR matrix with the same number of slots in every row, and dropping
+    its zero slots leaves the canonical CSR matrix, with no duplicate to
+    sum and nothing to sort.
     """
     mask = dom.mask
     h = mask.h
@@ -208,6 +213,12 @@ def discretize(op: EllipticOperator, dom: DiscreteDomain,
               for v in op.b_grid(X1, X2))
     del X1, X2
 
+    for name, v in (("a11", a11), ("a22", a22), ("a12", a12), ("b1", b1),
+                    ("b2", b2)):
+        if not np.isfinite(v).all():
+            k = int(np.flatnonzero(~np.isfinite(v))[0])
+            raise ValueError(f"{name} = {v[k]:g} is not finite at "
+                             f"({x1[ii[k]]:g}, {x2[jj[k]]:g})")
     bad = np.abs(a12) > np.minimum(a11, a22) + _A12_TOL
     if np.any(bad):
         k = int(np.nonzero(bad)[0][0])
@@ -230,62 +241,53 @@ def discretize(op: EllipticOperator, dom: DiscreteDomain,
     diag = V[:, slot[0, 0]]
     rhs = np.zeros(N)
 
-    def ends(f, di, dj):
-        """Where the arms from the nodes at raveled offsets f toward
-        (i + di, j + dj) end: on an unknown (mask) or on box data
-        (positions in f)."""
-        tcls = cls.take(f + (di * n2 + dj))
+    def ends(di, dj):
+        """Where the arms toward (i + di, j + dj) end: on an unknown
+        (mask) or on box data (node positions)."""
+        tcls = cls.take(flat + (di * n2 + dj))
         return tcls == INTERIOR, np.flatnonzero(tcls == EDGE)
 
-    def couple(di, dj, coef, end, k=None):
-        """Route the arms toward (i + di, j + dj) of the nodes k (all
-        nodes when None): an unknown takes the coefficient, a box side
-        its product with the data into rhs, the curve (u = 0) nothing.
-        A zero coefficient leaves its slot at 0, so only the box sides
-        need it masked."""
+    def couple(di, dj, coef, end):
+        """Route the arms toward (i + di, j + dj): an unknown takes the
+        coefficient, a box side its product with the data into rhs, the
+        curve (u = 0) nothing.  A zero coefficient leaves its slot at 0,
+        so only the box sides need it masked."""
         unk, edge = end
         col = V[:, slot[di, dj]]
-        if k is None:
-            np.add(col, coef, out=col, where=unk)
-        else:
-            col[k[unk]] += coef[unk]
+        np.add(col, coef, out=col, where=unk)
         edge = edge[np.abs(coef[edge]) > 0.0]
         if edge.size:
-            kb = edge if k is None else k[edge]
-            g = np.asarray(bc_top_side(x1[ii[kb] + di], x2[jj[kb] + dj]),
+            g = np.asarray(bc_top_side(x1[ii[edge] + di], x2[jj[edge] + dj]),
                            dtype=float)
-            rhs[kb] -= coef[edge] * g
+            rhs[edge] -= coef[edge] * g
 
     def second_diff(weight, a_minus, a_plus, di, dj, end_minus, end_plus,
-                    denom, k=None):
-        """-(weight) d^2/ds^2 at the nodes k (all nodes when None) along
-        the step (di, dj), whose squared length is denom; an arm that
-        crosses the curve ends where u = 0 and adds only to the diagonal.
+                    denom):
+        """-(weight) d^2/ds^2 along the step (di, dj), whose squared
+        length is denom; an arm that crosses the curve ends where u = 0
+        and adds only to the diagonal.  A zero weight adds zeros.
         Temporaries are reused: at 10^5-10^6 nodes each fresh one costs
         about as much as the arithmetic."""
         w2 = 2.0 * weight
         t = a_minus * a_plus
         t *= denom
         np.divide(w2, t, out=t)
-        if k is None:
-            diag[:] += t
-        else:
-            diag[k] += t
+        diag[:] += t
         span = np.add(a_minus, a_plus, out=t)
         w2 *= -1.0
         c = a_minus * span
         c *= denom
         np.divide(w2, c, out=c)
-        couple(-di, -dj, c, end_minus, k)
+        couple(-di, -dj, c, end_minus)
         np.multiply(a_plus, span, out=c)
         c *= denom
         np.divide(w2, c, out=c)
-        couple(di, dj, c, end_plus, k)
+        couple(di, dj, c, end_plus)
 
     # ---- axis second differences with Shortley-Weller arms: fractions
     # are NaN on whole arms and in (0, 1] elsewhere, so fmin gives 1 on
     # the whole ones
-    end_w, end_e, end_s, end_n = (ends(flat, di, dj) for di, dj in
+    end_w, end_e, end_s, end_n = (ends(di, dj) for di, dj in
                                   ((-1, 0), (1, 0), (0, -1), (0, 1)))
     alpha_w, alpha_e, alpha_s = (f.ravel().take(flat) for f in
                                  (mask.frac_w, mask.frac_e, mask.frac_s))
@@ -297,23 +299,20 @@ def discretize(op: EllipticOperator, dom: DiscreteDomain,
     del A1, A2
 
     # ---- mixed term: second difference along the diagonal (s, 1) with
-    # s = sign(a12), spacing sqrt(2) h.  The arm toward (i+s, j+1) goes
-    # in as the minus side of the step (-s, -1), so that at nodes whose
-    # two arms both end on box data its rhs update comes first.
+    # s = sign(a12), spacing sqrt(2) h, on whole slot columns with weight
+    # 2 max(s a12, 0), as the drift zeroes its other side.  The arm
+    # toward (i+s, j+1) goes in as the minus side of the step (-s, -1),
+    # so that at nodes whose two arms both end on box data its rhs update
+    # comes first.
     for s in (1, -1):
-        k = np.nonzero(s * a12 > 0.0)[0]
-        if k.size == 0:
+        weight = np.maximum(s * a12, 0.0)
+        if not np.any(weight > 0.0):
             continue
-        if k.size == N:   # a12 of one sign: whole slot columns
-            k = None
-            i, j, f, weight = ii, jj, flat, np.abs(a12)
-        else:
-            i, j, f, weight = ii[k], jj[k], flat[k], np.abs(a12[k])
         weight *= 2.0
-        second_diff(weight, arm_fraction(mask, dom.profile, i, j, s, 1),
-                    arm_fraction(mask, dom.profile, i, j, -s, -1), -s, -1,
-                    ends(f, s, 1), ends(f, -s, -1), 2.0 * h * h, k)
-        del k, i, j, f, weight
+        second_diff(weight, arm_fraction(mask, dom.profile, ii, jj, s, 1),
+                    arm_fraction(mask, dom.profile, ii, jj, -s, -1), -s, -1,
+                    ends(s, 1), ends(-s, -1), 2.0 * h * h)
+        del weight
     del a12
 
     # ---- upwinded drift: a positive component takes the backward
@@ -334,37 +333,31 @@ def discretize(op: EllipticOperator, dom: DiscreteDomain,
             diag -= c
             couple(di, dj, c, end)
             del c
-    del b1, b2, alpha_w, alpha_e, alpha_s, end_w, end_e, end_s, end_n
+    del b1, b2, alpha_w, alpha_e, alpha_s, end_w, end_e, end_s, end_n, diag
 
     if source is not None:
         rhs += np.asarray(source(x1[ii], x2[jj]), dtype=float)
 
-    # ---- canonical CSR: a row's entries are its nonzero slots in slot
-    # order, plus the diagonal, which is always stored.  A slot no arm
-    # reached is 0; the contributions to one slot share a sign on this
-    # monotone stencil, so a slot an arm reached is nonzero
-    present = V != 0.0
-    present[:, slot[0, 0]] = True
-    nnz = int(np.count_nonzero(present))
-    itype = np.int32 if max(N, nnz) <= np.iinfo(np.int32).max else np.int64
-    counts = present[:, 0].astype(itype)
-    for s in range(1, len(slots)):
-        counts += present[:, s]
-    indptr = np.zeros(N + 1, dtype=itype)
-    np.cumsum(counts, out=indptr[1:])
-    del counts
-    data = V[present]
-    del V, diag
-    # unknowns are numbered in (i, j) order, so the neighbors in the same
-    # column, where they are unknowns, are the previous and next ones
+    # ---- canonical CSR: row k's entries are its slots in slot order,
+    # which is ascending column order, less the slots that hold 0.  A
+    # slot no arm reached holds 0 and is dropped whatever its column
+    # index (-1 or out of range off the unknowns); the contributions to
+    # one slot share a sign on this monotone stencil, so a slot an arm
+    # reached is nonzero, and the diagonal is positive.  Unknowns are
+    # numbered in (i, j) order, so the neighbors in the same column,
+    # where they are unknowns, are the previous and next ones
+    S = len(slots)
+    itype = np.int32 if N * S <= np.iinfo(np.int32).max else np.int64
     index = dom.index.ravel()
-    cols = np.empty(present.shape, dtype=itype)
+    cols = np.empty((N, S), dtype=itype)
     for s, (di, dj) in enumerate(slots):
         cols[:, s] = (np.arange(dj, N + dj) if di == 0
                       else index.take(flat + (di * n2 + dj)))
-    indices = cols[present]
-    del cols, present
-    matrix = sp.csr_matrix((data, indices, indptr), shape=(N, N))
+    matrix = sp.csr_matrix((V.reshape(-1), cols.reshape(-1),
+                            np.arange(0, N * S + 1, S, dtype=itype)),
+                           shape=(N, N))
+    del V, cols
+    matrix.eliminate_zeros()
     return LinearSystem(matrix=matrix, rhs=rhs, dom=dom, bc=bc_top_side)
 
 
@@ -549,8 +542,10 @@ def _mirror_fold(system: LinearSystem):
     built.  A matrix with sorted indices, as ``discretize`` gives, is
     compared as it is, and the mirrored copy is sorted in place and freed.
 
-    Returns ``(keep, rep)``: the kept unknowns, and ``rep`` mapping every
-    unknown to its row in the half system (so ``x = xf[rep]``).
+    Returns ``(first, rep)``: the first kept unknown, and ``rep`` mapping
+    every unknown to its row in the half system (so ``x = xf[rep]``).
+    Unknowns are numbered in (i, j) order, so the kept ones are those
+    from ``first`` on, and ``rep`` maps them to ``k - first``.
     """
     dom = system.dom
     ii, jj = dom.interior_ij[:, 0], dom.interior_ij[:, 1]
@@ -571,38 +566,34 @@ def _mirror_fold(system: LinearSystem):
     del B
     if not mirrored:
         return None
-    right = ii >= dom.mask.center_col
-    keep = np.nonzero(right)[0]
-    rep = np.empty(ii.size, dtype=np.intp)
-    rep[keep] = np.arange(keep.size)
-    rep[~right] = rep[m[~right]]
-    return keep, rep
+    first = int(np.searchsorted(ii, dom.mask.center_col))
+    rep = np.arange(-first, ii.size - first)
+    rep[:first] = rep[m[:first]]
+    return first, rep
 
 
 def _factor_input(system: LinearSystem):
     """``(A, b, unfold)``: the CSC matrix SuperLU factorizes, its rhs, and
     the map ``x = y[unfold]`` from its solution to that of ``system``.
 
-    The kept unknowns of a fold (``_mirror_fold``; without one ``keep``
-    and ``rep`` are the identity) go in ``_nested_dissection`` order, and
-    one COO to CSC conversion puts every entry of a kept row at
-    ``(pos[row], pos[rep[col]])``, ``pos`` the int32 elimination position,
-    summing the entries that the fold merges."""
+    The rows from ``first`` on, all of them without a fold and the kept
+    half with one (``_mirror_fold``), are one contiguous range of the
+    CSR arrays.  They go in ``_nested_dissection`` order, and one COO to
+    CSC conversion puts every entry of a kept row at ``(pos[row],
+    pos[rep[col]])``, ``pos`` the int32 elimination position, summing the
+    entries that the fold merges."""
     A = system.matrix.tocsr()
     n = A.shape[0]
-    keep, rep = _mirror_fold(system) or (np.arange(n), np.arange(n))
-    p = _nested_dissection(system.dom.interior_ij[keep])
+    first, rep = _mirror_fold(system) or (0, np.arange(n))
+    p = _nested_dissection(system.dom.interior_ij[first:])
     pos = np.empty(p.size, dtype=np.int32)
     pos[p] = np.arange(p.size, dtype=np.int32)
     unfold = pos[rep]
-    kept = np.zeros(n, dtype=bool)
-    kept[keep] = True
-    counts = np.diff(A.indptr)
-    on = np.repeat(kept, counts)
-    rows = np.repeat(unfold[kept], counts[kept])
-    A = sp.csc_matrix((A.data[on], (rows, unfold[A.indices[on]])),
+    start = A.indptr[first]
+    rows = np.repeat(pos, np.diff(A.indptr[first:]))
+    A = sp.csc_matrix((A.data[start:], (rows, unfold[A.indices[start:]])),
                       shape=(p.size, p.size))
-    return A, system.rhs[keep][p], unfold
+    return A, system.rhs[first:][p], unfold
 
 
 _MAX_SOLVES = 10   # triangular solves per factor before it counts as stalled
@@ -674,35 +665,13 @@ def _refined_lu_solve(A: sp.csc_matrix, b: np.ndarray):
 def solve(system: LinearSystem) -> DiscreteSolution:
     """Solve the assembled system by a sparse LU factorization.
 
-    The LU is computed in single precision and the solution refined in
-    double until it reaches double-precision accuracy
-    (``_refined_lu_solve``); half the factor's value bytes, so half the
-    memory that limits how fine a direct solve can go.  Should the
-    refinement stall, which takes a condition number near 1/u_32 ~ 1e7,
-    the system is factorized again in double precision.  A factor too
-    large for memory raises ``MemoryError``.  Deterministic for fixed
-    inputs.
-
-    The system is factorized in the nested-dissection order of its nodes
-    (``_nested_dissection``), which fills far less than a column ordering
-    blind to the grid.  The order only permutes the elimination: the
-    unknown numbering, ``system.matrix`` and ``vec`` are unchanged.
-    SuperLU's threshold partial pivoting stays on.  On the assembled
-    M-matrices it has exchanged no rows, as expected, but it keeps the
-    factorization stable should some system need a row exchange after
-    all.
-
-    A system that is exactly invariant under the mirror x1 -> -x1
-    (``_mirror_fold``: mirror map, rhs and matrix equal bitwise) is
-    factorized on the half grid i >= center_col alone, in the nested-
-    dissection order of those nodes, and its solution unfolded to every
-    unknown; about half the factorization work on the radial profiles.
-    Any other system, for instance one with a12 != 0 or a drift, is
-    factorized whole.  Either way the residual is that of the full
-    system.
-
-    Besides ``system`` itself, the factorization holds one copy of the
-    matrix: the permuted one it factorizes (``_factor_input``)."""
+    The path is the one the module docstring describes: the mirror fold
+    when the system allows it (``_mirror_fold``), the nested-dissection
+    order (``_factor_input``), and a float32 LU refined in float64, with
+    a float64 factor should the refinement stall (``_refined_lu_solve``).
+    The order only permutes the elimination: the unknown numbering,
+    ``system.matrix`` and ``vec`` are unchanged.  A factor too large for
+    memory raises ``MemoryError``.  Deterministic for fixed inputs."""
     b = system.rhs
     dom = system.dom
     ij = dom.interior_ij

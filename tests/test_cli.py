@@ -182,6 +182,15 @@ def test_out_of_memory_exit_3(tmp_path, capsys, monkeypatch, command):
     ["solve", "--config", "{missing}"],
     ["solve", "--h", "0"],
     ["decay", "--profile", "log1", "--K", "2", "--h", "0"],
+    ["verify", "--profiles", "-1"],
+    ["verify", "--samples", "-1"],
+    # non-finite parameters: silently dropped, or a singular factor
+    ["solve", "--profile", "log1", "--h", "0.015625", "--op", "drift:nan"],
+    ["solve", "--profile", "log1", "--h", "0.015625", "--op", "checker:nan"],
+    ["solve", "--profile", "log1", "--h", "0.015625", "--op", "aniso:nan,1"],
+    ["solve", "--profile", "log1", "--h", "0.015625", "--op", "aniso:inf,1"],
+    ["solve", "--profile", "log1", "--h", "0.015625", "--op", "drift:inf"],
+    ["geometry", "--profile", "cone:nan"],
 ], ids=lambda c: " ".join(c))
 def test_bad_input_exit_2(tmp_path, capsys, command):
     # the output directory is made at the first write, so a rejected
@@ -192,6 +201,13 @@ def test_bad_input_exit_2(tmp_path, capsys, command):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--profiles", "--samples"])
+def test_verify_negative_count_names_its_flag(tmp_path, capsys, flag):
+    assert run_cli(["verify", flag, "-1"], tmp_path) == 2
+    assert capsys.readouterr().err == \
+        f"config error: {flag} must be nonnegative, got -1\n"
 
 
 def test_decay_too_few_levels_exit_2_before_solving(tmp_path, capsys,
@@ -205,6 +221,20 @@ def test_decay_too_few_levels_exit_2_before_solving(tmp_path, capsys,
     assert run_cli(["decay", "--profile", "log1", "--K", "1",
                     "--h", "0.015625"], tmp_path) == 2
     assert capsys.readouterr().err.startswith("config error: ")
+
+
+def test_decay_repeated_contrast_profile_exit_2_before_solving(
+        tmp_path, capsys, monkeypatch):
+    from hopflab import decay_analysis
+
+    def run_experiment(cfg):
+        raise AssertionError("ran an experiment for a repeated profile")
+
+    monkeypatch.setattr(decay_analysis, "run_experiment", run_experiment)
+    assert run_cli(["decay", "--profile", "log1", "--contrast", "log1,flat",
+                    "--K", "2", "--h", "0.015625"], tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "log1" in err
 
 
 def test_solve_bad_grid_exit_2(tmp_path):

@@ -113,6 +113,26 @@ def test_a12_monotonicity_guard():
         F.discretize(op, dom, bc_linear)
 
 
+def test_non_finite_coefficient_rejected():
+    # a NaN a12 passes |a12| > min(a11, a22) as False: it must not drop out
+    # of the stencil, nor reach the matrix
+    dom = F.DiscreteDomain.build(G.preset_profile("log1", R0=0.5), 2.0**-5)
+    k = dom.n_unknowns // 2
+    x1, x2 = (v[dom.interior_ij[k, c]]
+              for c, v in enumerate((dom.mask.x1, dom.mask.x2)))
+
+    def a_grid(X1, X2):
+        ones = np.ones(np.broadcast(np.asarray(X1), np.asarray(X2)).shape)
+        a12 = 0.2 * ones
+        a12[(X1 == x1) & (X2 == x2)] = np.nan
+        return ones, ones.copy(), a12
+
+    op = E.EllipticOperator(nu=0.5, a_grid=a_grid, b_grid=E._zero_b)
+    with pytest.raises(ValueError, match="a12 = nan is not finite") as err:
+        F.discretize(op, dom, bc_linear)
+    assert not isinstance(err.value, F.StencilMonotonicityError)
+
+
 def test_shortley_weller_fractions_in_rows():
     # near-curve rows keep nonpositive off-diagonals with shortened arms
     _, system, dom = solve_preset("power:1", "laplace", 2.0**-6)
@@ -357,10 +377,13 @@ def assert_same_system(system, ref):
         assert a.tobytes() == r.tobytes()
 
 
-def _a12_both_signs():
-    """a11 = 1, a22 = 1.2 and an a12 that changes sign across the grid."""
+def _a12_sine(low=-np.inf):
+    """a11 = 1, a22 = 1.2 and a12 = max(low, 0.8 sin(7 x1 + 3 x2)), which
+    changes sign across the grid, or with ``low = 0`` keeps one sign and
+    is exactly 0 on part of it."""
     def a_grid(X1, X2):
         a12 = 0.8 * np.sin(7.0 * np.asarray(X1) + 3.0 * np.asarray(X2))
+        a12 = np.maximum(low, a12)
         return np.ones_like(a12), np.full(a12.shape, 1.2), a12
 
     return E.EllipticOperator(nu=0.1, a_grid=a_grid,
@@ -370,7 +393,8 @@ def _a12_both_signs():
 @pytest.mark.parametrize("op", [
     pytest.param(E.preset_operator(o), id=o)
     for o in ("laplace", "aniso:0.5,2", "checker:0.25", "drift:1.5")
-] + MIXED_DRIFT + [pytest.param(_a12_both_signs(), id="a12-both-signs")])
+] + MIXED_DRIFT + [pytest.param(_a12_sine(), id="a12-both-signs"),
+                   pytest.param(_a12_sine(0.0), id="a12-zero-on-part")])
 @pytest.mark.parametrize("profile_id", ["log1", "power:0.5", "cone:0.4",
                                         "flat", "wedge:2.0944"])
 def test_one_pass_assembly_matches_coo_reference(profile_id, op):
@@ -655,9 +679,9 @@ def test_mirror_fold_matches_full_solve(profile_id, h):
     assert 0 < sol.fill < _unfolded_nd_solve(system)[1]
     # the fold only merges columns: the half matrix is still an M-matrix
     # with the row sums of the kept rows, here in elimination order
-    keep, _ = fold
+    first, _ = fold
     half, _, _ = F._factor_input(system)
-    kept = keep[F._nested_dissection(system.dom.interior_ij[keep])]
+    kept = first + F._nested_dissection(system.dom.interior_ij[first:])
     coo = half.tocoo()
     assert coo.data[coo.row != coo.col].max() <= 0.0
     np.testing.assert_allclose(np.asarray(half.sum(axis=1)).ravel(),
