@@ -159,10 +159,12 @@ def _cmd_geometry(args) -> int:
 # ----------------------------------------------------------------------
 
 def _cmd_verify(args) -> int:
-    for flag in ("samples", "profiles"):
-        if getattr(args, flag) < 0:
-            raise ConfigError(f"--{flag} must be nonnegative, got "
-                              f"{getattr(args, flag)}")
+    # a certificate over no sampled matrix would certify nothing
+    if args.samples < 1:
+        raise ConfigError(f"--samples must be at least 1, got {args.samples}")
+    if args.profiles < 0:
+        raise ConfigError(f"--profiles must be nonnegative, got "
+                          f"{args.profiles}")
     rng = np.random.default_rng(args.seed)
     failures = []
     lines = {}

@@ -53,9 +53,19 @@ so the result carries double-precision accuracy.  A refinement that
 stalls, which takes a condition number near 1/u_32, falls back to a
 double-precision factor driven by the same loop (Buttari et al., ACM
 TOMS 34(4), 2008; Higham, Accuracy and Stability of Numerical
-Algorithms, ch. 12).  While SuperLU runs, the solve holds one copy of
-the matrix besides the system's own: the permuted factor input, whose
-float32 copy shares its index arrays.
+Algorithms, ch. 12).  A matrix with an entry outside float32's range,
+one that overflows to inf or flushes to 0 in the copy, goes straight to
+the double-precision factor.
+
+SuperLU factors ``_PANEL`` = 4 columns at a time, not its default 20.
+Each column of a panel takes work arrays as long as the matrix, held
+for the whole factorization and freed when it returns, so the panel
+sets how far the peak memory lies above the factor; on the
+nested-dissection factors the narrower panel is also no slower (the
+panel-width sweep in CHANGES.md).  While SuperLU runs, the solve holds
+one copy of the matrix besides the system's own: the permuted factor
+input, whose float32 copy shares its index arrays.  The |A| of the
+refinement's stop test is built after the first factor.
 """
 
 from __future__ import annotations
@@ -168,6 +178,9 @@ class DiscreteSolution:
 _A12_TOL = 1e-12   # slack of the monotonicity test |a12| <= min(a11, a22)
 
 
+# an overflow in assembly shows as a diagonal or rhs entry that is not
+# finite, which discretize reports
+@np.errstate(over="ignore", invalid="ignore")
 def discretize(op: EllipticOperator, dom: DiscreteDomain,
                bc_top_side: Callable,
                source: Optional[Callable] = None) -> LinearSystem:
@@ -175,8 +188,12 @@ def discretize(op: EllipticOperator, dom: DiscreteDomain,
 
     ``bc_top_side(x1, x2)`` supplies Dirichlet data on the box top and
     lateral sides; the curve carries u = 0.  Raises ``ValueError`` when a
-    coefficient is not finite at a node and ``StencilMonotonicityError``
-    when |a12| > min(a11, a22) at a node.
+    coefficient, or the assembled diagonal or rhs, is not finite at a
+    node, and ``StencilMonotonicityError`` when |a12| > min(a11, a22) at
+    a node.  Every contribution to the diagonal is >= 0 and bounds the
+    off-diagonal entries it comes with, so a finite diagonal means a
+    finite row; an overflow in assembly is reported this way, without a
+    floating-point warning.
 
     Assembly is one pass over whole slot columns.  Each stencil
     coefficient is added straight into the column of its neighbor slot:
@@ -213,12 +230,14 @@ def discretize(op: EllipticOperator, dom: DiscreteDomain,
               for v in op.b_grid(X1, X2))
     del X1, X2
 
-    for name, v in (("a11", a11), ("a22", a22), ("a12", a12), ("b1", b1),
-                    ("b2", b2)):
-        if not np.isfinite(v).all():
-            k = int(np.flatnonzero(~np.isfinite(v))[0])
-            raise ValueError(f"{name} = {v[k]:g} is not finite at "
-                             f"({x1[ii[k]]:g}, {x2[jj[k]]:g})")
+    def require_finite(**named):
+        for name, v in named.items():
+            if not np.isfinite(v).all():
+                k = int(np.flatnonzero(~np.isfinite(v))[0])
+                raise ValueError(f"{name} = {v[k]:g} is not finite at "
+                                 f"({x1[ii[k]]:g}, {x2[jj[k]]:g})")
+
+    require_finite(a11=a11, a22=a22, a12=a12, b1=b1, b2=b2)
     bad = np.abs(a12) > np.minimum(a11, a22) + _A12_TOL
     if np.any(bad):
         k = int(np.nonzero(bad)[0][0])
@@ -333,10 +352,12 @@ def discretize(op: EllipticOperator, dom: DiscreteDomain,
             diag -= c
             couple(di, dj, c, end)
             del c
-    del b1, b2, alpha_w, alpha_e, alpha_s, end_w, end_e, end_s, end_n, diag
+    del b1, b2, alpha_w, alpha_e, alpha_s, end_w, end_e, end_s, end_n
 
     if source is not None:
         rhs += np.asarray(source(x1[ii], x2[jj]), dtype=float)
+    require_finite(diagonal=diag, rhs=rhs)
+    del diag
 
     # ---- canonical CSR: row k's entries are its slots in slot order,
     # which is ascending column order, less the slots that hold 0.  A
@@ -597,16 +618,19 @@ def _factor_input(system: LinearSystem):
 
 
 _MAX_SOLVES = 10   # triangular solves per factor before it counts as stalled
+_PANEL = 4         # columns per SuperLU panel (module docstring)
 
 
 def _refined_lu_solve(A: sp.csc_matrix, b: np.ndarray):
     """Solve A x = b by a float32 LU of the CSC matrix A, refined in float64.
 
     ``A`` comes in its elimination order: SuperLU factorizes it as it is
-    (``permc_spec="NATURAL"``).  A is put in canonical form in place,
-    which SuperLU requires and which changes no matrix-vector product,
-    so that the float32 copy handed to SuperLU can share A's index
-    arrays; so does |A|, which the stop test needs.
+    (``permc_spec="NATURAL"``), ``_PANEL`` columns at a time.  A is put
+    in canonical form in place, which SuperLU requires and which changes
+    no matrix-vector product, so that the float32 copy handed to SuperLU
+    can share A's index arrays; so does |A|, which the stop test needs
+    and which is built only once the first factor exists, so that it is
+    not held while SuperLU runs.
     Starting from x = 0, each step solves for the correction d with the
     factor, the residual scaled by max|r| first so that no entry
     underflows in float32, adds d to x in float64 and recomputes
@@ -618,8 +642,10 @@ def _refined_lu_solve(A: sp.csc_matrix, b: np.ndarray):
     halve, or ``_MAX_SOLVES`` solves short of that level, means
     kappa(A) u_32 is not small; the float32 factor is then freed and the
     same loop runs on a float64 factor, whose stall only means that the
-    refinement has nothing left to gain.  A zero ``b`` gives x = 0
-    without a solve.
+    refinement has nothing left to gain.  When A has an entry outside
+    float32's range, so that its float32 copy holds an inf or fewer
+    nonzeros, the loop runs on the float64 factor alone.  A zero ``b``
+    gives x = 0 without a solve.
 
     Returns ``(x, SuperLU.nnz of the last factor, triangular solves)``.
     """
@@ -628,17 +654,26 @@ def _refined_lu_solve(A: sp.csc_matrix, b: np.ndarray):
     u = np.finfo(np.float64).eps / 2.0
     gamma = m * u / (1.0 - m * u)
     abs_b = np.abs(b)
-    abs_A = sp.csc_matrix((np.abs(A.data), A.indices, A.indptr),
-                          shape=A.shape)
+    abs_A = None
 
     def at_rounding_level(r, x):
         return bool(np.all(np.abs(r) <= gamma * (abs_b + abs_A @ np.abs(x))))
 
     solves = 0
     for dtype in (np.float32, np.float64):
-        lu = spla.splu(sp.csc_matrix((A.data.astype(dtype, copy=False),
-                                      A.indices, A.indptr), shape=A.shape),
-                       permc_spec="NATURAL")
+        with np.errstate(over="ignore"):
+            data = A.data.astype(dtype, copy=False)
+        if dtype is np.float32 and not (
+                np.isfinite(data).all()
+                and np.count_nonzero(data) == np.count_nonzero(A.data)):
+            continue   # outside float32's range
+        lu = spla.splu(sp.csc_matrix((data, A.indices, A.indptr),
+                                     shape=A.shape),
+                       permc_spec="NATURAL", panel_size=_PANEL)
+        del data
+        if abs_A is None:
+            abs_A = sp.csc_matrix((np.abs(A.data), A.indices, A.indptr),
+                                  shape=A.shape)
         fill = int(lu.nnz)
         x = np.zeros(b.size)
         r, last = b, np.inf

@@ -97,6 +97,18 @@ def test_solve_writes_outputs(tmp_path):
     assert "grid.h: 0.03125" in summary
 
 
+@pytest.mark.parametrize("op", ["drift:1e39", "aniso:1e35,1",
+                                "aniso:1e-50,1e-50"])
+def test_solve_outside_float32_range(tmp_path, op):
+    # matrix entries that overflow to inf or flush to 0 in float32: the
+    # system is solved by the float64 factor alone
+    assert run_cli(["solve", "--profile", "log1", "--h", "0.015625",
+                    "--op", op], tmp_path) == 0
+    summary = (tmp_path / "solve_summary.txt").read_text().splitlines()
+    residual = next(line for line in summary if line.startswith("residual:"))
+    assert float(residual.partition(":")[2]) <= 1e-12
+
+
 def test_solve_config_file(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("grid.h = 0.0625\ngrid.R0 = 0.5\nbc.kind = linear\n",
@@ -184,12 +196,17 @@ def test_out_of_memory_exit_3(tmp_path, capsys, monkeypatch, command):
     ["decay", "--profile", "log1", "--K", "2", "--h", "0"],
     ["verify", "--profiles", "-1"],
     ["verify", "--samples", "-1"],
+    ["verify", "--samples", "0"],
     # non-finite parameters: silently dropped, or a singular factor
     ["solve", "--profile", "log1", "--h", "0.015625", "--op", "drift:nan"],
     ["solve", "--profile", "log1", "--h", "0.015625", "--op", "checker:nan"],
     ["solve", "--profile", "log1", "--h", "0.015625", "--op", "aniso:nan,1"],
     ["solve", "--profile", "log1", "--h", "0.015625", "--op", "aniso:inf,1"],
     ["solve", "--profile", "log1", "--h", "0.015625", "--op", "drift:inf"],
+    # finite parameters whose assembled diagonal overflows to inf
+    ["solve", "--profile", "log1", "--h", "0.015625", "--op",
+     "aniso:1e308,1"],
+    ["solve", "--profile", "log1", "--h", "0.015625", "--op", "drift:1e308"],
     ["geometry", "--profile", "cone:nan"],
 ], ids=lambda c: " ".join(c))
 def test_bad_input_exit_2(tmp_path, capsys, command):
@@ -203,11 +220,14 @@ def test_bad_input_exit_2(tmp_path, capsys, command):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flag", ["--profiles", "--samples"])
-def test_verify_negative_count_names_its_flag(tmp_path, capsys, flag):
+@pytest.mark.parametrize("flag,least", [
+    pytest.param("--profiles", "nonnegative", id="--profiles"),
+    pytest.param("--samples", "at least 1", id="--samples"),
+])
+def test_verify_negative_count_names_its_flag(tmp_path, capsys, flag, least):
     assert run_cli(["verify", flag, "-1"], tmp_path) == 2
     assert capsys.readouterr().err == \
-        f"config error: {flag} must be nonnegative, got -1\n"
+        f"config error: {flag} must be {least}, got -1\n"
 
 
 def test_decay_too_few_levels_exit_2_before_solving(tmp_path, capsys,

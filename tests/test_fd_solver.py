@@ -1,6 +1,10 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -131,6 +135,22 @@ def test_non_finite_coefficient_rejected():
     with pytest.raises(ValueError, match="a12 = nan is not finite") as err:
         F.discretize(op, dom, bc_linear)
     assert not isinstance(err.value, F.StencilMonotonicityError)
+
+
+@pytest.mark.parametrize("op_id,bc,name", [
+    ("aniso:1e308,1", bc_linear, "diagonal"),
+    ("drift:1e308", bc_linear, "diagonal"),
+    ("laplace", lambda X1, X2: 1e308 * bc_linear(X1, X2), "rhs"),
+])
+def test_overflowing_assembly_rejected(op_id, bc, name):
+    # finite coefficients and data whose assembled entries overflow: named
+    # at their first node, with no floating-point warning on the way
+    dom = F.DiscreteDomain.build(G.preset_profile("log1", R0=0.5), 2.0**-6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError,
+                           match=rf"^{name} = -?inf is not finite at \("):
+            F.discretize(E.preset_operator(op_id), dom, bc)
 
 
 def test_shortley_weller_fractions_in_rows():
@@ -829,6 +849,22 @@ def test_stalled_refinement_falls_back_to_float64(monkeypatch):
     assert np.abs(x - x_true).max() <= 1e-9
 
 
+@pytest.mark.parametrize("op_id", ["drift:1e39", "aniso:1e35,1",
+                                   "aniso:1e-50,1e-50"])
+def test_float32_range_falls_back_to_float64(op_id, monkeypatch):
+    # entries that overflow to inf or flush to 0 in a float32 copy would
+    # give a singular factor: the float64 factor is used alone
+    prof = G.preset_profile("log1", R0=0.5)
+    system = F.discretize(E.preset_operator(op_id),
+                          F.DiscreteDomain.build(prof, 2.0**-6), bc_linear)
+    ref = _float64_reference(system)
+    dtypes = _record_factor_dtypes(monkeypatch)
+    sol = F.solve(system)
+    assert dtypes == [np.float64]
+    assert sol.residual_norm <= 1e-12
+    assert np.abs(sol.vec - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
 def test_refined_solve_canonicalizes_in_place():
     # SuperLU sorts the index arrays of a non-canonical input in place; the
     # float32 copy shares them with A, so A is made canonical first, or
@@ -870,6 +906,52 @@ def test_refinement_is_scale_invariant(power):
     scaled = F.solve(dataclasses.replace(
         system, rhs=np.ldexp(system.rhs, power)))
     np.testing.assert_array_equal(scaled.vec, np.ldexp(sol.vec, power))
+
+
+# prints, after each SuperLU factorization of a log1 laplace solve at
+# h = 2^-9, how many KiB the peak RSS of the process lies above its
+# current RSS.  VmHWM, not ru_maxrss: the latter carries the peak of the
+# parent process across fork and exec
+_FACTOR_PEAK_SCRIPT = """
+import scipy.sparse.linalg as spla
+from hopflab import convex_geometry as G, elliptic_operator as E
+from hopflab import fd_solver as F
+from hopflab.decay_analysis import boundary_data
+
+def status_kib():
+    with open("/proc/self/status") as f:
+        return {k: int(v.split()[0]) for k, _, v in
+                (line.partition(":") for line in f) if k in ("VmHWM", "VmRSS")}
+
+splu = spla.splu
+
+def measured(*args, **kwargs):
+    lu = splu(*args, **kwargs)
+    kib = status_kib()
+    print(kib["VmHWM"] - kib["VmRSS"])
+    return lu
+
+spla.splu = measured
+prof = G.preset_profile("log1", R0=0.5)
+F.solve(F.discretize(E.preset_operator("laplace"),
+                     F.DiscreteDomain.build(prof, 2.0**-9),
+                     boundary_data("linear", prof)))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="needs /proc")
+def test_factor_peak_memory():
+    # SuperLU's work arrays, n x panel entries, are freed when the factor
+    # returns; with the panel of _PANEL columns they no longer lift the
+    # peak above the memory the factor keeps (10 MiB at a panel of 20).
+    # A fresh process, so that no earlier test's peak counts
+    src = os.path.dirname(os.path.dirname(F.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", _FACTOR_PEAK_SCRIPT],
+                         env=env, capture_output=True, text=True, check=True)
+    excess_kib = [int(v) for v in out.stdout.split()]
+    assert excess_kib and max(excess_kib) <= 2048
 
 
 def test_empty_interior_raises_from_domain_build():
