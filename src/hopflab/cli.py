@@ -159,12 +159,12 @@ def _cmd_geometry(args) -> int:
 # ----------------------------------------------------------------------
 
 def _cmd_verify(args) -> int:
-    # a certificate over no sampled matrix would certify nothing
-    if args.samples < 1:
-        raise ConfigError(f"--samples must be at least 1, got {args.samples}")
-    if args.profiles < 0:
-        raise ConfigError(f"--profiles must be nonnegative, got "
-                          f"{args.profiles}")
+    # a certificate over no sampled matrix, or a sandwich suite over no
+    # profile, would certify nothing
+    for flag, count in (("--samples", args.samples),
+                        ("--profiles", args.profiles)):
+        if count < 1:
+            raise ConfigError(f"{flag} must be at least 1, got {count}")
     rng = np.random.default_rng(args.seed)
     failures = []
     lines = {}

@@ -42,30 +42,48 @@ solution is even.  The direct solve checks that invariance bitwise and
 then factorizes only the half grid i >= center_col, with each left-half
 column merged onto its mirror; about half the factorization work on the
 radial profiles.  Any other system, for instance one with a12 != 0 or a
-drift, is solved whole.  Either way the residual is that of the full
+drift, is not folded.  Either way the residual is that of the full
 system.
+
+A system whose off-diagonal entries all join a red node ((i + j) even)
+and a black one, which is every 5-point system (a12 = 0), folded or not,
+has a diagonal red block D > 0.  Its red unknowns are eliminated first,
+one step of cyclic reduction (Buzbee, Golub & Nielson, SIAM J. Numer.
+Anal. 7(4), 1970), and SuperLU factorizes the Schur complement
+S = A_BB - A_BR D^-1 A_RB of the black ones, again an M-matrix with row
+sums >= 0, in the nested-dissection order of the black nodes on the
+rotated lattice, where S is a 9-point stencil.  S has half the columns
+of A, and on the presets at h = 2^-6 to 2^-10 its factor 37-52% less
+fill than A's (CHANGES.md).  A 9-point split with a12 != 0, whose
+diagonal arms join nodes of one color, keeps the factor of the whole
+system.  The selection comes from the matrix alone.
 
 The LU factors are computed and stored in single precision, half the
 bytes of double, and the solution is refined in double precision
 (residuals in float64, each scaled by its max before the float32 solve)
 until the residual is within the rounding bound of its own computation,
-so the result carries double-precision accuracy.  A refinement that
-stalls, which takes a condition number near 1/u_32, falls back to a
-double-precision factor driven by the same loop (Buttari et al., ACM
-TOMS 34(4), 2008; Higham, Accuracy and Stability of Numerical
-Algorithms, ch. 12).  A matrix with an entry outside float32's range,
-one that overflows to inf or flushes to 0 in the copy, goes straight to
-the double-precision factor.
+so the result carries double-precision accuracy.  The residual is that
+of the (folded) system; with the red elimination each correction is
+d_B = S^-1 (r_B - A_BR D^-1 r_R), d_R = D^-1 (r_R - A_RB d_B), only the
+solve with S in float32.  A refinement that stalls, which takes a
+condition number near 1/u_32, falls back to a double-precision factor
+driven by the same loop (Buttari et al., ACM TOMS 34(4), 2008; Higham,
+Accuracy and Stability of Numerical Algorithms, ch. 12).  A factorized
+matrix with an entry outside float32's range, one that overflows to inf
+or flushes to 0 in the copy, goes straight to the double-precision
+factor.
 
 SuperLU factors ``_PANEL`` = 4 columns at a time, not its default 20.
 Each column of a panel takes work arrays as long as the matrix, held
 for the whole factorization and freed when it returns, so the panel
 sets how far the peak memory lies above the factor; on the
 nested-dissection factors the narrower panel is also no slower (the
-panel-width sweep in CHANGES.md).  While SuperLU runs, the solve holds
-one copy of the matrix besides the system's own: the permuted factor
-input, whose float32 copy shares its index arrays.  The |A| of the
-refinement's stop test is built after the first factor.
+panel-width sweep in CHANGES.md).  While SuperLU runs, the solve holds,
+besides the system's own matrix, the folded half when there is one and
+the factorized matrix: S, built in its elimination order by one sparse
+product with every temporary freed before the factor, or the permuted
+whole system.  Its float32 copy shares its index arrays.  The |A| and
+|b| of the refinement's stop test are built after the first factor.
 """
 
 from __future__ import annotations
@@ -162,16 +180,19 @@ class DiscreteSolution:
     values: np.ndarray       # grid-shaped; NaN outside the closed domain
     vec: np.ndarray
     residual_norm: float
-    # triangular solves of the refinement (counting those with a stalled
+    # refinement steps, each one pair of triangular solves with the
+    # factor of the matrix ``fill`` counts (counting those with a stalled
     # float32 factor)
     iterations: int
     dom: DiscreteDomain
     method: str
-    # entries SuperLU stores for the L and U factors (of the folded half
-    # system when the system was mirror-folded); the same for a float32
-    # as for a float64 factor.  Under the nested-dissection order this is
-    # within 0.1% of nnz(L) + nnz(U) and, unlike that, needs no copy of
-    # the factors.
+    # entries SuperLU stores for the L and U factors of the matrix it
+    # factorized: the Schur complement of the black unknowns when the red
+    # ones were eliminated, else the whole system; of the folded half
+    # when the system was mirror-folded.  The same for a float32 as for a
+    # float64 factor.  Under the nested-dissection order this is within
+    # 0.1% of nnz(L) + nnz(U) and, unlike that, needs no copy of the
+    # factors.
     fill: int = 0
 
 
@@ -593,44 +614,179 @@ def _mirror_fold(system: LinearSystem):
     return first, rep
 
 
-def _factor_input(system: LinearSystem):
-    """``(A, b, unfold)``: the CSC matrix SuperLU factorizes, its rhs, and
-    the map ``x = y[unfold]`` from its solution to that of ``system``.
+def _folded_system(system: LinearSystem):
+    """``(A, b, ij, rep)``: the system the direct solve works on, canonical
+    CSR in the (i, j) order of its unknowns, their grid coordinates, and
+    the map ``x = y[rep]`` from its solution to that of ``system``,
+    ``slice(None)`` without a fold.
 
-    The rows from ``first`` on, all of them without a fold and the kept
-    half with one (``_mirror_fold``), are one contiguous range of the
-    CSR arrays.  They go in ``_nested_dissection`` order, and one COO to
-    CSC conversion puts every entry of a kept row at ``(pos[row],
-    pos[rep[col]])``, ``pos`` the int32 elimination position, summing the
-    entries that the fold merges."""
+    Without a fold (``_mirror_fold``) this is ``system`` itself.  With one
+    it is the kept half: the rows from ``first`` on, one contiguous range
+    of the CSR arrays, each column moved to ``rep[col]``, and the entries
+    the fold merges summed."""
     A = system.matrix.tocsr()
     n = A.shape[0]
-    first, rep = _mirror_fold(system) or (0, np.arange(n))
-    p = _nested_dissection(system.dom.interior_ij[first:])
+    fold = _mirror_fold(system)
+    if fold is None:
+        if not A.has_canonical_format:
+            A = A.copy()
+            A.sum_duplicates()
+        return A, system.rhs, system.dom.interior_ij, slice(None)
+    first, rep = fold
+    start = A.indptr[first]
+    A = sp.csr_matrix((A.data[start:].copy(),
+                       rep.take(A.indices[start:]).astype(A.indices.dtype),
+                       A.indptr[first:] - start),
+                      shape=(n - first, n - first))
+    A.sum_duplicates()
+    return A, system.rhs[first:], system.dom.interior_ij[first:], rep
+
+
+def _nd_permuted(A: sp.csr_matrix, ij: np.ndarray):
+    """``(B, pos)``: A as CSC in the ``_nested_dissection`` order of its
+    unknowns at grid coordinates ``ij``, ``pos`` the int32 elimination
+    position of each, built by one COO to CSC conversion that puts the
+    entry (row, col) at (pos[row], pos[col])."""
+    p = _nested_dissection(ij)
     pos = np.empty(p.size, dtype=np.int32)
     pos[p] = np.arange(p.size, dtype=np.int32)
-    unfold = pos[rep]
-    start = A.indptr[first]
-    rows = np.repeat(pos, np.diff(A.indptr[first:]))
-    A = sp.csc_matrix((A.data[start:], (rows, unfold[A.indices[start:]])),
-                      shape=(p.size, p.size))
-    return A, system.rhs[first:][p], unfold
+    del p
+    rows = np.repeat(pos, np.diff(A.indptr))
+    return sp.csc_matrix((A.data, (rows, pos.take(A.indices))),
+                         shape=A.shape), pos
+
+
+@dataclass
+class _RedBlack:
+    """Elimination of the red unknowns ((i + j) even) of a system A whose
+    off-diagonal entries all join a red and a black node.
+
+    The red block D is then diagonal, and the black unknowns solve the
+    Schur complement S = A_BB - A_BR D^-1 A_RB.  ``S`` holds S's
+    canonical CSR arrays with rows and columns in elimination order
+    ``black``: read as CSC they are S^T, which SuperLU factorizes and
+    solves transposed.  Row by row S is diagonally dominant, so column
+    by column S^T is, and its threshold partial pivoting exchanges no
+    rows."""
+
+    A: sp.csr_matrix     # the system, float64
+    red: np.ndarray      # the red unknowns
+    d: np.ndarray        # D, their diagonal entries, all > 0
+    black: np.ndarray    # the black unknowns in elimination order
+    S: sp.csr_matrix
+
+    def correction(self, lu, dtype) -> Callable:
+        """The solve of A d = r through S's factor ``lu`` of type dtype:
+        d_B = S^-1 (r_B - A_BR D^-1 r_R), then d_R = D^-1 (r_R - A_RB d_B),
+        the products with A_BR and A_RB taken as products with A of a
+        vector zero on the other color."""
+        A, red, d, black = self.A, self.red, self.d, self.black
+
+        def solve(r):
+            z = np.zeros(r.size)
+            z[red] = r[red] / d
+            reduced = r[black] - (A @ z)[black]
+            z[red] = 0.0
+            z[black] = lu.solve(reduced.astype(dtype),
+                                trans="T").astype(np.float64)
+            z[red] = (r[red] - (A @ z)[red]) / d
+            return z
+
+        return solve
+
+
+def _red_black(A: sp.csr_matrix, ij: np.ndarray) -> Optional[_RedBlack]:
+    """The red elimination of A, canonical CSR over grid nodes at ``ij``
+    in (i, j) order; None when an off-diagonal entry joins two nodes of
+    one color, a red diagonal entry is not positive, or no node is black.
+
+    The test comes first and builds no matrix: one pass compares the color
+    of every entry's column with that of its row, and the entries of
+    equal color must be the n diagonal entries.  Every 5-point system
+    passes it, folded or not (the mirror keeps the color on the odd grid
+    width); a 9-point split with a12 != 0, whose diagonal arms join nodes
+    of one color, does not.
+
+    S = (A P)_B is then one sparse product, P the map from x_B to the x
+    whose red equations hold: x_R = -D^-1 A_RB x_B.  D^-1 A_RB comes
+    first, which keeps every intermediate within the size of A's entries:
+    on these M-matrices a row of it sums to at most 1 in magnitude.  The
+    rows of A_B. go in elimination order and P's columns take their
+    positions, so the product is S in that order, with no permuted copy.
+    The order is ``_nested_dissection`` of the black nodes on the rotated
+    lattice u = (i + j - 1)/2, v = (i - j - 1)/2, on which S, which
+    couples the black nodes that a red node joins, is a 9-point stencil.
+    """
+    n = A.shape[0]
+    counts = np.diff(A.indptr)
+    is_black = ((ij[:, 0] + ij[:, 1]) & 1).astype(bool)
+    row_black = np.repeat(is_black, counts)
+    same = is_black.take(A.indices)
+    np.equal(same, row_black, out=same)
+    if np.count_nonzero(same) != n:
+        return None
+    diag = np.flatnonzero(same)
+    del same
+    if not (np.all(diag >= A.indptr[:-1]) and np.all(diag < A.indptr[1:])
+            and np.array_equal(A.indices.take(diag), np.arange(n))):
+        return None
+    d = A.data.take(diag)
+    red = np.flatnonzero(~is_black)
+    black = np.flatnonzero(is_black)
+    if black.size == 0 or not np.all(d[red] > 0.0):
+        return None
+
+    i, j = ij[black].T
+    u = (i + j) >> 1
+    v = (i - j) >> 1
+    del i, j
+    order = np.lexsort((v, u))
+    black = black[order[_nested_dissection(
+        np.column_stack((u[order], v[order])))]]
+    del u, v, order
+    itype = A.indices.dtype
+    pos = np.zeros(n, dtype=itype)   # each black unknown's position
+    pos[black] = np.arange(black.size, dtype=itype)
+
+    # P keeps a red row's off-diagonal entries over -D and a black row's
+    # diagonal entry over itself, 1
+    keep = np.zeros(A.nnz, dtype=bool)
+    keep[diag] = True
+    np.equal(keep, row_black, out=keep)
+    del diag, row_black
+    p_counts = np.where(is_black, 1, counts - 1)
+    scale = np.where(is_black, d, -d)
+    P = sp.csr_matrix((A.data[keep] / np.repeat(scale, p_counts),
+                       pos.take(A.indices[keep]),
+                       np.concatenate(([0], p_counts.cumsum())).astype(itype)),
+                      shape=(n, black.size))
+    del keep, scale, p_counts, counts
+    S = A[black] @ P
+    del P
+    S.sort_indices()
+    nnz = S.nnz   # the product's arrays are sized by a bound on nnz
+    S = sp.csr_matrix((S.data[:nnz].copy(), S.indices[:nnz].copy(),
+                       S.indptr), shape=S.shape)
+    return _RedBlack(A=A, red=red, d=d[red], black=black, S=S)
 
 
 _MAX_SOLVES = 10   # triangular solves per factor before it counts as stalled
 _PANEL = 4         # columns per SuperLU panel (module docstring)
 
 
-def _refined_lu_solve(A: sp.csc_matrix, b: np.ndarray):
-    """Solve A x = b by a float32 LU of the CSC matrix A, refined in float64.
+def _refined_lu_solve(A: sp.spmatrix, b: np.ndarray,
+                      elim: Optional[_RedBlack] = None):
+    """Solve A x = b by a float32 LU, refined in float64.
 
-    ``A`` comes in its elimination order: SuperLU factorizes it as it is
-    (``permc_spec="NATURAL"``), ``_PANEL`` columns at a time.  A is put
-    in canonical form in place, which SuperLU requires and which changes
-    no matrix-vector product, so that the float32 copy handed to SuperLU
-    can share A's index arrays; so does |A|, which the stop test needs
-    and which is built only once the first factor exists, so that it is
-    not held while SuperLU runs.
+    Without ``elim`` the LU is that of the CSC matrix A, which comes in
+    its elimination order; with it, that of its Schur complement S
+    (``_RedBlack``), and A is the CSR system.  SuperLU factorizes the
+    matrix as it is (``permc_spec="NATURAL"``), ``_PANEL`` columns at a
+    time.  A is put in canonical form in place, which SuperLU requires
+    and which changes no matrix-vector product, so that the float32 copy
+    handed to SuperLU can share A's index arrays; so does |A|, which the
+    stop test needs and which, with |b|, is built only once the first
+    factor exists, so that neither is held while SuperLU runs.
     Starting from x = 0, each step solves for the correction d with the
     factor, the residual scaled by max|r| first so that no entry
     underflows in float32, adds d to x in float64 and recomputes
@@ -640,21 +796,21 @@ def _refined_lu_solve(A: sp.csc_matrix, b: np.ndarray):
     entries in a row (Higham, ch. 12), so the residual holds no more
     information for a correction to act on.  A correction that fails to
     halve, or ``_MAX_SOLVES`` solves short of that level, means
-    kappa(A) u_32 is not small; the float32 factor is then freed and the
+    kappa u_32 is not small; the float32 factor is then freed and the
     same loop runs on a float64 factor, whose stall only means that the
-    refinement has nothing left to gain.  When A has an entry outside
-    float32's range, so that its float32 copy holds an inf or fewer
-    nonzeros, the loop runs on the float64 factor alone.  A zero ``b``
-    gives x = 0 without a solve.
+    refinement has nothing left to gain.  When the factorized matrix has
+    an entry outside float32's range, so that its float32 copy holds an
+    inf or fewer nonzeros, the loop runs on the float64 factor alone.  A
+    zero ``b`` gives x = 0 without a solve.
 
     Returns ``(x, SuperLU.nnz of the last factor, triangular solves)``.
     """
     A.sum_duplicates()   # in place: SuperLU needs canonical indices
-    m = int(np.bincount(A.indices, minlength=b.size).max()) + 1
+    m = int(A.getnnz(axis=1).max()) + 1
     u = np.finfo(np.float64).eps / 2.0
     gamma = m * u / (1.0 - m * u)
-    abs_b = np.abs(b)
-    abs_A = None
+    abs_A = abs_b = None
+    F = A if elim is None else elim.S   # the matrix SuperLU factorizes
 
     def at_rounding_level(r, x):
         return bool(np.all(np.abs(r) <= gamma * (abs_b + abs_A @ np.abs(x))))
@@ -662,19 +818,25 @@ def _refined_lu_solve(A: sp.csc_matrix, b: np.ndarray):
     solves = 0
     for dtype in (np.float32, np.float64):
         with np.errstate(over="ignore"):
-            data = A.data.astype(dtype, copy=False)
+            data = F.data.astype(dtype, copy=False)
         if dtype is np.float32 and not (
                 np.isfinite(data).all()
-                and np.count_nonzero(data) == np.count_nonzero(A.data)):
+                and np.count_nonzero(data) == np.count_nonzero(F.data)):
             continue   # outside float32's range
-        lu = spla.splu(sp.csc_matrix((data, A.indices, A.indptr),
-                                     shape=A.shape),
+        lu = spla.splu(sp.csc_matrix((data, F.indices, F.indptr),
+                                     shape=F.shape),
                        permc_spec="NATURAL", panel_size=_PANEL)
         del data
         if abs_A is None:
-            abs_A = sp.csc_matrix((np.abs(A.data), A.indices, A.indptr),
-                                  shape=A.shape)
+            abs_A = type(A)((np.abs(A.data), A.indices, A.indptr),
+                            shape=A.shape)
+            abs_b = np.abs(b)
         fill = int(lu.nnz)
+        if elim is None:
+            def correction(r, lu=lu, dtype=dtype):
+                return lu.solve(r.astype(dtype)).astype(np.float64)
+        else:
+            correction = elim.correction(lu, dtype)
         x = np.zeros(b.size)
         r, last = b, np.inf
         done = at_rounding_level(r, x)
@@ -682,7 +844,7 @@ def _refined_lu_solve(A: sp.csc_matrix, b: np.ndarray):
             if done:
                 break
             scale = np.abs(r).max()
-            d = lu.solve((r / scale).astype(dtype)).astype(np.float64) * scale
+            d = correction(r / scale) * scale
             solves += 1
             x += d
             r = b - A @ x
@@ -693,7 +855,7 @@ def _refined_lu_solve(A: sp.csc_matrix, b: np.ndarray):
             last = size
         if done:
             break
-        del lu   # free the stalled factor before the next one
+        del lu, correction   # free the stalled factor before the next one
     return x, fill, solves
 
 
@@ -701,19 +863,32 @@ def solve(system: LinearSystem) -> DiscreteSolution:
     """Solve the assembled system by a sparse LU factorization.
 
     The path is the one the module docstring describes: the mirror fold
-    when the system allows it (``_mirror_fold``), the nested-dissection
-    order (``_factor_input``), and a float32 LU refined in float64, with
-    a float64 factor should the refinement stall (``_refined_lu_solve``).
-    The order only permutes the elimination: the unknown numbering,
-    ``system.matrix`` and ``vec`` are unchanged.  A factor too large for
-    memory raises ``MemoryError``.  Deterministic for fixed inputs."""
+    when the system allows it (``_folded_system``); the elimination of
+    the red unknowns when every off-diagonal entry joins the two colors
+    (``_red_black``), which leaves SuperLU the Schur complement of the
+    black ones in their nested-dissection order on the rotated lattice,
+    or else the nested-dissection order of the whole system
+    (``_nd_permuted``); and a float32 LU refined in float64 against the
+    (folded) system, with a float64 factor should the refinement stall
+    (``_refined_lu_solve``).  The selection comes from the matrix alone.
+    Neither the elimination nor the order changes the unknown numbering,
+    ``system.matrix`` or ``vec``.  A factor too large for memory raises
+    ``MemoryError``.  Deterministic for fixed inputs."""
     b = system.rhs
     dom = system.dom
     ij = dom.interior_ij
-    A, b_f, unfold = _factor_input(system)
-    y, fill, iterations = _refined_lu_solve(A, b_f)
-    del A
-    x = y[unfold]
+    A, b_f, ij_f, rep = _folded_system(system)
+    elim = _red_black(A, ij_f)
+    if elim is None:
+        A, pos = _nd_permuted(A, ij_f)
+        b_nd = np.empty(b_f.size)
+        b_nd[pos] = b_f
+        y, fill, iterations = _refined_lu_solve(A, b_nd)
+        x_f = y[pos]
+    else:
+        x_f, fill, iterations = _refined_lu_solve(A, b_f, elim)
+    del A, elim
+    x = x_f[rep]
     res = float(np.linalg.norm(b - system.matrix @ x)
                 / max(np.linalg.norm(b), 1e-300))
 

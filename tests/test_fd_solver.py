@@ -210,7 +210,8 @@ _unit = st.floats(-1.0, 1.0)
        pieces=st.lists(st.tuples(st.floats(-0.8, 0.8),
                                  st.floats(-0.3, -0.05)), max_size=2),
        a11=st.floats(0.5, 2.0), a22=st.floats(0.5, 2.0),
-       t=st.floats(-1.0, 1.0), drift=st.booleans(),
+       t=st.one_of(st.just(0.0), st.floats(-1.0, 1.0)),
+       drift=st.booleans(),
        b=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
        g=st.tuples(_unit, _unit, _unit),
        dg=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
@@ -220,18 +221,29 @@ def test_random_system_principles(s_right, s_left, pieces, a11, a22, t,
     # a random max-affine graph (F >= 0, F(0) = 0) and a random admissible
     # constant operator |a12| <= min(a11, a22), with or without drift:
     # the matrix is an M-matrix, u stays within the range of its boundary
-    # data (0 on the curve) and ordered data give ordered solutions
+    # data (0 on the curve) and ordered data give ordered solutions.
+    # With a12 = 0 the red unknowns are eliminated, and the Schur
+    # complement left is again an M-matrix with row sums >= 0
     slopes = [s_right, -s_left] + [p for p, _ in pieces]
     offsets = [0.0, 0.0] + [c for _, c in pieces]
     dom = F.DiscreteDomain.build(_max_affine(slopes, offsets), h)
-    op = _constant_operator(a11, a22, t * min(a11, a22),
-                            *(b if drift else (0.0, 0.0)))
+    a12 = t * min(a11, a22)
+    op = _constant_operator(a11, a22, a12, *(b if drift else (0.0, 0.0)))
     g1 = _linear_data(*g)
     g2 = _linear_data(g[0] + dg[0], g[1], g[2] + dg[1])   # g2 - g1 >= 0
     system = F.discretize(op, dom, g1)
     rep = system.m_matrix_report()
     assert rep["offdiag_ok"], rep
     assert rep["rowsum_ok"], rep
+    elim = _schur_input(system)
+    assert (elim is None) == (a12 != 0.0)
+    if elim is not None:
+        S = elim.S.tocoo()
+        assert S.data[S.row != S.col].max(initial=0.0) <= 0.0
+        diag = elim.S.diagonal()
+        assert np.all(diag > 0.0)
+        rowsum = np.asarray(elim.S.sum(axis=1)).ravel()
+        assert np.all(rowsum >= -1e-12 * diag)
     u1 = F.solve(system).vec
     mask = dom.mask
     ei, ej = np.nonzero(mask.cls == G.EDGE)
@@ -677,6 +689,32 @@ def _unfolded_nd_solve(system):
     return x, fill
 
 
+def _unfolded_solve(system):
+    """The direct path of a system that does not fold: the elimination of
+    its red unknowns when the system allows it, else its
+    nested-dissection LU.  Returns (x, SuperLU.nnz)."""
+    elim = F._red_black(system.matrix, system.dom.interior_ij)
+    if elim is None:
+        return _unfolded_nd_solve(system)
+    x, fill, _ = F._refined_lu_solve(system.matrix, system.rhs, elim)
+    return x, fill
+
+
+def _schur_input(system):
+    """The red elimination of the (folded) system that ``solve`` factors,
+    or None."""
+    A, _, ij, _ = F._folded_system(system)
+    return F._red_black(A, ij)
+
+
+def _whole_nd_fill(system):
+    """SuperLU.nnz of the nested-dissection LU of the whole (folded)
+    system, without the red elimination."""
+    A, _, ij, _ = F._folded_system(system)
+    B, _ = F._nd_permuted(A, ij)
+    return spla.splu(B, permc_spec="NATURAL", panel_size=F._PANEL).nnz
+
+
 def _laplace_system(profile, h, bc=bc_linear):
     dom = F.DiscreteDomain.build(profile, h)
     return F.discretize(E.preset_operator("laplace"), dom, bc)
@@ -698,15 +736,14 @@ def test_mirror_fold_matches_full_solve(profile_id, h):
     assert sol.residual_norm <= 1e-12
     assert 0 < sol.fill < _unfolded_nd_solve(system)[1]
     # the fold only merges columns: the half matrix is still an M-matrix
-    # with the row sums of the kept rows, here in elimination order
+    # with the row sums of the kept rows
     first, _ = fold
-    half, _, _ = F._factor_input(system)
-    kept = first + F._nested_dissection(system.dom.interior_ij[first:])
+    half, _, _, _ = F._folded_system(system)
     coo = half.tocoo()
     assert coo.data[coo.row != coo.col].max() <= 0.0
     np.testing.assert_allclose(np.asarray(half.sum(axis=1)).ravel(),
                                np.asarray(system.matrix.sum(axis=1)).ravel()
-                               [kept], rtol=1e-12, atol=1e-9)
+                               [first:], rtol=1e-12, atol=1e-9)
 
 
 @pytest.mark.parametrize("where", ["rhs", "matrix"])
@@ -725,7 +762,7 @@ def test_mirror_fold_needs_bitwise_symmetry(where):
         system = dataclasses.replace(system, matrix=matrix)
     assert F._mirror_fold(system) is None
     sol = F.solve(system)
-    x, fill = _unfolded_nd_solve(system)
+    x, fill = _unfolded_solve(system)
     assert sol.fill == fill
     np.testing.assert_array_equal(sol.vec, x)
     assert sol.residual_norm <= 1e-12
@@ -749,7 +786,7 @@ def test_mirror_fold_skips_asymmetric_systems(profile, op):
     dom = F.DiscreteDomain.build(prof, 2.0**-6)
     system = F.discretize(op, dom, bc_linear)
     assert F._mirror_fold(system) is None
-    assert F.solve(system).fill == _unfolded_nd_solve(system)[1]
+    assert F.solve(system).fill == _unfolded_solve(system)[1]
 
 
 def test_mirror_fold_rejects_on_the_diagonal_without_a_copy():
@@ -787,6 +824,59 @@ def test_mirror_fold_random_max_affine(s0, pieces, stretch):
     slopes[1] *= 1.0 + stretch
     odd = _laplace_system(_max_affine(slopes, offsets), 2.0**-5)
     assert F._mirror_fold(odd) is None
+
+
+_SCHUR_PROFILES = [
+    pytest.param("log1", bc_linear, id="log1"),
+    pytest.param("power:0.5", bc_linear, id="power:0.5"),
+    pytest.param("wedge:2.0944", sector_harmonic(2.0944), id="wedge-sector"),
+    pytest.param(_max_affine([0.3, -0.5], [0.0, 0.0]), bc_linear,
+                 id="asymmetric-max-affine"),
+]
+
+
+@pytest.mark.parametrize("h", [2.0**-6, 2.0**-7])
+@pytest.mark.parametrize("op_id", ["laplace", "aniso:0.5,2", "checker:0.25",
+                                   "drift:1.5"])
+@pytest.mark.parametrize("profile,bc", _SCHUR_PROFILES)
+def test_red_black_schur_matches_colamd(profile, bc, op_id, h):
+    # every 5-point system, folded or not, is solved through the Schur
+    # complement of its black unknowns, whose factor fills less than the
+    # nested-dissection factor of the whole (folded) system
+    prof = G.preset_profile(profile, R0=0.5) if isinstance(profile, str) \
+        else profile
+    system = F.discretize(E.preset_operator(op_id),
+                          F.DiscreteDomain.build(prof, h), bc)
+    elim = _schur_input(system)
+    assert elim is not None
+    # with a float64 factor of S, one correction solves the (folded)
+    # system to rounding
+    S = elim.S
+    lu = spla.splu(sp.csc_matrix((S.data, S.indices, S.indptr),
+                                 shape=S.shape), permc_spec="NATURAL")
+    r = np.linspace(-1.0, 1.0, elim.A.shape[0])
+    z = elim.correction(lu, np.float64)(r)
+    assert np.abs(elim.A @ z - r).max() <= 1e-12
+    sol = F.solve(system)
+    ref = spla.splu(system.matrix.tocsc(), permc_spec="COLAMD").solve(
+        system.rhs)
+    assert np.abs(sol.vec - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert sol.residual_norm <= 1e-12
+    assert 0 < sol.fill < _whole_nd_fill(system)
+
+
+@pytest.mark.parametrize("op", MIXED_DRIFT)
+def test_nine_point_systems_keep_the_whole_factor(op):
+    # a12 != 0: the diagonal arms join nodes of one color, so no red
+    # elimination, and the solve is the whole system's nested-dissection
+    # LU, bitwise
+    dom = F.DiscreteDomain.build(G.preset_profile("log1", R0=0.5), 2.0**-7)
+    system = F.discretize(op, dom, bc_linear)
+    assert _schur_input(system) is None
+    sol = F.solve(system)
+    x, fill = _unfolded_nd_solve(system)
+    assert sol.fill == fill
+    np.testing.assert_array_equal(sol.vec, x)
 
 
 # ---------------------------------------------------------------- refinement
@@ -850,7 +940,8 @@ def test_stalled_refinement_falls_back_to_float64(monkeypatch):
 
 
 @pytest.mark.parametrize("op_id", ["drift:1e39", "aniso:1e35,1",
-                                   "aniso:1e-50,1e-50"])
+                                   "aniso:1e-50,1e-50", "aniso:1e150,1",
+                                   "drift:1e150"])
 def test_float32_range_falls_back_to_float64(op_id, monkeypatch):
     # entries that overflow to inf or flush to 0 in a float32 copy would
     # give a singular factor: the float64 factor is used alone
