@@ -61,17 +61,19 @@ system.  The selection comes from the matrix alone.
 The LU factors are computed and stored in single precision, half the
 bytes of double, and the solution is refined in double precision
 (residuals in float64, each scaled by its max before the float32 solve)
-until the residual is within the rounding bound of its own computation,
-so the result carries double-precision accuracy.  The residual is that
-of the (folded) system; with the red elimination each correction is
-d_B = S^-1 (r_B - A_BR D^-1 r_R), d_R = D^-1 (r_R - A_RB d_B), only the
-solve with S in float32.  A refinement that stalls, which takes a
-condition number near 1/u_32, falls back to a double-precision factor
-driven by the same loop (Buttari et al., ACM TOMS 34(4), 2008; Higham,
-Accuracy and Stability of Numerical Algorithms, ch. 12).  A factorized
-matrix with an entry outside float32's range, one that overflows to inf
-or flushes to 0 in the copy, goes straight to the double-precision
-factor.
+until the residual is within the rounding bound of its own computation
+and the error left, estimated from the contraction of the last two
+corrections, is within that bound carried to the solution (Demmel et
+al., ACM TOMS 32(2), 2006), so the result carries double-precision
+accuracy.  The residual is that of the (folded) system; with the red
+elimination each correction is d_B = S^-1 (r_B - A_BR D^-1 r_R),
+d_R = D^-1 (r_R - A_RB d_B), only the solve with S in float32.  A
+refinement that stalls, which takes a condition number near 1/u_32,
+falls back to a double-precision factor driven by the same loop
+(Buttari et al., ACM TOMS 34(4), 2008; Higham, Accuracy and Stability
+of Numerical Algorithms, ch. 12).  A factorized matrix with an entry
+outside float32's range, one that overflows to inf or flushes to 0 in
+the copy, goes straight to the double-precision factor.
 
 SuperLU factors ``_PANEL`` = 4 columns at a time, not its default 20.
 Each column of a panel takes work arrays as long as the matrix, held
@@ -81,9 +83,10 @@ nested-dissection factors the narrower panel is also no slower (the
 panel-width sweep in CHANGES.md).  While SuperLU runs, the solve holds,
 besides the system's own matrix, the folded half when there is one and
 the factorized matrix: S, built in its elimination order by one sparse
-product with every temporary freed before the factor, or the permuted
-whole system.  Its float32 copy shares its index arrays.  The |A| and
-|b| of the refinement's stop test are built after the first factor.
+product whose one permuted operand, the black rows of A, is freed with
+every other temporary before the factor, or the permuted whole system.
+Its float32 copy shares its index arrays.  The |A| and |b| of the
+refinement's stop test are built after the first factor.
 """
 
 from __future__ import annotations
@@ -712,7 +715,9 @@ def _red_black(A: sp.csr_matrix, ij: np.ndarray) -> Optional[_RedBlack]:
     first, which keeps every intermediate within the size of A's entries:
     on these M-matrices a row of it sums to at most 1 in magnitude.  The
     rows of A_B. go in elimination order and P's columns take their
-    positions, so the product is S in that order, with no permuted copy.
+    positions, so the product is S in that order.  A_B., a row-permuted
+    copy of half of A, is the only permuted copy; it lives while the
+    product runs and is freed, with P, before SuperLU does.
     The order is ``_nested_dissection`` of the black nodes on the rotated
     lattice u = (i + j - 1)/2, v = (i - j - 1)/2, on which S, which
     couples the black nodes that a red node joins, is a 9-point stencil.
@@ -764,9 +769,6 @@ def _red_black(A: sp.csr_matrix, ij: np.ndarray) -> Optional[_RedBlack]:
     S = A[black] @ P
     del P
     S.sort_indices()
-    nnz = S.nnz   # the product's arrays are sized by a bound on nnz
-    S = sp.csr_matrix((S.data[:nnz].copy(), S.indices[:nnz].copy(),
-                       S.indptr), shape=S.shape)
     return _RedBlack(A=A, red=red, d=d[red], black=black, S=S)
 
 
@@ -791,17 +793,27 @@ def _refined_lu_solve(A: sp.spmatrix, b: np.ndarray,
     factor, the residual scaled by max|r| first so that no entry
     underflows in float32, adds d to x in float64 and recomputes
     r = b - A x in float64.  The loop stops once x has reached the
-    double-precision level: every |r_i| lies within the rounding bound
-    gamma_{m+1} (|b| + |A| |x|)_i of a computed residual, m the most
-    entries in a row (Higham, ch. 12), so the residual holds no more
-    information for a correction to act on.  A correction that fails to
-    halve, or ``_MAX_SOLVES`` solves short of that level, means
-    kappa u_32 is not small; the float32 factor is then freed and the
-    same loop runs on a float64 factor, whose stall only means that the
-    refinement has nothing left to gain.  When the factorized matrix has
-    an entry outside float32's range, so that its float32 copy holds an
-    inf or fewer nonzeros, the loop runs on the float64 factor alone.  A
-    zero ``b`` gives x = 0 without a solve.
+    double-precision level in two senses.  Backward: every |r_i| lies
+    within the rounding bound gamma_{m+1} (|b| + |A| |x|)_i of a computed
+    residual, m the most entries in a row (Higham, ch. 12), so the
+    residual holds no more information for a correction to act on.
+    Forward: the error left in x, estimated as max|d| times the
+    contraction max|d| / max|d_prev| of the last two corrections (Demmel
+    et al., ACM TOMS 32(2), 2006), is at most gamma_{m+1} max|x|.  That
+    is the same bound carried to x: a correction A^-1 r from a residual
+    known to within gamma_{m+1} (|b| + |A| |x|) is known to within
+    gamma_{m+1} |A^-1| (|b| + |A| |x|) >= gamma_{m+1} |x|, so a smaller
+    error is beyond what the loop can resolve.  The backward test alone
+    can pass with an error far above that when the factor contracts the
+    error slowly, as S's float32 factor does (about 1e-3 a step).  Once
+    the backward test holds, a correction that fails to halve, or the
+    last of ``_MAX_SOLVES`` solves, also ends the loop: what is left is
+    rounding.  Short of it, either means kappa u_32 is not small; the
+    float32 factor is then freed and the same loop runs on a float64
+    factor, whose x is returned either way.  When the factorized matrix
+    has an entry outside float32's range, so that its float32 copy holds
+    an inf or fewer nonzeros, the loop runs on the float64 factor alone.
+    A zero ``b`` gives x = 0 without a solve.
 
     Returns ``(x, SuperLU.nnz of the last factor, triangular solves)``.
     """
@@ -839,7 +851,7 @@ def _refined_lu_solve(A: sp.spmatrix, b: np.ndarray,
             correction = elim.correction(lu, dtype)
         x = np.zeros(b.size)
         r, last = b, np.inf
-        done = at_rounding_level(r, x)
+        backward = done = at_rounding_level(r, x)
         for _ in range(_MAX_SOLVES):
             if done:
                 break
@@ -848,12 +860,17 @@ def _refined_lu_solve(A: sp.spmatrix, b: np.ndarray,
             solves += 1
             x += d
             r = b - A @ x
-            done = at_rounding_level(r, x)
-            size = np.abs(d).max()
+            backward = at_rounding_level(r, x)
+            size = float(np.abs(d).max())
+            # the error left, about size * (size / last), is within
+            # gamma max|x|; in Python floats, whose inf * 0 raises no
+            # warning
+            xmax = float(np.abs(x).max())
+            done = backward and size * size <= gamma * xmax * last
             if not size <= 0.5 * last:   # stalled, or not finite
                 break
             last = size
-        if done:
+        if backward:
             break
         del lu, correction   # free the stalled factor before the next one
     return x, fill, solves

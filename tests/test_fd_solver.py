@@ -734,7 +734,7 @@ def test_mirror_fold_matches_full_solve(profile_id, h):
     lu = spla.splu(system.matrix.tocsc(), permc_spec="COLAMD")
     assert np.abs(sol.vec - lu.solve(system.rhs)).max() <= 1e-12
     assert sol.residual_norm <= 1e-12
-    assert 0 < sol.fill < _unfolded_nd_solve(system)[1]
+    assert 0 < sol.fill < _unfolded_solve(system)[1]
     # the fold only merges columns: the half matrix is still an M-matrix
     # with the row sums of the kept rows
     first, _ = fold
@@ -881,14 +881,20 @@ def test_nine_point_systems_keep_the_whole_factor(op):
 
 # ---------------------------------------------------------------- refinement
 
-def _float64_reference(system, steps=3):
-    """A float64 LU of the whole system in COLAMD order, refined in float64
-    for a fixed number of steps, past convergence on these grids."""
-    A = system.matrix.tocsc()
-    lu = spla.splu(A, permc_spec="COLAMD")
+def _float64_reference(system, steps=3, residual=np.float64):
+    """A float64 LU of the whole system in COLAMD order, refined for a
+    fixed number of steps, past convergence on these grids, with residuals
+    computed in ``residual``.  In long double its error is a few units of
+    float64 rounding, below what a float64 residual can resolve."""
+    A = system.matrix.tocsr()
+    b = system.rhs.astype(residual)
+    data = A.data.astype(residual)
+    lu = spla.splu(A.tocsc(), permc_spec="COLAMD")
     x = lu.solve(system.rhs)
     for _ in range(steps):
-        x = x + lu.solve(system.rhs - A @ x)
+        xr = x.astype(residual)
+        r = b - np.add.reduceat(data * xr[A.indices], A.indptr[:-1])
+        x = (xr + lu.solve(r.astype(np.float64))).astype(np.float64)
     return x
 
 
@@ -923,6 +929,28 @@ def test_refined_solve_matches_float64_reference(profile_id, op,
     assert np.abs(sol.vec - ref).max() <= 1e-13 * np.abs(ref).max()
     assert sol.residual_norm <= 1e-13
     assert sol.iterations >= 2
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="long double is no wider than double here")
+@pytest.mark.parametrize("profile_id,op", [
+    pytest.param("wedge:2.0944", E.preset_operator("laplace"), id="wedge"),
+    pytest.param("log1", E.preset_operator("checker:0.25"), id="checker"),
+    pytest.param("log1", E.preset_operator("aniso:0.5,2"), id="aniso"),
+    pytest.param("log1", MIXED_DRIFT[0].values[0],
+                 id=f"log1-{MIXED_DRIFT[0].id}")])
+def test_refined_solve_reaches_forward_accuracy(profile_id, op):
+    # the float32 factor of S contracts the error about 1e-3 a step, so
+    # when the residual first passes the backward test the error can still
+    # be 2-4e-14 of max|x| on these systems; the forward part of the stop
+    # test takes the step that brings it to the rounding floor
+    prof = G.preset_profile(profile_id, R0=0.5)
+    bc = sector_harmonic(2.0944) if profile_id.startswith("wedge") \
+        else bc_linear
+    system = F.discretize(op, F.DiscreteDomain.build(prof, 2.0**-8), bc)
+    ref = _float64_reference(system, steps=4, residual=np.longdouble)
+    sol = F.solve(system)
+    assert np.abs(sol.vec - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 def test_stalled_refinement_falls_back_to_float64(monkeypatch):
