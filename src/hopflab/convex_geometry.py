@@ -495,22 +495,24 @@ _MIN_COLUMN_NODES = 4
 class DomainMask:
     """Node classification of the box [-R0, R0] x [0, R0].
 
-    ``cls`` holds EXTERIOR/INTERIOR/CURVE/EDGE per node, indexed [i, j]
-    for column i, row j.  ``frac_w/e/s`` store, for interior nodes whose
-    west/east/south neighbor lies across the graph, the fractional arm
-    length in (0, 1] to the crossing; NaN elsewhere."""
+    The grid is the tensor product of the ascending node coordinates
+    ``x1`` (columns) and ``x2`` (rows).  ``dx1[i]`` is the spacing from
+    column i to column i + 1 and ``dx2[j]`` that from row j to row j + 1;
+    everything below the mask reads node positions and spacings from
+    these four arrays.  ``cls`` holds EXTERIOR/INTERIOR/CURVE/EDGE per
+    node, indexed [i, j] for column i, row j.  ``frac_w/e/s`` store, for
+    interior nodes whose west/east/south neighbor lies across the graph,
+    the fraction in (0, 1] of the local spacing to that neighbor at which
+    the arm crosses the graph; NaN elsewhere."""
 
-    h: float
     x1: np.ndarray
     x2: np.ndarray
+    dx1: np.ndarray
+    dx2: np.ndarray
     cls: np.ndarray
     frac_w: np.ndarray
     frac_e: np.ndarray
     frac_s: np.ndarray
-
-    @property
-    def shape(self):
-        return self.cls.shape
 
     @property
     def center_col(self) -> int:
@@ -571,9 +573,12 @@ def domain_mask(profile: BoundaryProfile, h: float) -> DomainMask:
     the graph.
 
     The x1 = 0 column is a grid line; R0 must be an integer multiple of
-    h.  Fractional distances to the curve are exact along the vertical
-    axis and located by one vectorized bisection over all crossing arms
-    along the horizontal axis (tolerance 1e-12 per unit arm)."""
+    h.  Both spacing arrays hold h itself, not differences of the node
+    coordinates, which for an h that is not a power of two differ from h
+    in the last bits.  Fractional distances to the curve are exact along
+    the vertical axis and located by one vectorized bisection over all
+    crossing arms along the horizontal axis (tolerance 1e-12 per unit
+    arm)."""
     if profile.ambient_dim != 2:
         raise ValueError("rasterization supports planar profiles only")
     if not (math.isfinite(h) and h > 0.0):
@@ -611,17 +616,18 @@ def domain_mask(profile: BoundaryProfile, h: float) -> DomainMask:
     frac_w = np.full(cls.shape, np.nan)
     frac_e = np.full(cls.shape, np.nan)
     frac_s = np.full(cls.shape, np.nan)
-    mask = DomainMask(h=h, x1=x1, x2=x2, cls=cls,
+    dx1, dx2 = np.full(2 * M, h), np.full(M, h)
+    mask = DomainMask(x1=x1, x2=x2, dx1=dx1, dx2=dx2, cls=cls,
                       frac_w=frac_w, frac_e=frac_e, frac_s=frac_s)
     interior = cls == INTERIOR
     crossed = (cls == EXTERIOR) | (cls == CURVE)
 
-    # south arms have the exact fraction (x2 - F)/h
+    # south arms have the exact fraction (x2_j - F)/dx2[j - 1]
     s_mask = interior.copy()
     s_mask[:, 1:] &= crossed[:, :-1]
     s_mask[:, 0] = False
     ii, jj = np.nonzero(s_mask)
-    frac_s[ii, jj] = np.clip((x2[jj] - F[ii]) / h, _CURVE_TOL, 1.0)
+    frac_s[ii, jj] = np.clip((x2[jj] - F[ii]) / dx2[jj - 1], _CURVE_TOL, 1.0)
 
     # horizontal arms need a root find against the graph; the box sides
     # hold no interior node, so rolling the columns wraps onto none

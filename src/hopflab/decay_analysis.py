@@ -164,16 +164,18 @@ class DecayReport:
 
     def usable_pairs(self):
         """(k, k+3) index pairs realizing the factor-8 scale relation."""
-        return [(k, k + 3) for k in range(len(self.radii) - 3)
-                if self.osc[k] > 1e-14]
+        return _usable_pairs(self.osc)
+
+
+def _usable_pairs(osc) -> list:
+    """The (k, k+3) level pairs, radii a factor 8 apart, whose coarser
+    oscillation is above 1e-14, so that their ratio means something."""
+    return [(k, k + 3) for k in range(len(osc) - 3) if osc[k] > 1e-14]
 
 
 def _fit_kappa(osc, deltas) -> float:
-    vals = []
-    for k in range(len(osc) - 3):
-        if osc[k] <= 1e-14 or deltas[k] <= 0.0:
-            continue
-        vals.append((1.0 - osc[k + 3] / osc[k]) / deltas[k])
+    vals = [(1.0 - osc[m] / osc[k]) / deltas[k]
+            for k, m in _usable_pairs(osc) if deltas[k] > 0.0]
     if not vals:
         return 0.0
     return float(min(max(min(vals), 0.0), 1.0 - 1e-9))

@@ -15,7 +15,9 @@ gives the horizontal arms of the mask.  Under |a12| <= min(a11, a22) every
 off-diagonal entry is nonpositive and the matrix is an M-matrix, which
 gives the discrete maximum and comparison principles.  Drift terms are
 upwinded.  Dirichlet data: u = 0 on the curve, caller-supplied values on
-the top and lateral box sides.
+the top and lateral box sides.  Where the nodes sit and how far apart is
+the mask's (``DomainMask``): assembly, extraction and the convergence
+study read its node coordinates and spacings, never a scalar h.
 
 Assembly is one pass over whole slot columns: every coefficient goes
 straight into the column of its neighbor slot, a node that lacks a term
@@ -149,10 +151,6 @@ class DiscreteDomain:
                    interior_ij=np.column_stack((ii, jj)))
 
     @property
-    def h(self) -> float:
-        return self.mask.h
-
-    @property
     def n_unknowns(self) -> int:
         return self.interior_ij.shape[0]
 
@@ -165,15 +163,19 @@ class LinearSystem:
     bc: Callable
 
     def m_matrix_report(self, tol: float = 1e-10) -> dict:
-        """Off-diagonal sign and weak row dominance diagnostics."""
+        """Off-diagonal sign and weak row dominance diagnostics; the row
+        sums, which scale as 1/spacing^2, are held to ``tol`` over the
+        smallest spacing squared."""
         coo = self.matrix.tocoo()
         off = coo.data[coo.row != coo.col]
         max_off = float(off.max()) if off.size else 0.0
         rowsum = np.asarray(self.matrix.sum(axis=1)).ravel()
+        mask = self.dom.mask
+        d = min(float(mask.dx1.min()), float(mask.dx2.min()))
         return {
             "offdiag_ok": bool(max_off <= tol),
             "max_offdiag": max_off,
-            "rowsum_ok": bool(rowsum.min() >= -tol / self.dom.h**2),
+            "rowsum_ok": bool(rowsum.min() >= -tol / d**2),
             "min_rowsum": float(rowsum.min()),
         }
 
@@ -219,12 +221,19 @@ def discretize(op: EllipticOperator, dom: DiscreteDomain,
     finite row; an overflow in assembly is reported this way, without a
     floating-point warning.
 
+    Every arm is a spacing of the mask times its Shortley-Weller
+    fraction: a node (i, j) reaches west over dx1[i - 1], east over
+    dx1[i], south over dx2[j - 1] and north over dx2[j], each shortened
+    where the graph cuts it.  On a uniform axis every spacing is h and
+    the entries are those of the uniform stencil to the bit.  The
+    diagonal arms of the mixed term assume uniform square cells.
+
     Assembly is one pass over whole slot columns.  Each stencil
     coefficient is added straight into the column of its neighbor slot:
     the four axis neighbors, the node itself, and the diagonal pair of
     each sign that a12 takes somewhere.  A term that a node lacks adds 0
     there: the drift's other side, and the mixed term of the other sign,
-    whose weight is 2 max(s a12, 0).  No entry gets more than two nonzero
+    whose weight is max(s a12, 0).  No entry gets more than two nonzero
     contributions (the axis second difference and the upwinded drift),
     so its sum does not depend on their order.  Neighbors are read at
     flat offsets on the raveled grid: the neighbor (i + di, j + dj) of a
@@ -237,7 +246,6 @@ def discretize(op: EllipticOperator, dom: DiscreteDomain,
     sum and nothing to sort.
     """
     mask = dom.mask
-    h = mask.h
     x1, x2 = mask.x1, mask.x2
     n2 = x2.size
     cls = mask.cls.ravel()
@@ -304,26 +312,43 @@ def discretize(op: EllipticOperator, dom: DiscreteDomain,
                            dtype=float)
             rhs[edge] -= coef[edge] * g
 
+    def spacings(dx, k):
+        """The spacings from the nodes at index k along an axis back to
+        k - 1 and on to k + 1, from that axis's spacing array dx; an
+        interior node is never on a box side, so both exist.  Built where
+        they are needed and dropped after, not held through assembly."""
+        return dx.take(k - 1), dx.take(k)
+
     def second_diff(weight, a_minus, a_plus, di, dj, end_minus, end_plus,
-                    denom):
-        """-(weight) d^2/ds^2 along the step (di, dj), whose squared
-        length is denom; an arm that crosses the curve ends where u = 0
-        and adds only to the diagonal.  A zero weight adds zeros.
-        Temporaries are reused: at 10^5-10^6 nodes each fresh one costs
-        about as much as the arithmetic."""
+                    d_minus, d_plus):
+        """-(weight) d^2/ds^2 along the step (di, dj), with the spacings
+        d_minus back and d_plus forward: the arms are L = a d, the
+        diagonal entry 2 w / (L_- L_+) and the neighbors' -2 w / (L_-
+        (L_- + L_+)) and -2 w / (L_+ (L_- + L_+)).  They are computed
+        through r = d_+/d_- as 2 w / ((a_- a_+)(d_- d_+)), -2 w / ((a_-
+        (a_- + a_+ r))(d_- d_-)) and -2 w / ((a_+ (a_- + a_+ r))(d_-
+        d_+)): with equal spacings h, r is exactly 1 and d d is h h, so
+        the entries are those of the uniform stencil to the bit.  An arm
+        that crosses the curve ends where u = 0 and adds only to the
+        diagonal.  A zero weight adds zeros.  Temporaries are reused: at
+        10^5-10^6 nodes each fresh one costs about as much as the
+        arithmetic."""
         w2 = 2.0 * weight
+        dd = d_minus * d_plus
         t = a_minus * a_plus
-        t *= denom
+        t *= dd
         np.divide(w2, t, out=t)
         diag[:] += t
-        span = np.add(a_minus, a_plus, out=t)
+        span = np.divide(d_plus, d_minus, out=t)
+        span *= a_plus
+        span += a_minus
         w2 *= -1.0
         c = a_minus * span
-        c *= denom
+        c *= d_minus * d_minus
         np.divide(w2, c, out=c)
         couple(-di, -dj, c, end_minus)
         np.multiply(a_plus, span, out=c)
-        c *= denom
+        c *= dd
         np.divide(w2, c, out=c)
         couple(di, dj, c, end_plus)
 
@@ -337,45 +362,53 @@ def discretize(op: EllipticOperator, dom: DiscreteDomain,
     for alpha in (alpha_w, alpha_e, alpha_s):
         np.fmin(alpha, 1.0, out=alpha)
     alpha_n = 1.0   # the graph never crosses an upward arm
-    second_diff(A1, alpha_w, alpha_e, 1, 0, end_w, end_e, h * h)
-    second_diff(A2, alpha_s, alpha_n, 0, 1, end_s, end_n, h * h)
+    second_diff(A1, alpha_w, alpha_e, 1, 0, end_w, end_e,
+                *spacings(mask.dx1, ii))
+    second_diff(A2, alpha_s, alpha_n, 0, 1, end_s, end_n,
+                *spacings(mask.dx2, jj))
     del A1, A2
 
-    # ---- mixed term: second difference along the diagonal (s, 1) with
-    # s = sign(a12), spacing sqrt(2) h, on whole slot columns with weight
-    # 2 max(s a12, 0), as the drift zeroes its other side.  The arm
-    # toward (i+s, j+1) goes in as the minus side of the step (-s, -1),
-    # so that at nodes whose two arms both end on box data its rhs update
-    # comes first.
+    # ---- mixed term: -|a12| times the second difference with step
+    # d (s, 1), s = sign(a12), which is -2 |a12| u_dd, on whole slot
+    # columns with weight max(s a12, 0), as the drift zeroes its other
+    # side.  The diagonal arms assume uniform square cells, dx1 = dx2 = d
+    # around the node, so that the diagonal neighbors lie at d (s, 1) and
+    # d (-s, -1); d is taken from the row spacings.  The arm toward
+    # (i+s, j+1) goes in as the minus side of the step (-s, -1), so that
+    # at nodes whose two arms both end on box data its rhs update comes
+    # first.
     for s in (1, -1):
         weight = np.maximum(s * a12, 0.0)
         if not np.any(weight > 0.0):
             continue
-        weight *= 2.0
+        d_s, d_n = spacings(mask.dx2, jj)
         second_diff(weight, arm_fraction(mask, dom.profile, ii, jj, s, 1),
                     arm_fraction(mask, dom.profile, ii, jj, -s, -1), -s, -1,
-                    ends(s, 1), ends(-s, -1), 2.0 * h * h)
-        del weight
+                    ends(s, 1), ends(-s, -1), d_n, d_s)
+        del weight, d_s, d_n
     del a12
 
     # ---- upwinded drift: a positive component takes the backward
-    # difference, (u_P - u_W)/(alpha_w h) along x1, a negative one the
-    # forward difference, (u_E - u_P)/(alpha_e h).  c is the neighbor's
+    # difference, (u_P - u_W)/(alpha_w d_w) along x1, a negative one the
+    # forward difference, (u_E - u_P)/(alpha_e d_e).  c is the neighbor's
     # coefficient; the diagonal takes its negative
-    for b, back, forward in (
-            (b1, (-1, 0, alpha_w, end_w), (1, 0, alpha_e, end_e)),
-            (b2, (0, -1, alpha_s, end_s), (0, 1, alpha_n, end_n))):
+    for b, dx, k, di, dj, alpha_back, alpha_fwd, end_back, end_fwd in (
+            (b1, mask.dx1, ii, 1, 0, alpha_w, alpha_e, end_w, end_e),
+            (b2, mask.dx2, jj, 0, 1, alpha_s, alpha_n, end_s, end_n)):
         if not np.any(np.abs(b) > 0.0):
             continue
         up = b > 0.0
-        for on, sign, (di, dj, alpha, end) in ((up, 1.0, back),
-                                               (~up, -1.0, forward)):
-            c = b / (alpha * h)
+        d_back, d_fwd = spacings(dx, k)
+        for on, sign, step, alpha, d, end in (
+                (up, 1.0, -1, alpha_back, d_back, end_back),
+                (~up, -1.0, 1, alpha_fwd, d_fwd, end_fwd)):
+            c = b / (alpha * d)
             c[~on] = 0.0
             c *= -sign
             diag -= c
-            couple(di, dj, c, end)
+            couple(step * di, step * dj, c, end)
             del c
+        del d_back, d_fwd
     del b1, b2, alpha_w, alpha_e, alpha_s, end_w, end_e, end_s, end_n
 
     if source is not None:
@@ -929,40 +962,47 @@ def hopf_trace(sol: DiscreteSolution, heights: Sequence[float]) -> np.ndarray:
     """u(0, x2)/x2 at grid-aligned heights on the x1 = 0 column.
 
     Exact nodal division, no interpolation.  Heights must be positive grid
-    lines with a defined value (interior or box top)."""
-    dom = sol.dom
-    mask = dom.mask
-    h = mask.h
-    col = mask.center_col
-    out = np.empty(len(heights))
-    for m, x2 in enumerate(heights):
-        j = int(round(x2 / h))
-        if abs(j * h - x2) > 1e-9 * max(1.0, abs(x2)) or j <= 0 \
-                or j >= mask.x2.size:
-            raise MisalignedHeightError(f"height {x2} is not a grid line")
-        v = sol.values[col, j]
-        if not np.isfinite(v):
-            raise MisalignedHeightError(f"no solution value at (0, {x2})")
-        out[m] = v / mask.x2[j]
-    return out
+    lines with a defined value (interior or box top): each is looked up
+    as the nearest row x2[j], which must lie within 1e-9 max(1, |x2|) of
+    it and above the base row j = 0.  The first height that fails raises
+    ``MisalignedHeightError``."""
+    mask = sol.dom.mask
+    lines = mask.x2
+    x2 = np.asarray(heights, dtype=float).reshape(-1)
+    # the nearest line: the first at or above x2, or the one below it
+    j = np.minimum(np.searchsorted(lines, x2), lines.size - 1)
+    below = np.maximum(j - 1, 0)
+    j = np.where(x2 - lines[below] < lines[j] - x2, below, j)
+    aligned = np.isfinite(x2) & (j > 0)
+    aligned &= np.abs(lines[j] - x2) <= 1e-9 * np.maximum(1.0, np.abs(x2))
+    v = sol.values[mask.center_col, j]
+    bad = ~(aligned & np.isfinite(v))
+    if np.any(bad):
+        m = int(np.flatnonzero(bad)[0])
+        if not aligned[m]:
+            raise MisalignedHeightError(f"height {heights[m]} is not a grid "
+                                        f"line")
+        raise MisalignedHeightError(f"no solution value at (0, {heights[m]})")
+    return v / lines[j]
 
 
+# the rows j < this, from the base x2 = 0 up, that oscillation leaves out
 _NOISE_FLOOR_CELLS = 2
 
 
 def oscillation(sol: DiscreteSolution, profile: BoundaryProfile,
                 r: float) -> float:
     """max - min of u(x)/x2 over interior nodes of the cylinder
-    {|x1| < r, 0 < x2 < r}, excluding rows x2 < 2h where the quotient
-    amplifies discretization noise."""
+    {|x1| < r, 0 < x2 < r}, excluding the ``_NOISE_FLOOR_CELLS`` lowest
+    rows, where the quotient amplifies discretization noise."""
     if r > profile.R0 + 1e-12:
         raise ValueError(f"r = {r} exceeds the patch radius {profile.R0}")
     mask = sol.dom.mask
     # the grid lines ascend, so the cylinder is an index window:
-    # -r < x1 < r and noise floor <= x2 < r
+    # -r < x1 < r and noise floor <= j, x2 < r
     i0 = np.searchsorted(mask.x1, -r, side="right")
     i1 = np.searchsorted(mask.x1, r)
-    j0 = np.searchsorted(mask.x2, _NOISE_FLOOR_CELLS * mask.h - 1e-15)
+    j0 = _NOISE_FLOOR_CELLS
     j1 = np.searchsorted(mask.x2, r)
     window = (slice(i0, i1), slice(j0, j1))
     region = mask.cls[window] == INTERIOR
@@ -986,6 +1026,15 @@ class ConvergenceReport:
     reference: str
 
 
+def _lines_in(fine: np.ndarray, coarse: np.ndarray) -> np.ndarray:
+    """Index in the ascending grid lines ``fine`` of each of the lines
+    ``coarse``; ``ValueError`` unless every one is there exactly."""
+    k = np.minimum(np.searchsorted(fine, coarse), fine.size - 1)
+    if not np.array_equal(fine[k], coarse):
+        raise ValueError("the refined grid does not hold every coarse node")
+    return k
+
+
 def convergence_study(op: EllipticOperator, profile: BoundaryProfile,
                       bc: Callable, h_list: Sequence[float],
                       exact: Optional[Callable] = None) -> ConvergenceReport:
@@ -993,8 +1042,9 @@ def convergence_study(op: EllipticOperator, profile: BoundaryProfile,
 
     With ``exact`` the error is max |u_h - exact| over interior nodes;
     otherwise each grid is compared against its once-refined solve
-    (Richardson-style difference).  Errors below 1e-9 everywhere are
-    reported as exact reproduction (order undefined)."""
+    (Richardson-style difference) at the nodes the two grids share,
+    matched by coordinate.  Errors below 1e-9 everywhere are reported as
+    exact reproduction (order undefined)."""
     if len(h_list) < 2 or np.any(np.diff(h_list) >= 0.0):
         raise ValueError("h_list must be strictly decreasing with >= 2 entries")
     errors = []
@@ -1010,7 +1060,8 @@ def convergence_study(op: EllipticOperator, profile: BoundaryProfile,
             dom2 = DiscreteDomain.build(profile, h / 2.0)
             sol2 = solve(discretize(op, dom2, bc))
             ii, jj = dom.interior_ij[:, 0], dom.interior_ij[:, 1]
-            fine = sol2.values[2 * ii, 2 * jj]
+            fine = sol2.values[_lines_in(dom2.mask.x1, dom.mask.x1)[ii],
+                               _lines_in(dom2.mask.x2, dom.mask.x2)[jj]]
             ok = np.isfinite(fine)
             err = float(np.abs(sol.vec[ok] - fine[ok]).max())
         errors.append(err)

@@ -490,10 +490,15 @@ def dini_classify(sigma: Modulus, depth: int = 40) -> DiniVerdict:
     the numeric verdict is always reported alongside.  The growth exponent
     estimate is the fitted p in I_m ~ m^-p over the deeper half of the
     levels (large for geometric decay, ~1 for log-type divergence, ~2 for
-    log^2-type convergence).
+    log^2-type convergence).  ``depth`` must lie in [12, 1022], else
+    ``ValueError``: past 1022, 2^-depth is below the smallest normal
+    double and the increments overflow.
     """
     if depth < 12:
         raise ValueError("depth must be at least 12")
+    if math.ldexp(1.0, -depth) < np.finfo(float).tiny:
+        raise ValueError(f"depth = {depth} puts 2^-depth below the smallest "
+                         f"normal double; depth must be at most 1022")
     inc = _dyadic_increments(sigma, 1.0, depth)
     partials = tuple(zip(np.ldexp(1.0, -np.arange(1, depth + 1)).tolist(),
                          np.cumsum(inc).tolist()))

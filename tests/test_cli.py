@@ -191,6 +191,7 @@ def test_out_of_memory_exit_3(tmp_path, capsys, monkeypatch, command):
     ["verify", "--n", "1"],
     ["verify", "--n", "0"],
     ["modulus", "--depth", "5"],
+    ["modulus", "--depth", "1023"],
     ["modulus", "--csv", "{missing}"],
     ["solve", "--config", "{missing}"],
     ["solve", "--h", "0"],

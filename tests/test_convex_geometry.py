@@ -345,6 +345,24 @@ def test_mask_node_just_over_tolerance_above_curve():
     assert np.array_equal(m.cls == G.EXTERIOR, below)
 
 
+@pytest.mark.parametrize("h", [2.0**-6, 0.5 / 48, 0.01])
+def test_mask_spacings_are_h(h):
+    # the spacing arrays hold h itself; differences of the node
+    # coordinates are not h for every h, so they could not stand in.
+    # frac_s is the exact crossing (x2_j - F)/dx2[j - 1] of the south arm
+    prof = G.preset_profile("log1", R0=0.5)
+    m = G.domain_mask(prof, h=h)
+    for x, dx in ((m.x1, m.dx1), (m.x2, m.dx2)):
+        assert dx.dtype == np.float64
+        assert dx.tobytes() == np.full(x.size - 1, h).tobytes()
+    if h == 0.5 / 48:
+        assert np.count_nonzero(np.diff(m.x1) != h) > 0
+    ii, jj = np.nonzero(~np.isnan(m.frac_s))
+    assert ii.size > 0
+    expect = np.clip((m.x2[jj] - prof.height(m.x1[ii])) / h, 1e-12, 1.0)
+    assert m.frac_s[ii, jj].tobytes() == expect.tobytes()
+
+
 def test_mask_symmetric_for_radial_profile():
     m = G.domain_mask(G.preset_profile("log1", R0=0.5), h=2.0**-6)
     assert np.array_equal(m.cls, m.cls[::-1, :])

@@ -62,9 +62,40 @@ def test_hopf_trace_of_linear_solution():
 
 
 def test_hopf_trace_misaligned():
-    sol, _, _ = solve_preset("flat", "laplace", 2.0**-6)
-    with pytest.raises(F.MisalignedHeightError):
-        F.hopf_trace(sol, [0.1])  # not a multiple of 2^-6
+    h = 2.0**-6
+    sol, _, _ = solve_preset("flat", "laplace", h)
+    # not a multiple of 2^-6; the base row; above the box top; half a
+    # cell off a line; a good height does not hide a bad one after it
+    for heights in ([0.1], [0.0], [0.5 + h], [2.0**-3 + h / 2.0],
+                    [2.0**-2, 0.1], [-h], [float("nan")], [float("inf")]):
+        with pytest.raises(F.MisalignedHeightError, match="not a grid line"):
+            F.hopf_trace(sol, heights)
+    # the box top is a grid line with data
+    assert F.hopf_trace(sol, [0.5])[0] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_hopf_trace_looks_up_rows_by_coordinate():
+    # h = 0.01 is not a power of two: the heights round(r/h) h that
+    # run_experiment passes are the rows j = round(r/h), whose value the
+    # trace divides by x2[j]
+    h = 0.01
+    sol, _, dom = solve_preset("log1", "laplace", h)
+    radii = [2.0**-k * 0.5 for k in range(5)]
+    heights = [round(r / h) * h for r in radii]
+    j = np.array([round(r / h) for r in radii])
+    expect = (sol.values[dom.mask.center_col, j] / dom.mask.x2[j])
+    assert F.hopf_trace(sol, heights).tobytes() == expect.tobytes()
+    assert F.hopf_trace(sol, []).size == 0
+
+
+def test_hopf_trace_needs_a_solution_value():
+    sol, _, _ = solve_preset("log1", "laplace", 2.0**-6)
+    col = sol.dom.mask.center_col
+    values = sol.values.copy()
+    values[col, 4] = np.nan
+    sol = dataclasses.replace(sol, values=values)
+    with pytest.raises(F.MisalignedHeightError, match="no solution value"):
+        F.hopf_trace(sol, [2.0**-2, 4 * 2.0**-6])
 
 
 def test_mixed_term_and_drift_exact_on_linear():
@@ -270,7 +301,8 @@ def test_aleksandrov_bound_stable_across_presets():
                                    source=src))
         vals = np.full(dom.mask.cls.shape, np.nan)
         vals[dom.interior_ij[:, 0], dom.interior_ij[:, 1]] = 1.0
-        f_norm = E.local_norm(vals, dom.h, region=np.isfinite(vals), p=2.0)
+        f_norm = E.local_norm(vals, dom.mask.dx1[0],
+                              region=np.isfinite(vals), p=2.0)
         runs[op_id] = {"sup_u": float(sol.vec.max()), "diam": diam,
                        "f_norm": f_norm}
     fit = aleksandrov_constant_fit(list(runs.values()))
@@ -287,9 +319,10 @@ def coo_reference_discretize(op, dom, bc_top_side, source=None,
                              a12_tol=1e-12):
     """Reference: the COO assembly that ``discretize`` replaced.  Every
     coefficient is appended to row/col/value lists, and the COO -> CSR
-    conversion sums the duplicates."""
+    conversion sums the duplicates.  It reads one spacing, h, for the
+    whole grid."""
     mask = dom.mask
-    h = mask.h
+    h = mask.dx1[0]
     x1, x2 = mask.x1, mask.x2
     cls = mask.cls
     idx = dom.index
@@ -433,9 +466,11 @@ def test_one_pass_assembly_matches_coo_reference(profile_id, op):
     prof = G.preset_profile(profile_id, R0=0.5)
     bc = sector_harmonic(2.0944) if profile_id.startswith("wedge") \
         else bc_linear
-    dom = F.DiscreteDomain.build(prof, 2.0**-6)
-    assert_same_system(F.discretize(op, dom, bc),
-                       coo_reference_discretize(op, dom, bc))
+    # 0.5/48 is not a power of two: node differences there are not h
+    for h in (2.0**-6, 0.5 / 48):
+        dom = F.DiscreteDomain.build(prof, h)
+        assert_same_system(F.discretize(op, dom, bc),
+                           coo_reference_discretize(op, dom, bc))
 
 
 @settings(max_examples=30, deadline=None)
@@ -536,7 +571,7 @@ def _full_grid_oscillation(sol, r):
     X1 = mask.x1[:, None]
     X2 = mask.x2[None, :]
     region = ((mask.cls == G.INTERIOR) & (np.abs(X1) < r) & (X2 < r)
-              & (X2 >= 2 * mask.h - 1e-15))
+              & (X2 >= 2 * mask.dx2[0] - 1e-15))
     if not np.any(region):
         return None
     quot = sol.values[region] / np.broadcast_to(X2, mask.cls.shape)[region]
@@ -1099,6 +1134,25 @@ def test_convergence_exact_reproduction_flag():
                               * np.ones_like(np.asarray(X1, float)))
     assert rep.exact
     assert rep.observed_order is None
+
+
+def test_richardson_errors_on_a_non_dyadic_grid():
+    # the coarse nodes sit at (2i, 2j) of the refined grid: the errors
+    # are those of that index map, for an h that is not a power of two
+    prof = G.preset_profile("log1", R0=0.5)
+    op = E.preset_operator("laplace")
+    h_list = [0.5 / 24, 0.5 / 48]
+    rep = F.convergence_study(op, prof, bc_linear, h_list)
+    expect = []
+    for h in h_list:
+        sol, _, dom = solve_preset("log1", "laplace", h)
+        fine, _, _ = solve_preset("log1", "laplace", h / 2.0)
+        ii, jj = dom.interior_ij[:, 0], dom.interior_ij[:, 1]
+        ref = fine.values[2 * ii, 2 * jj]
+        ok = np.isfinite(ref)
+        expect.append(float(np.abs(sol.vec[ok] - ref[ok]).max()))
+    assert rep.errors == tuple(expect)
+    assert rep.reference == "richardson"
 
 
 def test_wedge_richardson_order_at_least_one():

@@ -223,6 +223,17 @@ def test_classify_partial_integrals_nondecreasing():
         assert np.all(np.diff(lows) < 0.0)
 
 
+def test_classify_depth_within_double_range():
+    # 2^-1022 is the smallest normal double: down to it the increments
+    # stay finite (warnings are errors here), one level deeper they
+    # overflowed and log1 read as numerically Dini
+    v = M.dini_classify(M.preset_modulus("log1"), depth=1022)
+    assert len(v.partial_integrals) == 1022
+    assert v.numeric_verdict == M.Verdict.NON_DINI
+    with pytest.raises(ValueError, match="depth = 1023"):
+        M.dini_classify(M.preset_modulus("log1"), depth=1023)
+
+
 def test_classify_tabulated_without_flag():
     table = M.from_table([0.0, 0.25, 0.5, 1.0], [0.0, 0.25, 0.5, 1.0])
     v = M.dini_classify(table)
