@@ -20,9 +20,10 @@ max over pieces of (|p_i| + c_i/r).
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -31,6 +32,7 @@ from .modulus import DomainError, Verdict, from_table, preset_modulus
 __all__ = [
     "BallInclusionReport",
     "BoundaryProfile",
+    "CrossingArms",
     "DomainError",
     "DomainMask",
     "ExtremalFrame",
@@ -491,6 +493,17 @@ _CURVE_TOL = 1e-12
 _MIN_COLUMN_NODES = 4
 
 
+class CrossingArms(NamedTuple):
+    """The arms in one direction from interior nodes to neighbors on or
+    below the graph: ``at``, each arm's node as its flat offset
+    ``i * n2 + j`` in the raveled grid (n2 the row count), in (i, j)
+    order, and ``frac``, the fraction in (0, 1] of the local spacing at
+    which the arm meets the graph (1 where the neighbor is on it)."""
+
+    at: np.ndarray
+    frac: np.ndarray
+
+
 @dataclass(frozen=True)
 class DomainMask:
     """Node classification of the box [-R0, R0] x [0, R0].
@@ -500,23 +513,48 @@ class DomainMask:
     column i to column i + 1 and ``dx2[j]`` that from row j to row j + 1;
     everything below the mask reads node positions and spacings from
     these four arrays.  ``cls`` holds EXTERIOR/INTERIOR/CURVE/EDGE per
-    node, indexed [i, j] for column i, row j.  ``frac_w/e/s`` store, for
-    interior nodes whose west/east/south neighbor lies across the graph,
-    the fraction in (0, 1] of the local spacing to that neighbor at which
-    the arm crosses the graph; NaN elsewhere."""
+    node, indexed [i, j] for column i, row j.  ``arms_w/e/s`` hold only
+    the arms that leave an interior node westward, eastward or southward
+    and end on or below the graph (``CrossingArms``), a few per column of
+    the boundary, not a value per node.  The upward arm never crosses
+    the graph.  ``frac_w/e/s`` are views built on demand from them: grids
+    of the fractions, NaN off the arms."""
 
     x1: np.ndarray
     x2: np.ndarray
     dx1: np.ndarray
     dx2: np.ndarray
     cls: np.ndarray
-    frac_w: np.ndarray
-    frac_e: np.ndarray
-    frac_s: np.ndarray
+    arms_w: CrossingArms
+    arms_e: CrossingArms
+    arms_s: CrossingArms
 
     @property
     def center_col(self) -> int:
         return (self.x1.size - 1) // 2
+
+    def _dense(self, arms: CrossingArms) -> np.ndarray:
+        out = np.full(self.cls.shape, np.nan)
+        np.put(out, arms.at, arms.frac)
+        return out
+
+    @property
+    def frac_w(self) -> np.ndarray:
+        """West arm fractions as a grid, NaN off the arms; built anew on
+        every read."""
+        return self._dense(self.arms_w)
+
+    @property
+    def frac_e(self) -> np.ndarray:
+        """East arm fractions as a grid, NaN off the arms; built anew on
+        every read."""
+        return self._dense(self.arms_e)
+
+    @property
+    def frac_s(self) -> np.ndarray:
+        """South arm fractions as a grid, NaN off the arms; built anew on
+        every read."""
+        return self._dense(self.arms_s)
 
 
 def curve_crossing_fraction(profile: BoundaryProfile, p_from, p_to):
@@ -613,12 +651,13 @@ def domain_mask(profile: BoundaryProfile, h: float) -> DomainMask:
             f"only {interior_center} interior nodes on the x1 = 0 column; "
             f"need at least {_MIN_COLUMN_NODES}")
 
-    frac_w = np.full(cls.shape, np.nan)
-    frac_e = np.full(cls.shape, np.nan)
-    frac_s = np.full(cls.shape, np.nan)
     dx1, dx2 = np.full(2 * M, h), np.full(M, h)
+    n2 = x2.size
+    # the classification alone, which arm_fraction reads; the arms are
+    # added below
+    no_arms = CrossingArms(np.empty(0, dtype=np.intp), np.empty(0))
     mask = DomainMask(x1=x1, x2=x2, dx1=dx1, dx2=dx2, cls=cls,
-                      frac_w=frac_w, frac_e=frac_e, frac_s=frac_s)
+                      arms_w=no_arms, arms_e=no_arms, arms_s=no_arms)
     interior = cls == INTERIOR
     crossed = (cls == EXTERIOR) | (cls == CURVE)
 
@@ -627,14 +666,17 @@ def domain_mask(profile: BoundaryProfile, h: float) -> DomainMask:
     s_mask[:, 1:] &= crossed[:, :-1]
     s_mask[:, 0] = False
     ii, jj = np.nonzero(s_mask)
-    frac_s[ii, jj] = np.clip((x2[jj] - F[ii]) / dx2[jj - 1], _CURVE_TOL, 1.0)
+    arms = {"arms_s": CrossingArms(
+        ii * n2 + jj,
+        np.clip((x2[jj] - F[ii]) / dx2[jj - 1], _CURVE_TOL, 1.0))}
 
     # horizontal arms need a root find against the graph; the box sides
     # hold no interior node, so rolling the columns wraps onto none
-    for frac, di in ((frac_w, -1), (frac_e, 1)):
+    for name, di in (("arms_w", -1), ("arms_e", 1)):
         ii, jj = np.nonzero(interior & np.roll(crossed, -di, axis=0))
-        frac[ii, jj] = arm_fraction(mask, profile, ii, jj, di, 0)
-    return mask
+        arms[name] = CrossingArms(ii * n2 + jj,
+                                  arm_fraction(mask, profile, ii, jj, di, 0))
+    return dataclasses.replace(mask, **arms)
 
 
 # ----------------------------------------------------------------------

@@ -82,13 +82,20 @@ Each column of a panel takes work arrays as long as the matrix, held
 for the whole factorization and freed when it returns, so the panel
 sets how far the peak memory lies above the factor; on the
 nested-dissection factors the narrower panel is also no slower (the
-panel-width sweep in CHANGES.md).  While SuperLU runs, the solve holds,
-besides the system's own matrix, the folded half when there is one and
-the factorized matrix: S, built in its elimination order by one sparse
-product whose one permuted operand, the black rows of A, is freed with
-every other temporary before the factor, or the permuted whole system.
-Its float32 copy shares its index arrays.  The |A| and |b| of the
-refinement's stop test are built after the first factor.
+panel-width sweep in CHANGES.md).  While SuperLU runs, the solve holds
+only what it needs: the system, the folded half when there is one, the
+input of the factor and the domain, whose mask keeps its node classes
+and the arms that meet the graph, not a grid of them, and whose node
+numbering is int32 wherever the grid's node count fits.  With the red
+elimination the input is S's float32 copy, which shares S's index
+arrays; S's float64 data is dropped before the factor, and should the
+refinement stall, S is formed again from the elimination for the
+float64 factor.  S comes from one sparse product whose one permuted
+operand, the black rows of A, is freed with every other temporary
+before the factor.  Without the elimination the input is the permuted
+whole system, which the residuals also read, and its float32 copy.  The
+|A| and |b| of the refinement's stop test are built after the first
+factor.
 """
 
 from __future__ import annotations
@@ -137,18 +144,24 @@ class DiscreteDomain:
 
     profile: BoundaryProfile
     mask: DomainMask
-    index: np.ndarray        # (nx1, nx2) int, -1 off the unknowns
-    interior_ij: np.ndarray  # (N, 2)
+    index: np.ndarray        # (nx1, nx2), -1 off the unknowns
+    interior_ij: np.ndarray  # (N, 2), stored column by column
 
     @classmethod
     def build(cls, profile: BoundaryProfile, h: float) -> "DiscreteDomain":
+        """Number the interior nodes in (i, j) order.  Both arrays are
+        int32 when the grid's node count fits, else int64, and so is
+        every flat offset or cell id computed from them, all below that
+        count.  ``interior_ij`` is the transpose of a (2, N) array, so
+        that its i and j columns are contiguous."""
         mask = domain_mask(profile, h)
-        interior = mask.cls == INTERIOR
-        index = np.full(mask.cls.shape, -1, dtype=np.int64)
-        ii, jj = np.nonzero(interior)
-        index[ii, jj] = np.arange(ii.size)
+        itype = (np.int32 if mask.cls.size <= np.iinfo(np.int32).max
+                 else np.int64)
+        index = np.full(mask.cls.shape, -1, dtype=itype)
+        ii, jj = np.nonzero(mask.cls == INTERIOR)
+        index[ii, jj] = np.arange(ii.size, dtype=itype)
         return cls(profile=profile, mask=mask, index=index,
-                   interior_ij=np.column_stack((ii, jj)))
+                   interior_ij=np.vstack((ii, jj), dtype=itype).T)
 
     @property
     def n_unknowns(self) -> int:
@@ -253,6 +266,7 @@ def discretize(op: EllipticOperator, dom: DiscreteDomain,
     jj = dom.interior_ij[:, 1]
     N = ii.size
     flat = ii * n2 + jj          # each node's offset in the raveled grid
+    index = dom.index.ravel()
 
     X1 = x1[ii]
     X2 = x2[jj]
@@ -352,15 +366,19 @@ def discretize(op: EllipticOperator, dom: DiscreteDomain,
         np.divide(w2, c, out=c)
         couple(di, dj, c, end_plus)
 
-    # ---- axis second differences with Shortley-Weller arms: fractions
-    # are NaN on whole arms and in (0, 1] elsewhere, so fmin gives 1 on
-    # the whole ones
+    def arm_lengths(arms):
+        """Each node's arm in one direction as a fraction of its spacing:
+        1, but on the arms that meet the graph, whose fractions are
+        scattered to their unknowns."""
+        alpha = np.ones(N)
+        alpha[index.take(arms.at)] = np.fmin(arms.frac, 1.0)
+        return alpha
+
+    # ---- axis second differences with Shortley-Weller arms
     end_w, end_e, end_s, end_n = (ends(di, dj) for di, dj in
                                   ((-1, 0), (1, 0), (0, -1), (0, 1)))
-    alpha_w, alpha_e, alpha_s = (f.ravel().take(flat) for f in
-                                 (mask.frac_w, mask.frac_e, mask.frac_s))
-    for alpha in (alpha_w, alpha_e, alpha_s):
-        np.fmin(alpha, 1.0, out=alpha)
+    alpha_w, alpha_e, alpha_s = (arm_lengths(a) for a in
+                                 (mask.arms_w, mask.arms_e, mask.arms_s))
     alpha_n = 1.0   # the graph never crosses an upward arm
     second_diff(A1, alpha_w, alpha_e, 1, 0, end_w, end_e,
                 *spacings(mask.dx1, ii))
@@ -426,7 +444,6 @@ def discretize(op: EllipticOperator, dom: DiscreteDomain,
     # where they are unknowns, are the previous and next ones
     S = len(slots)
     itype = np.int32 if N * S <= np.iinfo(np.int32).max else np.int64
-    index = dom.index.ravel()
     cols = np.empty((N, S), dtype=itype)
     for s, (di, dj) in enumerate(slots):
         cols[:, s] = (np.arange(dj, N + dj) if di == 0
@@ -645,7 +662,7 @@ def _mirror_fold(system: LinearSystem):
     if not mirrored:
         return None
     first = int(np.searchsorted(ii, dom.mask.center_col))
-    rep = np.arange(-first, ii.size - first)
+    rep = np.arange(-first, ii.size - first, dtype=m.dtype)
     rep[:first] = rep[m[:first]]
     return first, rep
 
@@ -671,7 +688,8 @@ def _folded_system(system: LinearSystem):
     first, rep = fold
     start = A.indptr[first]
     A = sp.csr_matrix((A.data[start:].copy(),
-                       rep.take(A.indices[start:]).astype(A.indices.dtype),
+                       rep.take(A.indices[start:]).astype(A.indices.dtype,
+                                                          copy=False),
                        A.indptr[first:] - start),
                       shape=(n - first, n - first))
     A.sum_duplicates()
@@ -703,13 +721,58 @@ class _RedBlack:
     ``black``: read as CSC they are S^T, which SuperLU factorizes and
     solves transposed.  Row by row S is diagonally dominant, so column
     by column S^T is, and its threshold partial pivoting exchanges no
-    rows."""
+    rows.  ``schur()`` forms S from the other four fields: once when the
+    elimination is set up, and again, the same to the bit, for a float64
+    factor after the solve set ``S`` to None for its float32 copy."""
 
     A: sp.csr_matrix     # the system, float64
     red: np.ndarray      # the red unknowns
     d: np.ndarray        # D, their diagonal entries, all > 0
     black: np.ndarray    # the black unknowns in elimination order
-    S: sp.csr_matrix
+    S: Optional[sp.csr_matrix]
+
+    def schur(self) -> sp.csr_matrix:
+        """S = (A P)_B, canonical CSR with rows and columns in the order
+        ``black``, formed by one sparse product.
+
+        P is the map from x_B to the x whose red equations hold,
+        x_R = -D^-1 A_RB x_B: a red row keeps its off-diagonal entries
+        over -d, a black row holds 1 at its own position.  D^-1 A_RB
+        comes first, which keeps every intermediate within the size of
+        A's entries: on these M-matrices a row of it sums to at most 1 in
+        magnitude.  The rows of A_B. go in elimination order and P's
+        columns take their positions, so the product is S in that order.
+        A_B., a row-permuted copy of half of A, is the only permuted copy;
+        it lives while the product runs and is freed, with P, before the
+        method returns."""
+        A, red, black = self.A, self.red, self.black
+        n = A.shape[0]
+        itype = A.indices.dtype
+        counts = np.diff(A.indptr)
+        is_red = np.zeros(n, dtype=bool)
+        is_red[red] = True
+        # P's entries: a red row's off-diagonal ones, a black row's diagonal
+        keep = A.indices == np.repeat(np.arange(n, dtype=itype), counts)
+        np.not_equal(keep, np.repeat(is_red, counts), out=keep)
+        p_counts = np.where(is_red, counts - 1, 1).astype(itype)
+        del counts, is_red
+        scale = np.ones(n)
+        scale[red] = -self.d
+        values = A.data[keep]
+        values /= np.repeat(scale, p_counts)
+        del scale
+        indptr = np.zeros(n + 1, dtype=itype)
+        np.cumsum(p_counts, out=indptr[1:])
+        values[indptr.take(black)] = 1.0
+        pos = np.zeros(n, dtype=itype)   # each black unknown's position
+        pos[black] = np.arange(black.size, dtype=itype)
+        P = sp.csr_matrix((values, pos.take(A.indices[keep]), indptr),
+                          shape=(n, black.size))
+        del keep, values, pos, indptr, p_counts
+        S = A[black] @ P
+        del P
+        S.sort_indices()
+        return S
 
     def correction(self, lu, dtype) -> Callable:
         """The solve of A d = r through S's factor ``lu`` of type dtype:
@@ -741,26 +804,17 @@ def _red_black(A: sp.csr_matrix, ij: np.ndarray) -> Optional[_RedBlack]:
     equal color must be the n diagonal entries.  Every 5-point system
     passes it, folded or not (the mirror keeps the color on the odd grid
     width); a 9-point split with a12 != 0, whose diagonal arms join nodes
-    of one color, does not.
-
-    S = (A P)_B is then one sparse product, P the map from x_B to the x
-    whose red equations hold: x_R = -D^-1 A_RB x_B.  D^-1 A_RB comes
-    first, which keeps every intermediate within the size of A's entries:
-    on these M-matrices a row of it sums to at most 1 in magnitude.  The
-    rows of A_B. go in elimination order and P's columns take their
-    positions, so the product is S in that order.  A_B., a row-permuted
-    copy of half of A, is the only permuted copy; it lives while the
-    product runs and is freed, with P, before SuperLU does.
-    The order is ``_nested_dissection`` of the black nodes on the rotated
-    lattice u = (i + j - 1)/2, v = (i - j - 1)/2, on which S, which
-    couples the black nodes that a red node joins, is a 9-point stencil.
+    of one color, does not.  S is then one sparse product
+    (``_RedBlack.schur``), formed after every array of the test is
+    freed.  The order is ``_nested_dissection`` of the black nodes on the
+    rotated lattice u = (i + j - 1)/2, v = (i - j - 1)/2, on which S,
+    which couples the black nodes that a red node joins, is a 9-point
+    stencil.
     """
     n = A.shape[0]
-    counts = np.diff(A.indptr)
     is_black = ((ij[:, 0] + ij[:, 1]) & 1).astype(bool)
-    row_black = np.repeat(is_black, counts)
     same = is_black.take(A.indices)
-    np.equal(same, row_black, out=same)
+    np.equal(same, np.repeat(is_black, np.diff(A.indptr)), out=same)
     if np.count_nonzero(same) != n:
         return None
     diag = np.flatnonzero(same)
@@ -768,10 +822,11 @@ def _red_black(A: sp.csr_matrix, ij: np.ndarray) -> Optional[_RedBlack]:
     if not (np.all(diag >= A.indptr[:-1]) and np.all(diag < A.indptr[1:])
             and np.array_equal(A.indices.take(diag), np.arange(n))):
         return None
-    d = A.data.take(diag)
     red = np.flatnonzero(~is_black)
     black = np.flatnonzero(is_black)
-    if black.size == 0 or not np.all(d[red] > 0.0):
+    d = A.data.take(diag.take(red))
+    del diag, is_black
+    if black.size == 0 or not np.all(d > 0.0):
         return None
 
     i, j = ij[black].T
@@ -782,27 +837,9 @@ def _red_black(A: sp.csr_matrix, ij: np.ndarray) -> Optional[_RedBlack]:
     black = black[order[_nested_dissection(
         np.column_stack((u[order], v[order])))]]
     del u, v, order
-    itype = A.indices.dtype
-    pos = np.zeros(n, dtype=itype)   # each black unknown's position
-    pos[black] = np.arange(black.size, dtype=itype)
-
-    # P keeps a red row's off-diagonal entries over -D and a black row's
-    # diagonal entry over itself, 1
-    keep = np.zeros(A.nnz, dtype=bool)
-    keep[diag] = True
-    np.equal(keep, row_black, out=keep)
-    del diag, row_black
-    p_counts = np.where(is_black, 1, counts - 1)
-    scale = np.where(is_black, d, -d)
-    P = sp.csr_matrix((A.data[keep] / np.repeat(scale, p_counts),
-                       pos.take(A.indices[keep]),
-                       np.concatenate(([0], p_counts.cumsum())).astype(itype)),
-                      shape=(n, black.size))
-    del keep, scale, p_counts, counts
-    S = A[black] @ P
-    del P
-    S.sort_indices()
-    return _RedBlack(A=A, red=red, d=d[red], black=black, S=S)
+    elim = _RedBlack(A=A, red=red, d=d, black=black, S=None)
+    elim.S = elim.schur()
+    return elim
 
 
 _MAX_SOLVES = 10   # triangular solves per factor before it counts as stalled
@@ -821,7 +858,10 @@ def _refined_lu_solve(A: sp.spmatrix, b: np.ndarray,
     and which changes no matrix-vector product, so that the float32 copy
     handed to SuperLU can share A's index arrays; so does |A|, which the
     stop test needs and which, with |b|, is built only once the first
-    factor exists, so that neither is held while SuperLU runs.
+    factor exists, so that neither is held while SuperLU runs.  With
+    ``elim``, ``elim.S`` is set to None once its copy for SuperLU exists,
+    so that a float32 factor runs without S's float64 data; a later
+    float64 factor forms S again (``_RedBlack.schur``).
     Starting from x = 0, each step solves for the correction d with the
     factor, the residual scaled by max|r| first so that no entry
     underflows in float32, adds d to x in float64 and recomputes
@@ -862,16 +902,22 @@ def _refined_lu_solve(A: sp.spmatrix, b: np.ndarray,
 
     solves = 0
     for dtype in (np.float32, np.float64):
+        if F is None:
+            F = elim.schur()   # dropped for the stalled float32 factor
         with np.errstate(over="ignore"):
             data = F.data.astype(dtype, copy=False)
         if dtype is np.float32 and not (
                 np.isfinite(data).all()
                 and np.count_nonzero(data) == np.count_nonzero(F.data)):
             continue   # outside float32's range
-        lu = spla.splu(sp.csc_matrix((data, F.indices, F.indptr),
-                                     shape=F.shape),
+        indices, indptr, shape = F.indices, F.indptr, F.shape
+        if elim is not None:
+            # S lives on only in SuperLU's input, which for a float32
+            # factor is the copy: S's float64 data is freed
+            F = elim.S = None
+        lu = spla.splu(sp.csc_matrix((data, indices, indptr), shape=shape),
                        permc_spec="NATURAL", panel_size=_PANEL)
-        del data
+        del data, indices, indptr
         if abs_A is None:
             abs_A = type(A)((np.abs(A.data), A.indices, A.indptr),
                             shape=A.shape)

@@ -478,6 +478,11 @@ def dini_integral(sigma: Modulus, s: float, rel_tol: float = 1e-9,
 # classification
 # ----------------------------------------------------------------------
 
+# the fitted growth exponent below which non-decaying increments read as
+# NonDini: a divergent sum of m^-p has p <= 1
+_NON_DINI_EXPONENT = 1.5
+
+
 def dini_classify(sigma: Modulus, depth: int = 40) -> DiniVerdict:
     """Numeric Dini classification from partial integrals over [2^-m, 1].
 
@@ -485,14 +490,18 @@ def dini_classify(sigma: Modulus, depth: int = 40) -> DiniVerdict:
     one vectorized evaluation of ``sigma`` (`_dyadic_increments`), and the
     partial integrals add them in order.  They are inspected over the last 10
     levels: all successive ratios below 0.9 reads as geometric decay (Dini),
-    all above 0.99 as non-decaying increments (NonDini), anything between is
-    Inconclusive.  A preset's stored analytic flag overrides the verdict;
-    the numeric verdict is always reported alongside.  The growth exponent
-    estimate is the fitted p in I_m ~ m^-p over the deeper half of the
-    levels (large for geometric decay, ~1 for log-type divergence, ~2 for
-    log^2-type convergence).  ``depth`` must lie in [12, 1022], else
-    ``ValueError``: past 1022, 2^-depth is below the smallest normal
-    double and the increments overflow.
+    all above 0.99 as non-decaying increments, anything between is
+    Inconclusive.  The growth exponent estimate is the fitted p in
+    I_m ~ m^-p over the deeper half of the levels (large for geometric
+    decay, ~1 for log-type divergence, ~2 for log^2-type convergence).
+    Ratios above 0.99 read as NonDini only with p below 1.5: the ratios
+    (m/(m+1))^p of I_m ~ m^-p pass 0.99 for every p once m exceeds about
+    100 p, so at depths of a few hundred the window alone no longer
+    separates the convergent log^2 type from the divergent log type.
+    A preset's stored analytic flag overrides the verdict; the numeric
+    verdict is always reported alongside.  ``depth`` must lie in
+    [12, 1022], else ``ValueError``: past 1022, 2^-depth is below the
+    smallest normal double and the increments overflow.
     """
     if depth < 12:
         raise ValueError("depth must be at least 12")
@@ -503,19 +512,6 @@ def dini_classify(sigma: Modulus, depth: int = 40) -> DiniVerdict:
     partials = tuple(zip(np.ldexp(1.0, -np.arange(1, depth + 1)).tolist(),
                          np.cumsum(inc).tolist()))
 
-    window = inc[-11:]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = window[1:] / window[:-1]
-    ratios = np.nan_to_num(ratios, nan=0.0, posinf=np.inf)
-    if np.all(window[1:] == 0.0):
-        numeric = Verdict.DINI
-    elif np.all(ratios < 0.9):
-        numeric = Verdict.DINI
-    elif np.all(ratios > 0.99):
-        numeric = Verdict.NON_DINI
-    else:
-        numeric = Verdict.INCONCLUSIVE
-
     half = inc[depth // 2:]
     ms = np.arange(depth // 2 + 1, depth + 1, dtype=float)
     pos = half > 0.0
@@ -524,6 +520,19 @@ def dini_classify(sigma: Modulus, depth: int = 40) -> DiniVerdict:
         exponent = -slope
     else:
         exponent = math.inf
+
+    window = inc[-11:]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = window[1:] / window[:-1]
+    ratios = np.nan_to_num(ratios, nan=0.0, posinf=np.inf)
+    if np.all(window[1:] == 0.0):
+        numeric = Verdict.DINI
+    elif np.all(ratios < 0.9):
+        numeric = Verdict.DINI
+    elif np.all(ratios > 0.99) and exponent < _NON_DINI_EXPONENT:
+        numeric = Verdict.NON_DINI
+    else:
+        numeric = Verdict.INCONCLUSIVE
 
     verdict = sigma.dini_flag if sigma.dini_flag is not None else numeric
     return DiniVerdict(

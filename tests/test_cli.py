@@ -30,6 +30,15 @@ def test_modulus_log1_verdict(tmp_path):
     assert "verdict: NonDini" in summary
 
 
+def test_modulus_log2_deep_not_nondini(tmp_path):
+    assert run_cli(["modulus", "--preset", "log2", "--depth", "400"],
+                   tmp_path) == 0
+    summary = (tmp_path / "modulus_summary.txt").read_text()
+    assert "verdict: Dini" in summary
+    assert "numeric_verdict: Inconclusive" in summary
+    assert "NonDini" not in summary
+
+
 def test_modulus_bad_csv_exit_2(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("0.0,0.0\n0.5,0.9\n1.0,0.4\n", encoding="utf-8")

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -510,6 +511,51 @@ def _traced_peak(fn, *args):
             tracemalloc.stop()
 
 
+def _traced_held(fn, *args):
+    """(fn(*args), the bytes traced after it above those held before)."""
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+def test_domain_mask_holds_crossing_arms_only():
+    # the mask keeps its classes, coordinates and spacings, and per
+    # direction only the arms that meet the graph, not a grid of them
+    prof = G.preset_profile("log1", R0=0.5)
+    mask, held = _traced_held(G.domain_mask, prof, 2.0**-8)
+    arms = (mask.arms_w, mask.arms_e, mask.arms_s)
+    n_arms = sum(a.at.size for a in arms)
+    assert n_arms > 0
+    grid = sum(v.nbytes for v in (mask.cls, mask.x1, mask.x2, mask.dx1,
+                                  mask.dx2))
+    assert held <= grid + 64 * n_arms
+
+
+def test_dense_fractions_are_the_arms_on_a_nan_grid():
+    # the frac_w/e/s views are the arms scattered into NaN grids, bitwise,
+    # so a crossing count read off them is the arm count: 1,022 west and
+    # east arms on log1 at h = 2^-10
+    mask = G.domain_mask(G.preset_profile("log1", R0=0.5), 2.0**-10)
+    for arms, dense in ((mask.arms_w, mask.frac_w),
+                        (mask.arms_e, mask.frac_e),
+                        (mask.arms_s, mask.frac_s)):
+        expect = np.full(mask.cls.shape, np.nan)
+        expect.ravel()[arms.at] = arms.frac
+        assert dense.tobytes() == expect.tobytes()
+        assert np.count_nonzero(~np.isnan(dense)) == arms.at.size
+        assert np.all(np.diff(arms.at) > 0)
+        assert np.all(mask.cls.ravel()[arms.at] == G.INTERIOR)
+    crossings = (np.count_nonzero(~np.isnan(mask.frac_w))
+                 + np.count_nonzero(~np.isnan(mask.frac_e)))
+    assert crossings == 1022
+
+
 @pytest.mark.parametrize("op", [
     pytest.param(E.preset_operator(o), id=o) for o in ("laplace", "drift:1.5")
 ] + MIXED_DRIFT[:1])
@@ -1000,6 +1046,53 @@ def test_stalled_refinement_falls_back_to_float64(monkeypatch):
     assert dtypes == [np.float32, np.float64]
     assert np.linalg.norm(b - A @ x) / np.linalg.norm(b) <= 1e-12
     assert np.abs(x - x_true).max() <= 1e-9
+
+
+def test_stalled_schur_refinement_rebuilds_s(monkeypatch):
+    # a float32 factor of 3 S shrinks each correction's black part 3-fold,
+    # so the corrections never halve and the refinement stalls; S was
+    # dropped for the float32 copy, and the float64 factor is of S formed
+    # again from the elimination, the same to the bit
+    system = _laplace_system(G.preset_profile("log1", R0=0.5), 2.0**-7)
+    S = _schur_input(system).S
+    ref = _float64_reference(system)
+    factored = []
+    splu = spla.splu
+
+    def tripled(M, **kwargs):
+        factored.append(M.copy())
+        if M.dtype == np.float32:
+            M = sp.csc_matrix((3.0 * M.data, M.indices, M.indptr),
+                              shape=M.shape)
+        return splu(M, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", tripled)
+    sol = F.solve(system)
+    assert [M.dtype for M in factored] == [np.float32, np.float64]
+    rebuilt = factored[1]
+    for a, b in ((rebuilt.data, S.data), (rebuilt.indices, S.indices),
+                 (rebuilt.indptr, S.indptr)):
+        np.testing.assert_array_equal(a, b)
+    assert np.abs(sol.vec - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_float32_factor_holds_no_float64_schur(monkeypatch):
+    # once the float32 copy of S exists, S's float64 data is freed before
+    # SuperLU starts
+    system = _laplace_system(G.preset_profile("log1", R0=0.5), 2.0**-6)
+    A, b, ij, _ = F._folded_system(system)
+    elim = F._red_black(A, ij)
+    s_data = weakref.ref(elim.S.data)
+    seen = []
+    splu = spla.splu
+
+    def watching(M, **kwargs):
+        seen.append((M.dtype, s_data() is None))
+        return splu(M, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", watching)
+    F._refined_lu_solve(A, b, elim)
+    assert seen == [(np.float32, True)]
 
 
 @pytest.mark.parametrize("op_id", ["drift:1e39", "aniso:1e35,1",

@@ -234,6 +234,20 @@ def test_classify_depth_within_double_range():
         M.dini_classify(M.preset_modulus("log1"), depth=1023)
 
 
+@pytest.mark.parametrize("depth", [400, 1022])
+def test_classify_log_pair_at_depth(depth):
+    # past a few hundred levels the increment ratios of log1 and of the
+    # Dini log2 both pass 0.99; the fitted exponent (about 1 against 2)
+    # keeps log2 from reading NonDini
+    v1 = M.dini_classify(M.preset_modulus("log1"), depth=depth)
+    v2 = M.dini_classify(M.preset_modulus("log2"), depth=depth)
+    assert v1.numeric_verdict == M.Verdict.NON_DINI
+    assert v1.growth_exponent_estimate == pytest.approx(1.0, abs=0.1)
+    assert v2.numeric_verdict == M.Verdict.INCONCLUSIVE
+    assert v2.growth_exponent_estimate == pytest.approx(2.0, abs=0.1)
+    assert min(v2.increment_ratios) > 0.99
+
+
 def test_classify_tabulated_without_flag():
     table = M.from_table([0.0, 0.25, 0.5, 1.0], [0.0, 0.25, 0.5, 1.0])
     v = M.dini_classify(table)
