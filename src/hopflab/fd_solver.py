@@ -47,18 +47,20 @@ radial profiles.  Any other system, for instance one with a12 != 0 or a
 drift, is not folded.  Either way the residual is that of the full
 system.
 
-A system whose off-diagonal entries all join a red node ((i + j) even)
-and a black one, which is every 5-point system (a12 = 0), folded or not,
-has a diagonal red block D > 0.  Its red unknowns are eliminated first,
-one step of cyclic reduction (Buzbee, Golub & Nielson, SIAM J. Numer.
-Anal. 7(4), 1970), and SuperLU factorizes the Schur complement
-S = A_BB - A_BR D^-1 A_RB of the black ones, again an M-matrix with row
-sums >= 0, in the nested-dissection order of the black nodes on the
-rotated lattice, where S is a 9-point stencil.  S has half the columns
-of A, and on the presets at h = 2^-6 to 2^-10 its factor 37-52% less
-fill than A's (CHANGES.md).  A 9-point split with a12 != 0, whose
-diagonal arms join nodes of one color, keeps the factor of the whole
-system.  The selection comes from the matrix alone.
+Every system takes one path: its red unknowns ((i + j) even) are
+eliminated first, one step of cyclic reduction (Buzbee, Golub &
+Nielson, SIAM J. Numer. Anal. 7(4), 1970), and SuperLU factorizes the
+Schur complement S = A_BB - A_BR D^-1 A_RB of the black ones, again an
+M-matrix with row sums >= 0.  A system whose off-diagonal entries all
+join a red node and a black one, which is every 5-point system
+(a12 = 0), folded or not, has a diagonal red block D > 0; its black
+nodes go in their nested-dissection order on the rotated lattice, where
+S is a 9-point stencil.  S has half the columns of A, and on the presets
+at h = 2^-6 to 2^-10 its factor 37-52% less fill than A's (CHANGES.md).
+A 9-point split with a12 != 0, whose diagonal arms join nodes of one
+color, is the case with no red unknown: every node is black, in the
+nested-dissection order of the grid, and S is the whole system in that
+order.  The selection comes from the matrix alone.
 
 The LU factors are computed and stored in single precision, half the
 bytes of double, and the solution is refined in double precision
@@ -67,9 +69,10 @@ until the residual is within the rounding bound of its own computation
 and the error left, estimated from the contraction of the last two
 corrections, is within that bound carried to the solution (Demmel et
 al., ACM TOMS 32(2), 2006), so the result carries double-precision
-accuracy.  The residual is that of the (folded) system; with the red
-elimination each correction is d_B = S^-1 (r_B - A_BR D^-1 r_R),
-d_R = D^-1 (r_R - A_RB d_B), only the solve with S in float32.  A
+accuracy.  The residual is that of the (folded) system, and each
+correction is d_B = S^-1 (r_B - A_BR D^-1 r_R), d_R = D^-1 (r_R -
+A_RB d_B), only the solve with S in float32; with no red unknown it is
+d = S^-1 r.  A
 refinement that stalls, which takes a condition number near 1/u_32,
 falls back to a double-precision factor driven by the same loop
 (Buttari et al., ACM TOMS 34(4), 2008; Higham, Accuracy and Stability
@@ -86,14 +89,13 @@ panel-width sweep in CHANGES.md).  While SuperLU runs, the solve holds
 only what it needs: the system, the folded half when there is one, the
 input of the factor and the domain, whose mask keeps its node classes
 and the arms that meet the graph, not a grid of them, and whose node
-numbering is int32 wherever the grid's node count fits.  With the red
-elimination the input is S's float32 copy, which shares S's index
-arrays; S's float64 data is dropped before the factor, and should the
-refinement stall, S is formed again from the elimination for the
-float64 factor.  S comes from one sparse product whose one permuted
-operand, the black rows of A, is freed with every other temporary
-before the factor.  Without the elimination the input is the permuted
-whole system, which the residuals also read, and its float32 copy.  The
+numbering is int32 wherever the grid's node count fits.  The input is
+S's float32 copy, which shares S's index arrays; S's float64 data is
+dropped before the factor, and should the refinement stall, S is formed
+again from the elimination for the float64 factor.  S comes from one
+sparse product whose one permuted operand, the black rows of A (all of
+them when no unknown is red), is freed with every other temporary
+before the factor.  The residuals read the (folded) system itself.  The
 |A| and |b| of the refinement's stop test are built after the first
 factor.
 """
@@ -199,14 +201,14 @@ class DiscreteSolution:
     vec: np.ndarray
     residual_norm: float
     # refinement steps, each one pair of triangular solves with the
-    # factor of the matrix ``fill`` counts (counting those with a stalled
-    # float32 factor)
+    # factor of the Schur complement ``fill`` counts (counting those with
+    # a stalled float32 factor)
     iterations: int
     dom: DiscreteDomain
     method: str
     # entries SuperLU stores for the L and U factors of the matrix it
-    # factorized: the Schur complement of the black unknowns when the red
-    # ones were eliminated, else the whole system; of the folded half
+    # factorized: the Schur complement of the black unknowns, which is the
+    # whole system when no unknown is red (a12 != 0); of the folded half
     # when the system was mirror-folded.  The same for a float32 as for a
     # float64 factor.  Under the nested-dissection order this is within
     # 0.1% of nnz(L) + nnz(U) and, unlike that, needs no copy of the
@@ -453,6 +455,16 @@ def discretize(op: EllipticOperator, dom: DiscreteDomain,
                            shape=(N, N))
     del V, cols
     matrix.eliminate_zeros()
+    # scipy copies the kept slots out only when fewer than half survive;
+    # else data and indices are views that hold the whole table.  Where
+    # a12 takes both signs or is 0 on part of the grid, diagonal slot
+    # pairs are empty at many nodes (13-22% of the table on the presets
+    # at h = 2^-9), and the kept slots are copied out.  Arms that end on
+    # the curve empty a few percent at most, not worth a copy, which
+    # raised the peak RSS of a 5-point solve at 2^-10 by 15 MiB
+    if matrix.data.base is not None and 10 * matrix.nnz < 9 * N * S:
+        matrix.data = matrix.data.copy()
+        matrix.indices = matrix.indices.copy()
     return LinearSystem(matrix=matrix, rhs=rhs, dom=dom, bc=bc_top_side)
 
 
@@ -696,27 +708,16 @@ def _folded_system(system: LinearSystem):
     return A, system.rhs[first:], system.dom.interior_ij[first:], rep
 
 
-def _nd_permuted(A: sp.csr_matrix, ij: np.ndarray):
-    """``(B, pos)``: A as CSC in the ``_nested_dissection`` order of its
-    unknowns at grid coordinates ``ij``, ``pos`` the int32 elimination
-    position of each, built by one COO to CSC conversion that puts the
-    entry (row, col) at (pos[row], pos[col])."""
-    p = _nested_dissection(ij)
-    pos = np.empty(p.size, dtype=np.int32)
-    pos[p] = np.arange(p.size, dtype=np.int32)
-    del p
-    rows = np.repeat(pos, np.diff(A.indptr))
-    return sp.csc_matrix((A.data, (rows, pos.take(A.indices))),
-                         shape=A.shape), pos
-
-
 @dataclass
 class _RedBlack:
-    """Elimination of the red unknowns ((i + j) even) of a system A whose
-    off-diagonal entries all join a red and a black node.
+    """Elimination of the red unknowns ((i + j) even) of a system A, of
+    which there may be none.
 
-    The red block D is then diagonal, and the black unknowns solve the
-    Schur complement S = A_BB - A_BR D^-1 A_RB.  ``S`` holds S's
+    There are red unknowns only when every off-diagonal entry of A joins a
+    red and a black node, so that the red block D is diagonal; else
+    ``red`` and ``d`` are empty and every unknown is black.  The black
+    unknowns solve the Schur complement S = A_BB - A_BR D^-1 A_RB, which
+    with no red unknown is A in the order ``black``.  ``S`` holds S's
     canonical CSR arrays with rows and columns in elimination order
     ``black``: read as CSC they are S^T, which SuperLU factorizes and
     solves transposed.  Row by row S is diagonally dominant, so column
@@ -726,7 +727,7 @@ class _RedBlack:
     factor after the solve set ``S`` to None for its float32 copy."""
 
     A: sp.csr_matrix     # the system, float64
-    red: np.ndarray      # the red unknowns
+    red: np.ndarray      # the red unknowns, none for a 9-point system
     d: np.ndarray        # D, their diagonal entries, all > 0
     black: np.ndarray    # the black unknowns in elimination order
     S: Optional[sp.csr_matrix]
@@ -742,9 +743,12 @@ class _RedBlack:
         A's entries: on these M-matrices a row of it sums to at most 1 in
         magnitude.  The rows of A_B. go in elimination order and P's
         columns take their positions, so the product is S in that order.
-        A_B., a row-permuted copy of half of A, is the only permuted copy;
-        it lives while the product runs and is freed, with P, before the
-        method returns."""
+        With no red unknown P is a permutation and S is A[black][:, black]
+        to the bit, each entry one product with 1; A's rows must each hold
+        their diagonal entry, as those of ``discretize`` do.  A_B., a
+        row-permuted copy of half of A, or of all of it with no red
+        unknown, is the only permuted copy; it lives while the product
+        runs and is freed, with P, before the method returns."""
         A, red, black = self.A, self.red, self.black
         n = A.shape[0]
         itype = A.indices.dtype
@@ -778,26 +782,31 @@ class _RedBlack:
         """The solve of A d = r through S's factor ``lu`` of type dtype:
         d_B = S^-1 (r_B - A_BR D^-1 r_R), then d_R = D^-1 (r_R - A_RB d_B),
         the products with A_BR and A_RB taken as products with A of a
-        vector zero on the other color."""
+        vector zero on the other color.  With no red unknown it is
+        d = S^-1 r, with no product with A."""
         A, red, d, black = self.A, self.red, self.d, self.black
 
         def solve(r):
             z = np.zeros(r.size)
-            z[red] = r[red] / d
-            reduced = r[black] - (A @ z)[black]
-            z[red] = 0.0
+            reduced = r[black]
+            if red.size:
+                z[red] = r[red] / d
+                reduced -= (A @ z)[black]
+                z[red] = 0.0
             z[black] = lu.solve(reduced.astype(dtype),
                                 trans="T").astype(np.float64)
-            z[red] = (r[red] - (A @ z)[red]) / d
+            if red.size:
+                z[red] = (r[red] - (A @ z)[red]) / d
             return z
 
         return solve
 
 
-def _red_black(A: sp.csr_matrix, ij: np.ndarray) -> Optional[_RedBlack]:
-    """The red elimination of A, canonical CSR over grid nodes at ``ij``
-    in (i, j) order; None when an off-diagonal entry joins two nodes of
-    one color, a red diagonal entry is not positive, or no node is black.
+def _red_black(A: sp.csr_matrix, ij: np.ndarray) -> _RedBlack:
+    """The elimination of A, canonical CSR over grid nodes at ``ij`` in
+    (i, j) order, chosen from the matrix alone: of its red unknowns, or
+    of none when an off-diagonal entry joins two nodes of one color, a
+    red diagonal entry is not positive, or no node is black.
 
     The test comes first and builds no matrix: one pass compares the color
     of every entry's column with that of its row, and the entries of
@@ -806,37 +815,39 @@ def _red_black(A: sp.csr_matrix, ij: np.ndarray) -> Optional[_RedBlack]:
     width); a 9-point split with a12 != 0, whose diagonal arms join nodes
     of one color, does not.  S is then one sparse product
     (``_RedBlack.schur``), formed after every array of the test is
-    freed.  The order is ``_nested_dissection`` of the black nodes on the
-    rotated lattice u = (i + j - 1)/2, v = (i - j - 1)/2, on which S,
-    which couples the black nodes that a red node joins, is a 9-point
-    stencil.
+    freed.  With red unknowns the order is ``_nested_dissection`` of the
+    black nodes on the rotated lattice u = (i + j - 1)/2,
+    v = (i - j - 1)/2, on which S, which couples the black nodes that a
+    red node joins, is a 9-point stencil; with none it is that of every
+    node on the grid itself.
     """
     n = A.shape[0]
     is_black = ((ij[:, 0] + ij[:, 1]) & 1).astype(bool)
     same = is_black.take(A.indices)
     np.equal(same, np.repeat(is_black, np.diff(A.indptr)), out=same)
-    if np.count_nonzero(same) != n:
-        return None
     diag = np.flatnonzero(same)
     del same
-    if not (np.all(diag >= A.indptr[:-1]) and np.all(diag < A.indptr[1:])
-            and np.array_equal(A.indices.take(diag), np.arange(n))):
-        return None
     red = np.flatnonzero(~is_black)
     black = np.flatnonzero(is_black)
-    d = A.data.take(diag.take(red))
-    del diag, is_black
-    if black.size == 0 or not np.all(d > 0.0):
-        return None
-
-    i, j = ij[black].T
-    u = (i + j) >> 1
-    v = (i - j) >> 1
-    del i, j
-    order = np.lexsort((v, u))
-    black = black[order[_nested_dissection(
-        np.column_stack((u[order], v[order])))]]
-    del u, v, order
+    del is_black
+    colored = (diag.size == n and black.size > 0
+               and np.all(diag >= A.indptr[:-1])
+               and np.all(diag < A.indptr[1:])
+               and np.array_equal(A.indices.take(diag), np.arange(n)))
+    d = A.data.take(diag.take(red)) if colored else None
+    del diag
+    if colored and np.all(d > 0.0):
+        i, j = ij[black].T
+        u = (i + j) >> 1
+        v = (i - j) >> 1
+        del i, j
+        order = np.lexsort((v, u))
+        black = black[order[_nested_dissection(
+            np.column_stack((u[order], v[order])))]]
+        del u, v, order
+    else:
+        red, d = red[:0], np.empty(0)
+        black = _nested_dissection(ij)
     elim = _RedBlack(A=A, red=red, d=d, black=black, S=None)
     elim.S = elim.schur()
     return elim
@@ -846,22 +857,18 @@ _MAX_SOLVES = 10   # triangular solves per factor before it counts as stalled
 _PANEL = 4         # columns per SuperLU panel (module docstring)
 
 
-def _refined_lu_solve(A: sp.spmatrix, b: np.ndarray,
-                      elim: Optional[_RedBlack] = None):
-    """Solve A x = b by a float32 LU, refined in float64.
+def _refined_lu_solve(elim: _RedBlack, b: np.ndarray):
+    """Solve A x = b, A = ``elim.A``, by a float32 LU of its Schur
+    complement S (``_RedBlack``), refined in float64.
 
-    Without ``elim`` the LU is that of the CSC matrix A, which comes in
-    its elimination order; with it, that of its Schur complement S
-    (``_RedBlack``), and A is the CSR system.  SuperLU factorizes the
-    matrix as it is (``permc_spec="NATURAL"``), ``_PANEL`` columns at a
-    time.  A is put in canonical form in place, which SuperLU requires
-    and which changes no matrix-vector product, so that the float32 copy
-    handed to SuperLU can share A's index arrays; so does |A|, which the
-    stop test needs and which, with |b|, is built only once the first
-    factor exists, so that neither is held while SuperLU runs.  With
-    ``elim``, ``elim.S`` is set to None once its copy for SuperLU exists,
-    so that a float32 factor runs without S's float64 data; a later
-    float64 factor forms S again (``_RedBlack.schur``).
+    SuperLU factorizes S^T, S's canonical CSR arrays read as CSC, as it
+    comes (``permc_spec="NATURAL"``), ``_PANEL`` columns at a time.  Its
+    float32 copy shares S's index arrays, and ``elim.S`` is set to None
+    once the copy exists, so that a float32 factor runs without S's
+    float64 data; a later float64 factor forms S again
+    (``_RedBlack.schur``).  |A|, which the stop test needs, shares A's
+    index arrays and, with |b|, is built only once the first factor
+    exists, so that neither is held while SuperLU runs.
     Starting from x = 0, each step solves for the correction d with the
     factor, the residual scaled by max|r| first so that no entry
     underflows in float32, adds d to x in float64 and recomputes
@@ -890,31 +897,29 @@ def _refined_lu_solve(A: sp.spmatrix, b: np.ndarray,
 
     Returns ``(x, SuperLU.nnz of the last factor, triangular solves)``.
     """
-    A.sum_duplicates()   # in place: SuperLU needs canonical indices
+    A = elim.A
     m = int(A.getnnz(axis=1).max()) + 1
     u = np.finfo(np.float64).eps / 2.0
     gamma = m * u / (1.0 - m * u)
     abs_A = abs_b = None
-    F = A if elim is None else elim.S   # the matrix SuperLU factorizes
 
     def at_rounding_level(r, x):
         return bool(np.all(np.abs(r) <= gamma * (abs_b + abs_A @ np.abs(x))))
 
     solves = 0
     for dtype in (np.float32, np.float64):
-        if F is None:
-            F = elim.schur()   # dropped for the stalled float32 factor
+        # S was dropped for a stalled float32 factor: formed again
+        S = elim.S if elim.S is not None else elim.schur()
         with np.errstate(over="ignore"):
-            data = F.data.astype(dtype, copy=False)
+            data = S.data.astype(dtype, copy=False)
         if dtype is np.float32 and not (
                 np.isfinite(data).all()
-                and np.count_nonzero(data) == np.count_nonzero(F.data)):
+                and np.count_nonzero(data) == np.count_nonzero(S.data)):
             continue   # outside float32's range
-        indices, indptr, shape = F.indices, F.indptr, F.shape
-        if elim is not None:
-            # S lives on only in SuperLU's input, which for a float32
-            # factor is the copy: S's float64 data is freed
-            F = elim.S = None
+        indices, indptr, shape = S.indices, S.indptr, S.shape
+        # S lives on only in SuperLU's input, which for a float32 factor
+        # is the copy: S's float64 data is freed
+        S = elim.S = None
         lu = spla.splu(sp.csc_matrix((data, indices, indptr), shape=shape),
                        permc_spec="NATURAL", panel_size=_PANEL)
         del data, indices, indptr
@@ -923,11 +928,7 @@ def _refined_lu_solve(A: sp.spmatrix, b: np.ndarray,
                             shape=A.shape)
             abs_b = np.abs(b)
         fill = int(lu.nnz)
-        if elim is None:
-            def correction(r, lu=lu, dtype=dtype):
-                return lu.solve(r.astype(dtype)).astype(np.float64)
-        else:
-            correction = elim.correction(lu, dtype)
+        correction = elim.correction(lu, dtype)
         x = np.zeros(b.size)
         r, last = b, np.inf
         backward = done = at_rounding_level(r, x)
@@ -958,15 +959,15 @@ def _refined_lu_solve(A: sp.spmatrix, b: np.ndarray,
 def solve(system: LinearSystem) -> DiscreteSolution:
     """Solve the assembled system by a sparse LU factorization.
 
-    The path is the one the module docstring describes: the mirror fold
-    when the system allows it (``_folded_system``); the elimination of
-    the red unknowns when every off-diagonal entry joins the two colors
-    (``_red_black``), which leaves SuperLU the Schur complement of the
-    black ones in their nested-dissection order on the rotated lattice,
-    or else the nested-dissection order of the whole system
-    (``_nd_permuted``); and a float32 LU refined in float64 against the
-    (folded) system, with a float64 factor should the refinement stall
-    (``_refined_lu_solve``).  The selection comes from the matrix alone.
+    The path is the one the module docstring describes, the same for
+    every system: the mirror fold when the system allows it
+    (``_folded_system``); the elimination of the red unknowns, none when
+    an off-diagonal entry joins two nodes of one color (``_red_black``),
+    which leaves SuperLU the Schur complement of the black ones in their
+    nested-dissection order; and a float32 LU of it refined in float64
+    against the (folded) system, with a float64 factor should the
+    refinement stall (``_refined_lu_solve``).  The selection comes from
+    the matrix alone.
     Neither the elimination nor the order changes the unknown numbering,
     ``system.matrix`` or ``vec``.  A factor too large for memory raises
     ``MemoryError``.  Deterministic for fixed inputs."""
@@ -974,16 +975,8 @@ def solve(system: LinearSystem) -> DiscreteSolution:
     dom = system.dom
     ij = dom.interior_ij
     A, b_f, ij_f, rep = _folded_system(system)
-    elim = _red_black(A, ij_f)
-    if elim is None:
-        A, pos = _nd_permuted(A, ij_f)
-        b_nd = np.empty(b_f.size)
-        b_nd[pos] = b_f
-        y, fill, iterations = _refined_lu_solve(A, b_nd)
-        x_f = y[pos]
-    else:
-        x_f, fill, iterations = _refined_lu_solve(A, b_f, elim)
-    del A, elim
+    x_f, fill, iterations = _refined_lu_solve(_red_black(A, ij_f), b_f)
+    del A
     x = x_f[rep]
     res = float(np.linalg.norm(b - system.matrix @ x)
                 / max(np.linalg.norm(b), 1e-300))

@@ -254,8 +254,9 @@ def test_random_system_principles(s_right, s_left, pieces, a11, a22, t,
     # constant operator |a12| <= min(a11, a22), with or without drift:
     # the matrix is an M-matrix, u stays within the range of its boundary
     # data (0 on the curve) and ordered data give ordered solutions.
-    # With a12 = 0 the red unknowns are eliminated, and the Schur
-    # complement left is again an M-matrix with row sums >= 0
+    # With a12 = 0 the red unknowns are eliminated, with a12 != 0 none
+    # is, and either way the Schur complement left is again an M-matrix
+    # with row sums >= 0
     slopes = [s_right, -s_left] + [p for p, _ in pieces]
     offsets = [0.0, 0.0] + [c for _, c in pieces]
     dom = F.DiscreteDomain.build(_max_affine(slopes, offsets), h)
@@ -268,14 +269,13 @@ def test_random_system_principles(s_right, s_left, pieces, a11, a22, t,
     assert rep["offdiag_ok"], rep
     assert rep["rowsum_ok"], rep
     elim = _schur_input(system)
-    assert (elim is None) == (a12 != 0.0)
-    if elim is not None:
-        S = elim.S.tocoo()
-        assert S.data[S.row != S.col].max(initial=0.0) <= 0.0
-        diag = elim.S.diagonal()
-        assert np.all(diag > 0.0)
-        rowsum = np.asarray(elim.S.sum(axis=1)).ravel()
-        assert np.all(rowsum >= -1e-12 * diag)
+    assert (elim.red.size == 0) == (a12 != 0.0)
+    S = elim.S.tocoo()
+    assert S.data[S.row != S.col].max(initial=0.0) <= 0.0
+    diag = elim.S.diagonal()
+    assert np.all(diag > 0.0)
+    rowsum = np.asarray(elim.S.sum(axis=1)).ravel()
+    assert np.all(rowsum >= -1e-12 * diag)
     u1 = F.solve(system).vec
     mask = dom.mask
     ei, ej = np.nonzero(mask.cls == G.EDGE)
@@ -570,6 +570,19 @@ def test_assembly_peak_memory(op):
     assert peak <= 4 * size
 
 
+def test_assembly_holds_only_the_system():
+    # with a12 of both signs a row has 9 slots and about 7 entries, so the
+    # slot table is about 1.3x the system: once its zero slots are dropped
+    # the system keeps compact arrays, not views that hold the table
+    dom = F.DiscreteDomain.build(G.preset_profile("log1", R0=0.5), 2.0**-8)
+    system, held = _traced_held(F.discretize, _a12_sine(), dom, bc_linear)
+    A = system.matrix
+    assert A.nnz < 0.8 * 9 * A.shape[0]
+    size = (A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
+            + system.rhs.nbytes)
+    assert held <= 1.02 * size
+
+
 # ---------------------------------------------------------------- oscillation
 
 def _manufactured_solution(dom, fn):
@@ -758,32 +771,36 @@ def test_nested_dissection_peak_memory():
     assert peak <= 85 * ij.shape[0]
 
 
+def _nd_lu(A, ij):
+    """``(lu, p)``: the float64 LU of the canonical CSR matrix A, over
+    grid nodes at ``ij``, in their nested-dissection order ``p``, with no
+    red elimination."""
+    p = F._nested_dissection(ij)
+    return spla.splu(A[p][:, p].tocsc(), permc_spec="NATURAL",
+                     panel_size=F._PANEL), p
+
+
 def _unfolded_nd_solve(system):
-    """The whole system factorized in nested-dissection order and refined:
-    the direct path of a system that does not fold.  Returns
+    """The whole system factorized in nested-dissection order, neither
+    folded nor reduced by the red elimination.  Returns
     (x, SuperLU.nnz)."""
-    p = F._nested_dissection(system.dom.interior_ij)
-    y, fill, _ = F._refined_lu_solve(system.matrix[p][:, p].tocsc(),
-                                     system.rhs[p])
-    x = np.empty(y.size)
-    x[p] = y
-    return x, fill
+    lu, p = _nd_lu(system.matrix, system.dom.interior_ij)
+    x = np.empty(p.size)
+    x[p] = lu.solve(system.rhs[p])
+    return x, lu.nnz
 
 
 def _unfolded_solve(system):
     """The direct path of a system that does not fold: the elimination of
-    its red unknowns when the system allows it, else its
-    nested-dissection LU.  Returns (x, SuperLU.nnz)."""
+    its red unknowns, none for a 9-point system.  Returns
+    (x, SuperLU.nnz)."""
     elim = F._red_black(system.matrix, system.dom.interior_ij)
-    if elim is None:
-        return _unfolded_nd_solve(system)
-    x, fill, _ = F._refined_lu_solve(system.matrix, system.rhs, elim)
+    x, fill, _ = F._refined_lu_solve(elim, system.rhs)
     return x, fill
 
 
 def _schur_input(system):
-    """The red elimination of the (folded) system that ``solve`` factors,
-    or None."""
+    """The red elimination of the (folded) system that ``solve`` factors."""
     A, _, ij, _ = F._folded_system(system)
     return F._red_black(A, ij)
 
@@ -792,8 +809,7 @@ def _whole_nd_fill(system):
     """SuperLU.nnz of the nested-dissection LU of the whole (folded)
     system, without the red elimination."""
     A, _, ij, _ = F._folded_system(system)
-    B, _ = F._nd_permuted(A, ij)
-    return spla.splu(B, permc_spec="NATURAL", panel_size=F._PANEL).nnz
+    return _nd_lu(A, ij)[0].nnz
 
 
 def _laplace_system(profile, h, bc=bc_linear):
@@ -929,7 +945,7 @@ def test_red_black_schur_matches_colamd(profile, bc, op_id, h):
     system = F.discretize(E.preset_operator(op_id),
                           F.DiscreteDomain.build(prof, h), bc)
     elim = _schur_input(system)
-    assert elim is not None
+    assert elim.red.size > 0
     # with a float64 factor of S, one correction solves the (folded)
     # system to rounding
     S = elim.S
@@ -948,16 +964,26 @@ def test_red_black_schur_matches_colamd(profile, bc, op_id, h):
 
 @pytest.mark.parametrize("op", MIXED_DRIFT)
 def test_nine_point_systems_keep_the_whole_factor(op):
-    # a12 != 0: the diagonal arms join nodes of one color, so no red
-    # elimination, and the solve is the whole system's nested-dissection
-    # LU, bitwise
+    # a12 != 0: the diagonal arms join nodes of one color, so no unknown
+    # is red, and SuperLU factors the whole system in the
+    # nested-dissection order of its nodes, bitwise A[p][:, p]
     dom = F.DiscreteDomain.build(G.preset_profile("log1", R0=0.5), 2.0**-7)
     system = F.discretize(op, dom, bc_linear)
-    assert _schur_input(system) is None
+    elim = _schur_input(system)
+    assert elim.red.size == 0 and elim.d.size == 0
+    p = F._nested_dissection(dom.interior_ij)
+    np.testing.assert_array_equal(elim.black, p)
+    ref = system.matrix[p][:, p]
+    ref.sort_indices()
+    for a, b in ((elim.S.indptr, ref.indptr), (elim.S.indices, ref.indices),
+                 (elim.S.data, ref.data)):
+        assert a.tobytes() == b.tobytes()
     sol = F.solve(system)
-    x, fill = _unfolded_nd_solve(system)
-    assert sol.fill == fill
-    np.testing.assert_array_equal(sol.vec, x)
+    assert sol.fill == spla.splu(ref.tocsc(), permc_spec="NATURAL",
+                                 panel_size=F._PANEL).nnz
+    colamd = spla.splu(system.matrix.tocsc(), permc_spec="COLAMD").solve(
+        system.rhs)
+    assert np.abs(sol.vec - colamd).max() <= 1e-12
 
 
 # ---------------------------------------------------------------- refinement
@@ -995,8 +1021,8 @@ def _record_factor_dtypes(monkeypatch):
 @pytest.mark.parametrize("profile_id,op", [
     pytest.param(p, E.preset_operator("laplace"), id=p)
     for p in ("log1", "power:0.5", "wedge:2.0944")
-] + [pytest.param("log1", MIXED_DRIFT[0].values[0],
-                  id=f"log1-{MIXED_DRIFT[0].id}")])
+] + [pytest.param("log1", p.values[0], id=f"log1-{p.id}")
+     for p in MIXED_DRIFT])
 def test_refined_solve_matches_float64_reference(profile_id, op,
                                                  monkeypatch):
     prof = G.preset_profile(profile_id, R0=0.5)
@@ -1018,8 +1044,8 @@ def test_refined_solve_matches_float64_reference(profile_id, op,
     pytest.param("wedge:2.0944", E.preset_operator("laplace"), id="wedge"),
     pytest.param("log1", E.preset_operator("checker:0.25"), id="checker"),
     pytest.param("log1", E.preset_operator("aniso:0.5,2"), id="aniso"),
-    pytest.param("log1", MIXED_DRIFT[0].values[0],
-                 id=f"log1-{MIXED_DRIFT[0].id}")])
+] + [pytest.param("log1", p.values[0], id=f"log1-{p.id}")
+     for p in MIXED_DRIFT])
 def test_refined_solve_reaches_forward_accuracy(profile_id, op):
     # the float32 factor of S contracts the error about 1e-3 a step, so
     # when the residual first passes the backward test the error can still
@@ -1036,16 +1062,28 @@ def test_refined_solve_reaches_forward_accuracy(profile_id, op):
 
 def test_stalled_refinement_falls_back_to_float64(monkeypatch):
     # 1-D Laplacian: kappa ~ 4 n^2 / pi^2 ~ 1.6e8, so kappa u_32 > 1 and
-    # the float32 refinement cannot converge
+    # the float32 refinement cannot converge, with the red half of the
+    # chain eliminated or with none of it red.  The chains lie so that the
+    # nodes the order sees share a grid line, and its table, one entry
+    # per cell of their bounding box, stays n entries long: a staircase,
+    # whose consecutive nodes alternate in color and whose black nodes
+    # share a line of the rotated lattice, and one grid column with the
+    # nodes two rows apart, all red
     n = 20_000
     A = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n), format="csr")
     x_true = np.random.default_rng(2).normal(size=n)
     b = A @ x_true
+    k = np.arange(n)
     dtypes = _record_factor_dtypes(monkeypatch)
-    x, _, _ = F._refined_lu_solve(A.tocsc(), b)
-    assert dtypes == [np.float32, np.float64]
-    assert np.linalg.norm(b - A @ x) / np.linalg.norm(b) <= 1e-12
-    assert np.abs(x - x_true).max() <= 1e-9
+    for ij, red in ((np.column_stack((k >> 1, (k + 1) >> 1)), True),
+                    (np.column_stack((0 * k, 2 * k)), False)):
+        elim = F._red_black(A, ij)
+        assert (elim.red.size > 0) == red
+        dtypes.clear()
+        x, _, _ = F._refined_lu_solve(elim, b)
+        assert dtypes == [np.float32, np.float64]
+        assert np.linalg.norm(b - A @ x) / np.linalg.norm(b) <= 1e-12
+        assert np.abs(x - x_true).max() <= 1e-9
 
 
 def test_stalled_schur_refinement_rebuilds_s(monkeypatch):
@@ -1078,11 +1116,8 @@ def test_stalled_schur_refinement_rebuilds_s(monkeypatch):
 
 def test_float32_factor_holds_no_float64_schur(monkeypatch):
     # once the float32 copy of S exists, S's float64 data is freed before
-    # SuperLU starts
-    system = _laplace_system(G.preset_profile("log1", R0=0.5), 2.0**-6)
-    A, b, ij, _ = F._folded_system(system)
-    elim = F._red_black(A, ij)
-    s_data = weakref.ref(elim.S.data)
+    # SuperLU starts: on 5-point systems, and on 9-point ones, where S is
+    # the whole system in nested-dissection order
     seen = []
     splu = spla.splu
 
@@ -1091,8 +1126,16 @@ def test_float32_factor_holds_no_float64_schur(monkeypatch):
         return splu(M, **kwargs)
 
     monkeypatch.setattr(spla, "splu", watching)
-    F._refined_lu_solve(A, b, elim)
-    assert seen == [(np.float32, True)]
+    dom = F.DiscreteDomain.build(G.preset_profile("log1", R0=0.5), 2.0**-6)
+    for op in [E.preset_operator("laplace")] + [p.values[0]
+                                                for p in MIXED_DRIFT]:
+        system = F.discretize(op, dom, bc_linear)
+        A, b, ij, _ = F._folded_system(system)
+        elim = F._red_black(A, ij)
+        s_data = weakref.ref(elim.S.data)
+        seen.clear()
+        F._refined_lu_solve(elim, b)
+        assert seen == [(np.float32, True)]
 
 
 @pytest.mark.parametrize("op_id", ["drift:1e39", "aniso:1e35,1",
@@ -1112,23 +1155,31 @@ def test_float32_range_falls_back_to_float64(op_id, monkeypatch):
     assert np.abs(sol.vec - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
-def test_refined_solve_canonicalizes_in_place():
-    # SuperLU sorts the index arrays of a non-canonical input in place; the
-    # float32 copy shares them with A, so A is made canonical first, or
-    # its indices would be reordered under its own data
-    system = _laplace_system(G.preset_profile("log1", R0=0.5), 2.0**-6)
-    A = system.matrix.tocsc()
-    ref = F._refined_lu_solve(A.copy(), system.rhs)
-    cols = np.repeat(np.arange(A.shape[1]), np.diff(A.indptr))
-    order = np.lexsort((np.random.default_rng(0).random(A.nnz), cols))
-    shuffled = sp.csc_matrix((A.data[order], A.indices[order], A.indptr),
-                             shape=A.shape)
-    assert not shuffled.has_sorted_indices
-    v = np.random.default_rng(1).normal(size=A.shape[1])
-    x, fill, solves = F._refined_lu_solve(shuffled, system.rhs)
-    np.testing.assert_array_equal(x, ref[0])
-    assert (fill, solves) == ref[1:]
-    np.testing.assert_array_equal(shuffled @ v, A @ v)
+def test_shuffled_indices_solve_as_canonical():
+    # a system whose CSR rows hold their entries out of column order is
+    # solved as its canonical form, bitwise, folded or not and with 5 or
+    # 9 points, and the caller's matrix, none of whose index arrays the
+    # solve sorts, multiplies as before
+    dom = F.DiscreteDomain.build(G.preset_profile("log1", R0=0.5), 2.0**-6)
+    rng = np.random.default_rng(0)
+    for op, folds in ((E.preset_operator("laplace"), True),
+                      (E.preset_operator("drift:1.5"), False),
+                      (MIXED_DRIFT[0].values[0], False)):
+        system = F.discretize(op, dom, bc_linear)
+        assert (F._mirror_fold(system) is not None) == folds
+        A = system.matrix
+        rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+        order = np.lexsort((rng.random(A.nnz), rows))
+        shuffled = sp.csr_matrix((A.data[order], A.indices[order],
+                                  A.indptr), shape=A.shape)
+        assert not shuffled.has_sorted_indices
+        v = rng.normal(size=A.shape[1])
+        before = shuffled @ v
+        ref = F.solve(system)
+        sol = F.solve(dataclasses.replace(system, matrix=shuffled))
+        assert sol.vec.tobytes() == ref.vec.tobytes()
+        assert (sol.fill, sol.iterations) == (ref.fill, ref.iterations)
+        assert (shuffled @ v).tobytes() == before.tobytes()
 
 
 def test_zero_rhs_gives_zero_solution():
