@@ -154,11 +154,20 @@ def barrier_eval(spec: BarrierSpec, x):
 # admissible-matrix sampling
 # ----------------------------------------------------------------------
 
+MAX_SAMPLED_N = 16   # 2^16 corner matrices of 16 x 16: 134 MB
+
+
 def sample_admissible_matrices(nu: float, n: int, count: int,
                                rng: np.random.Generator) -> np.ndarray:
     """Symmetric matrices with spectrum in [nu, 1/nu]: random spectra
     conjugated by Haar-random orthogonal matrices, plus the deterministic
-    axis-aligned extremes (all corner spectra on the coordinate axes)."""
+    axis-aligned extremes (all corner spectra on the coordinate axes).
+
+    The extremes are 2^n matrices, so n is at most ``MAX_SAMPLED_N`` = 16;
+    a larger n raises ``ValueError`` before anything is allocated."""
+    if n > MAX_SAMPLED_N:
+        raise ValueError(f"the sampled certificates need n <= "
+                         f"{MAX_SAMPLED_N} (2^n corner matrices), got {n}")
     spectra = rng.uniform(nu, 1.0 / nu, size=(count, n))
     gauss = rng.standard_normal((count, n, n))
     q, r = np.linalg.qr(gauss)

@@ -334,7 +334,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[common],
                        help="barrier certificates and property suites")
     p.add_argument("--nu", type=float, default=0.5)
-    p.add_argument("--n", type=int, default=2)
+    p.add_argument("--n", type=int, default=2,
+                   help="dimension, 2 to 16 (2^n corner matrices are "
+                        "sampled)")
     p.add_argument("--s", type=float, default=None,
                    help="radial exponent override (default n/nu^2)")
     p.add_argument("--samples", type=int, default=10000)

@@ -39,13 +39,16 @@ Every system goes through this factorization; one whose factor does not
 fit in memory raises ``MemoryError``.
 
 A radial graph x2 = f(|x1|) with an even operator and even data gives a
-system that is exactly invariant under the mirror x1 -> -x1, and its
-solution is even.  The direct solve checks that invariance bitwise and
-then factorizes only the half grid i >= center_col, with each left-half
-column merged onto its mirror; about half the factorization work on the
-radial profiles.  Any other system, for instance one with a12 != 0 or a
-drift, is not folded.  Either way the residual is that of the full
-system.
+system that is invariant under the mirror x1 -> -x1, and its solution
+is even.  The direct solve factorizes only the half grid
+i >= center_col, with each left-half column merged onto its mirror,
+when the data are even and each dropped left-half row, its columns
+mirrored, is bitwise the row of its mirror: the half system's solution,
+extended evenly, satisfies the kept rows by construction and each
+dropped row as its mirror's row applied to an even vector.  That is
+about half the factorization work on the radial profiles.  Any other
+system, for instance one with a12 != 0 or a drift, is not folded.
+Either way the residual is that of the full system.
 
 Every system takes one path: its red unknowns ((i + j) even) are
 eliminated first, one step of cyclic reduction (Buzbee, Golub &
@@ -633,71 +636,59 @@ def _nested_dissection(ij: np.ndarray) -> np.ndarray:
     return perm.cumsum(out=perm)
 
 
-def _mirror_fold(system: LinearSystem):
-    """Fold of a grid system that is exactly mirror-invariant; else None.
-
-    With ``m`` the unknown at the mirror node (n1 - 1 - i, j) of each
-    unknown, the system folds only when every node has a mirror unknown,
-    ``rhs[m] == rhs`` and ``A[m][:, m] == A``, all bitwise.  Then its
-    solution is even, and the rows of the unknowns with i >= center_col,
-    each column moved to its kept mirror, form a system for that half
-    alone (duplicates summed: on the center column the W and E arms
-    merge, so off-diagonals stay <= 0 and row sums do not change).
-
-    The diagonal is compared first, a necessary condition that rejects a
-    drift, for instance, before the mirrored copy of the whole matrix is
-    built.  A matrix with sorted indices, as ``discretize`` gives, is
-    compared as it is, and the mirrored copy is sorted in place and freed.
-
-    Returns ``(first, rep)``: the first kept unknown, and ``rep`` mapping
-    every unknown to its row in the half system (so ``x = xf[rep]``).
-    Unknowns are numbered in (i, j) order, so the kept ones are those
-    from ``first`` on, and ``rep`` maps them to ``k - first``.
-    """
-    dom = system.dom
-    ii, jj = dom.interior_ij[:, 0], dom.interior_ij[:, 1]
-    m = dom.index[dom.mask.x1.size - 1 - ii, jj]
-    if np.any(m < 0) or not np.array_equal(system.rhs[m], system.rhs):
-        return None
-    A = system.matrix.tocsr()
-    diag = A.diagonal()
-    if not np.array_equal(diag[m], diag):
-        return None
-    if not A.has_sorted_indices:
-        A = A.sorted_indices()
-    B = A[m][:, m]
-    B.sort_indices()
-    mirrored = (np.array_equal(A.indptr, B.indptr)
-                and np.array_equal(A.indices, B.indices)
-                and np.array_equal(A.data, B.data))
-    del B
-    if not mirrored:
-        return None
-    first = int(np.searchsorted(ii, dom.mask.center_col))
-    rep = np.arange(-first, ii.size - first, dtype=m.dtype)
-    rep[:first] = rep[m[:first]]
-    return first, rep
-
-
 def _folded_system(system: LinearSystem):
     """``(A, b, ij, rep)``: the system the direct solve works on, canonical
     CSR in the (i, j) order of its unknowns, their grid coordinates, and
     the map ``x = y[rep]`` from its solution to that of ``system``,
     ``slice(None)`` without a fold.
 
-    Without a fold (``_mirror_fold``) this is ``system`` itself.  With one
-    it is the kept half: the rows from ``first`` on, one contiguous range
-    of the CSR arrays, each column moved to ``rep[col]``, and the entries
-    the fold merges summed."""
+    With ``m`` the unknown at the mirror node (n1 - 1 - i, j) of each
+    unknown and ``first`` the first one with i >= center_col, the system
+    folds when every node has a mirror unknown, ``rhs[m] == rhs``, and
+    each dropped row k < ``first``, its columns moved to their mirrors and
+    sorted, is row ``m[k]``, all bitwise.  The folded system is the kept
+    half: the rows from ``first`` on, one contiguous range of the CSR
+    arrays, each column moved to ``rep[col]``, its kept mirror, and the
+    entries the fold merges summed (on the center column the W and E arms
+    merge, so off-diagonals stay <= 0 and row sums do not change).  Its
+    solution y gives an even x = y[rep] on which the kept rows hold by
+    construction, and each dropped row, being its mirror's row applied to
+    an even x, holds with it.  The center rows are kept and need no test.
+
+    The diagonal is compared first, a necessary condition that rejects a
+    drift, for instance, before any row is copied.  The test copies only
+    the dropped rows, in the order of their mirrors, and compares them
+    with the right-hand rows, a contiguous range of A.  Without a fold
+    this is ``system`` itself, canonical."""
     A = system.matrix.tocsr()
+    if not A.has_canonical_format:
+        A = A.copy()
+        A.sum_duplicates()
+    b, dom = system.rhs, system.dom
     n = A.shape[0]
-    fold = _mirror_fold(system)
-    if fold is None:
-        if not A.has_canonical_format:
-            A = A.copy()
-            A.sum_duplicates()
-        return A, system.rhs, system.dom.interior_ij, slice(None)
-    first, rep = fold
+    ii, jj = dom.interior_ij[:, 0], dom.interior_ij[:, 1]
+    m = dom.index[dom.mask.x1.size - 1 - ii, jj]
+    diag = A.diagonal()
+    folds = (not np.any(m < 0) and np.array_equal(b[m], b)
+             and np.array_equal(diag[m], diag))
+    del diag
+    first = int(np.searchsorted(ii, dom.mask.center_col))
+    if folds:
+        # the dropped rows m[r] of the right-hand rows r >= n - first, their
+        # columns mirrored: a copy, sorted in place, against A's tail
+        R = A[m[n - first:]]
+        R = sp.csr_matrix((R.data, m.take(R.indices).astype(
+            R.indices.dtype, copy=False), R.indptr), shape=R.shape)
+        R.sort_indices()
+        tail = A.indptr[n - first]
+        folds = (np.array_equal(R.indptr, A.indptr[n - first:] - tail)
+                 and np.array_equal(R.indices, A.indices[tail:])
+                 and np.array_equal(R.data, A.data[tail:]))
+        del R
+    if not folds:
+        return A, b, dom.interior_ij, slice(None)
+    rep = np.arange(-first, n - first, dtype=m.dtype)
+    rep[:first] = rep[m[:first]]
     start = A.indptr[first]
     A = sp.csr_matrix((A.data[start:].copy(),
                        rep.take(A.indices[start:]).astype(A.indices.dtype,
@@ -705,7 +696,7 @@ def _folded_system(system: LinearSystem):
                        A.indptr[first:] - start),
                       shape=(n - first, n - first))
     A.sum_duplicates()
-    return A, system.rhs[first:], system.dom.interior_ij[first:], rep
+    return A, b[first:], dom.interior_ij[first:], rep
 
 
 @dataclass
@@ -717,20 +708,18 @@ class _RedBlack:
     red and a black node, so that the red block D is diagonal; else
     ``red`` and ``d`` are empty and every unknown is black.  The black
     unknowns solve the Schur complement S = A_BB - A_BR D^-1 A_RB, which
-    with no red unknown is A in the order ``black``.  ``S`` holds S's
-    canonical CSR arrays with rows and columns in elimination order
-    ``black``: read as CSC they are S^T, which SuperLU factorizes and
-    solves transposed.  Row by row S is diagonally dominant, so column
-    by column S^T is, and its threshold partial pivoting exchanges no
-    rows.  ``schur()`` forms S from the other four fields: once when the
-    elimination is set up, and again, the same to the bit, for a float64
-    factor after the solve set ``S`` to None for its float32 copy."""
+    with no red unknown is A in the order ``black``.  ``schur()`` forms
+    S's canonical CSR arrays, with rows and columns in elimination order
+    ``black``, from the four fields, the same to the bit on every call:
+    read as CSC they are S^T, which SuperLU factorizes and solves
+    transposed.  Row by row S is diagonally dominant, so column by
+    column S^T is, and its threshold partial pivoting exchanges no rows.
+    No S is held here: the solve forms one for each factor it makes."""
 
     A: sp.csr_matrix     # the system, float64
     red: np.ndarray      # the red unknowns, none for a 9-point system
     d: np.ndarray        # D, their diagonal entries, all > 0
     black: np.ndarray    # the black unknowns in elimination order
-    S: Optional[sp.csr_matrix]
 
     def schur(self) -> sp.csr_matrix:
         """S = (A P)_B, canonical CSR with rows and columns in the order
@@ -813,13 +802,13 @@ def _red_black(A: sp.csr_matrix, ij: np.ndarray) -> _RedBlack:
     equal color must be the n diagonal entries.  Every 5-point system
     passes it, folded or not (the mirror keeps the color on the odd grid
     width); a 9-point split with a12 != 0, whose diagonal arms join nodes
-    of one color, does not.  S is then one sparse product
-    (``_RedBlack.schur``), formed after every array of the test is
-    freed.  With red unknowns the order is ``_nested_dissection`` of the
-    black nodes on the rotated lattice u = (i + j - 1)/2,
-    v = (i - j - 1)/2, on which S, which couples the black nodes that a
-    red node joins, is a 9-point stencil; with none it is that of every
-    node on the grid itself.
+    of one color, does not.  S is left to the solve, which forms it by
+    one sparse product (``_RedBlack.schur``) for each factor, after
+    every array of the test is freed.  With red unknowns the order is
+    ``_nested_dissection`` of the black nodes on the rotated lattice
+    u = (i + j - 1)/2, v = (i - j - 1)/2, on which S, which couples the
+    black nodes that a red node joins, is a 9-point stencil; with none
+    it is that of every node on the grid itself.
     """
     n = A.shape[0]
     is_black = ((ij[:, 0] + ij[:, 1]) & 1).astype(bool)
@@ -848,9 +837,7 @@ def _red_black(A: sp.csr_matrix, ij: np.ndarray) -> _RedBlack:
     else:
         red, d = red[:0], np.empty(0)
         black = _nested_dissection(ij)
-    elim = _RedBlack(A=A, red=red, d=d, black=black, S=None)
-    elim.S = elim.schur()
-    return elim
+    return _RedBlack(A=A, red=red, d=d, black=black)
 
 
 _MAX_SOLVES = 10   # triangular solves per factor before it counts as stalled
@@ -862,13 +849,13 @@ def _refined_lu_solve(elim: _RedBlack, b: np.ndarray):
     complement S (``_RedBlack``), refined in float64.
 
     SuperLU factorizes S^T, S's canonical CSR arrays read as CSC, as it
-    comes (``permc_spec="NATURAL"``), ``_PANEL`` columns at a time.  Its
-    float32 copy shares S's index arrays, and ``elim.S`` is set to None
-    once the copy exists, so that a float32 factor runs without S's
-    float64 data; a later float64 factor forms S again
-    (``_RedBlack.schur``).  |A|, which the stop test needs, shares A's
-    index arrays and, with |b|, is built only once the first factor
-    exists, so that neither is held while SuperLU runs.
+    comes (``permc_spec="NATURAL"``), ``_PANEL`` columns at a time.  S is
+    formed for each factor (``_RedBlack.schur``), once for a float32
+    factor and again for a float64 one.  Its float32 copy shares S's
+    index arrays, and S is dropped once the copy exists, so that a
+    float32 factor runs without S's float64 data.  |A|, which the stop
+    test needs, shares A's index arrays and, with |b|, is built only once
+    the first factor exists, so that neither is held while SuperLU runs.
     Starting from x = 0, each step solves for the correction d with the
     factor, the residual scaled by max|r| first so that no entry
     underflows in float32, adds d to x in float64 and recomputes
@@ -907,9 +894,10 @@ def _refined_lu_solve(elim: _RedBlack, b: np.ndarray):
         return bool(np.all(np.abs(r) <= gamma * (abs_b + abs_A @ np.abs(x))))
 
     solves = 0
+    S = None
     for dtype in (np.float32, np.float64):
-        # S was dropped for a stalled float32 factor: formed again
-        S = elim.S if elim.S is not None else elim.schur()
+        # one S per factor; kept when its float32 copy was out of range
+        S = elim.schur() if S is None else S
         with np.errstate(over="ignore"):
             data = S.data.astype(dtype, copy=False)
         if dtype is np.float32 and not (
@@ -919,7 +907,7 @@ def _refined_lu_solve(elim: _RedBlack, b: np.ndarray):
         indices, indptr, shape = S.indices, S.indptr, S.shape
         # S lives on only in SuperLU's input, which for a float32 factor
         # is the copy: S's float64 data is freed
-        S = elim.S = None
+        S = None
         lu = spla.splu(sp.csc_matrix((data, indices, indptr), shape=shape),
                        permc_spec="NATURAL", panel_size=_PANEL)
         del data, indices, indptr

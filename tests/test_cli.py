@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -230,6 +231,21 @@ def test_bad_input_exit_2(tmp_path, capsys, command):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: ")
     assert not out.exists()
+
+
+def test_verify_large_n_exits_2_before_sampling(tmp_path, capsys):
+    # 2^n corner matrices: n = 64 is refused before any is built, with
+    # less than a megabyte traced
+    tracemalloc.start()
+    try:
+        assert run_cli(["verify", "--n", "64"], tmp_path) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert capsys.readouterr().err == (
+        "config error: the sampled certificates need n <= 16 "
+        "(2^n corner matrices), got 64\n")
 
 
 @pytest.mark.parametrize("flag", ["--profiles", "--samples"])

@@ -270,11 +270,12 @@ def test_random_system_principles(s_right, s_left, pieces, a11, a22, t,
     assert rep["rowsum_ok"], rep
     elim = _schur_input(system)
     assert (elim.red.size == 0) == (a12 != 0.0)
-    S = elim.S.tocoo()
-    assert S.data[S.row != S.col].max(initial=0.0) <= 0.0
-    diag = elim.S.diagonal()
+    S = elim.schur()
+    coo = S.tocoo()
+    assert coo.data[coo.row != coo.col].max(initial=0.0) <= 0.0
+    diag = S.diagonal()
     assert np.all(diag > 0.0)
-    rowsum = np.asarray(elim.S.sum(axis=1)).ravel()
+    rowsum = np.asarray(S.sum(axis=1)).ravel()
     assert np.all(rowsum >= -1e-12 * diag)
     u1 = F.solve(system).vec
     mask = dom.mask
@@ -817,6 +818,11 @@ def _laplace_system(profile, h, bc=bc_linear):
     return F.discretize(E.preset_operator("laplace"), dom, bc)
 
 
+def _folds(system):
+    """Whether ``solve`` folds the system onto its kept half."""
+    return not isinstance(F._folded_system(system)[3], slice)
+
+
 @pytest.mark.parametrize("h", [2.0**-6, 2.0**-7])
 @pytest.mark.parametrize("profile_id", ["log1", "power:0.5", "flat",
                                         "cone:0.4", "wedge:2.0944"])
@@ -825,8 +831,8 @@ def test_mirror_fold_matches_full_solve(profile_id, h):
     bc = sector_harmonic(2.0944) if profile_id.startswith("wedge") \
         else bc_linear
     system = _laplace_system(prof, h, bc)
-    fold = F._mirror_fold(system)
-    assert fold is not None
+    half, _, _, rep = F._folded_system(system)
+    assert not isinstance(rep, slice)
     sol = F.solve(system)
     lu = spla.splu(system.matrix.tocsc(), permc_spec="COLAMD")
     assert np.abs(sol.vec - lu.solve(system.rhs)).max() <= 1e-12
@@ -834,8 +840,7 @@ def test_mirror_fold_matches_full_solve(profile_id, h):
     assert 0 < sol.fill < _unfolded_solve(system)[1]
     # the fold only merges columns: the half matrix is still an M-matrix
     # with the row sums of the kept rows
-    first, _ = fold
-    half, _, _, _ = F._folded_system(system)
+    first = system.matrix.shape[0] - half.shape[0]
     coo = half.tocoo()
     assert coo.data[coo.row != coo.col].max() <= 0.0
     np.testing.assert_allclose(np.asarray(half.sum(axis=1)).ravel(),
@@ -857,7 +862,7 @@ def test_mirror_fold_needs_bitwise_symmetry(where):
         matrix.data[matrix.indptr[0]] = np.nextafter(
             matrix.data[matrix.indptr[0]], -np.inf)
         system = dataclasses.replace(system, matrix=matrix)
-    assert F._mirror_fold(system) is None
+    assert not _folds(system)
     sol = F.solve(system)
     x, fill = _unfolded_solve(system)
     assert sol.fill == fill
@@ -882,23 +887,78 @@ def test_mirror_fold_skips_asymmetric_systems(profile, op):
         else profile
     dom = F.DiscreteDomain.build(prof, 2.0**-6)
     system = F.discretize(op, dom, bc_linear)
-    assert F._mirror_fold(system) is None
+    assert not _folds(system)
     assert F.solve(system).fill == _unfolded_solve(system)[1]
 
 
 def test_mirror_fold_rejects_on_the_diagonal_without_a_copy():
     # drift:1.5 on log1 passes the rhs test, and its diagonal already
-    # differs under the mirror: the fold is rejected before the mirrored
-    # copy A[m][:, m], which takes at least A's data and indices, is built
+    # differs under the mirror: the fold is rejected before any row is
+    # copied, and the system comes back as it is
     dom = F.DiscreteDomain.build(G.preset_profile("log1", R0=0.5), 2.0**-8)
     system = F.discretize(E.preset_operator("drift:1.5"), dom, bc_linear)
     ii, jj = dom.interior_ij[:, 0], dom.interior_ij[:, 1]
     m = dom.index[dom.mask.x1.size - 1 - ii, jj]
     assert np.array_equal(system.rhs[m], system.rhs)
-    fold, peak = _traced_peak(F._mirror_fold, system)
-    assert fold is None
-    A = system.matrix
+    (A, _, _, rep), peak = _traced_peak(F._folded_system, system)
+    assert isinstance(rep, slice)
+    assert A is system.matrix
     assert peak < A.data.nbytes + A.indices.nbytes
+
+
+def _nudged_entry(system, i, di):
+    """``system`` with the entry of row (i, j) at column (i + di, j),
+    for the lowest j where both are unknowns, moved by one ulp."""
+    index = system.dom.index
+    j = int(np.flatnonzero((index[i] >= 0) & (index[i + di] >= 0))[0])
+    row, col = index[i, j], index[i + di, j]
+    matrix = system.matrix.copy()
+    matrix[row, col] = np.nextafter(matrix[row, col], -np.inf)
+    return dataclasses.replace(system, matrix=matrix)
+
+
+def test_mirror_fold_tests_only_the_dropped_rows():
+    # a kept center row need not be its own mirror: with its W entry one
+    # ulp off its E entry the system still folds, and the even solution
+    # of the half system solves it, with the unperturbed fill.  A kept row
+    # right of the center is the mirror of a dropped row, so one ulp there
+    # rejects the fold
+    system = _laplace_system(G.preset_profile("log1", R0=0.5), 2.0**-6)
+    c = system.dom.mask.center_col
+    center = _nudged_entry(system, c, -1)
+    assert _folds(center)
+    sol = F.solve(center)
+    ref = spla.splu(center.matrix.tocsc(), permc_spec="COLAMD").solve(
+        center.rhs)
+    assert np.abs(sol.vec - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert sol.fill == F.solve(system).fill
+    right = _nudged_entry(system, c + 1, 1)
+    assert not _folds(right)
+    x, fill = _unfolded_solve(right)
+    sol = F.solve(right)
+    assert sol.fill == fill
+    np.testing.assert_array_equal(sol.vec, x)
+
+
+def test_mirror_fold_peak_memory():
+    # the fold test copies only the dropped rows, not the whole matrix:
+    # with the kept half it builds, the peak stays within 1.5 times A's
+    # data and indices
+    system = _laplace_system(G.preset_profile("log1", R0=0.5), 2.0**-8)
+    (_, _, _, rep), peak = _traced_peak(F._folded_system, system)
+    assert not isinstance(rep, slice)
+    A = system.matrix
+    assert peak <= 1.5 * (A.data.nbytes + A.indices.nbytes)
+
+
+def test_folded_solve_leaves_the_matrix():
+    # no array of the caller's matrix is sorted or written by a folded solve
+    system = _laplace_system(G.preset_profile("log1", R0=0.5), 2.0**-6)
+    assert _folds(system)
+    A = system.matrix
+    before = [a.tobytes() for a in (A.data, A.indices, A.indptr)]
+    F.solve(system)
+    assert [a.tobytes() for a in (A.data, A.indices, A.indptr)] == before
 
 
 _max_affine_pieces = st.lists(
@@ -915,12 +975,12 @@ def test_mirror_fold_random_max_affine(s0, pieces, stretch):
     slopes = [s0, -s0] + [v for s, _ in pieces for v in (s, -s)]
     offsets = [0.0, 0.0] + [c for _, c in pieces for _ in (0, 1)]
     even = _laplace_system(_max_affine(slopes, offsets), 2.0**-5)
-    assert F._mirror_fold(even) is not None
+    assert _folds(even)
     sol = F.solve(even)
     assert np.abs(sol.vec - _unfolded_nd_solve(even)[0]).max() <= 1e-12
     slopes[1] *= 1.0 + stretch
     odd = _laplace_system(_max_affine(slopes, offsets), 2.0**-5)
-    assert F._mirror_fold(odd) is None
+    assert not _folds(odd)
 
 
 _SCHUR_PROFILES = [
@@ -948,7 +1008,7 @@ def test_red_black_schur_matches_colamd(profile, bc, op_id, h):
     assert elim.red.size > 0
     # with a float64 factor of S, one correction solves the (folded)
     # system to rounding
-    S = elim.S
+    S = elim.schur()
     lu = spla.splu(sp.csc_matrix((S.data, S.indices, S.indptr),
                                  shape=S.shape), permc_spec="NATURAL")
     r = np.linspace(-1.0, 1.0, elim.A.shape[0])
@@ -975,8 +1035,9 @@ def test_nine_point_systems_keep_the_whole_factor(op):
     np.testing.assert_array_equal(elim.black, p)
     ref = system.matrix[p][:, p]
     ref.sort_indices()
-    for a, b in ((elim.S.indptr, ref.indptr), (elim.S.indices, ref.indices),
-                 (elim.S.data, ref.data)):
+    S = elim.schur()
+    for a, b in ((S.indptr, ref.indptr), (S.indices, ref.indices),
+                 (S.data, ref.data)):
         assert a.tobytes() == b.tobytes()
     sol = F.solve(system)
     assert sol.fill == spla.splu(ref.tocsc(), permc_spec="NATURAL",
@@ -1092,7 +1153,7 @@ def test_stalled_schur_refinement_rebuilds_s(monkeypatch):
     # dropped for the float32 copy, and the float64 factor is of S formed
     # again from the elimination, the same to the bit
     system = _laplace_system(G.preset_profile("log1", R0=0.5), 2.0**-7)
-    S = _schur_input(system).S
+    S = _schur_input(system).schur()
     ref = _float64_reference(system)
     factored = []
     splu = spla.splu
@@ -1118,24 +1179,29 @@ def test_float32_factor_holds_no_float64_schur(monkeypatch):
     # once the float32 copy of S exists, S's float64 data is freed before
     # SuperLU starts: on 5-point systems, and on 9-point ones, where S is
     # the whole system in nested-dissection order
-    seen = []
-    splu = spla.splu
+    seen, formed = [], []
+    splu, schur = spla.splu, F._RedBlack.schur
 
     def watching(M, **kwargs):
-        seen.append((M.dtype, s_data() is None))
+        seen.append((M.dtype, [s() is None for s in formed]))
         return splu(M, **kwargs)
 
+    def recording(self):
+        S = schur(self)
+        formed.append(weakref.ref(S.data))
+        return S
+
     monkeypatch.setattr(spla, "splu", watching)
+    monkeypatch.setattr(F._RedBlack, "schur", recording)
     dom = F.DiscreteDomain.build(G.preset_profile("log1", R0=0.5), 2.0**-6)
     for op in [E.preset_operator("laplace")] + [p.values[0]
                                                 for p in MIXED_DRIFT]:
         system = F.discretize(op, dom, bc_linear)
         A, b, ij, _ = F._folded_system(system)
-        elim = F._red_black(A, ij)
-        s_data = weakref.ref(elim.S.data)
         seen.clear()
-        F._refined_lu_solve(elim, b)
-        assert seen == [(np.float32, True)]
+        formed.clear()
+        F._refined_lu_solve(F._red_black(A, ij), b)
+        assert seen == [(np.float32, [True])]
 
 
 @pytest.mark.parametrize("op_id", ["drift:1e39", "aniso:1e35,1",
@@ -1166,7 +1232,7 @@ def test_shuffled_indices_solve_as_canonical():
                       (E.preset_operator("drift:1.5"), False),
                       (MIXED_DRIFT[0].values[0], False)):
         system = F.discretize(op, dom, bc_linear)
-        assert (F._mirror_fold(system) is not None) == folds
+        assert _folds(system) == folds
         A = system.matrix
         rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
         order = np.lexsort((rng.random(A.nnz), rows))
