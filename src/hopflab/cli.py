@@ -4,12 +4,15 @@ Exit codes, decided in ``main`` alone: 0 success; 1 a failed check,
 returned only by ``verify`` (certificates, property suites) and
 ``geometry`` (sandwich check); 2 configuration error, for every bad flag,
 config key or missing file; 3 numerical failure (including a system
-whose factorization runs out of memory).  Reports are plain text
-(key: value) and CSV, byte-reproducible for a fixed (config, seed,
-build); every report embeds the resolved configuration.  ``--config
-FILE`` reads key=value lines for grid.h, grid.R0 and bc.kind, which
-flags then override; any other key is a configuration error.  The
-default output directory comes from HOPFLAB_OUT.
+whose factorization runs out of memory).  A preset id given an argument
+it does not take, or missing one it needs, is a configuration error
+(exit 2), as are ``modulus --csv`` together with ``--preset``.  Reports
+are plain text (key: value) and CSV, byte-reproducible for a fixed
+(config, seed, build); every report embeds the resolved configuration.
+``--config FILE`` reads key=value lines for grid.h, grid.R0 and bc.kind,
+which flags then override; any other key, or a key set twice, is a
+configuration error.  The default output directory comes from
+HOPFLAB_OUT.
 """
 
 from __future__ import annotations
@@ -42,8 +45,10 @@ def _read_config(path):
             continue
         if "=" not in line:
             raise ConfigError(f"malformed config line: {raw!r}")
-        key, _, value = line.partition("=")
-        cfg[key.strip()] = value.strip()
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key in cfg:
+            raise ConfigError(f"config key set twice: {key}")
+        cfg[key] = value
     return cfg
 
 
@@ -93,12 +98,14 @@ def _j_cell(sigma, t: float) -> str:
 
 
 def _cmd_modulus(args) -> int:
-    if args.csv:
+    if args.csv is not None:
+        if args.preset is not None:
+            raise ConfigError("--csv and --preset are exclusive")
         sigma = mod.load_csv(args.csv)
         label = f"csv:{args.csv}"
     else:
-        sigma = mod.preset_modulus(args.preset)
-        label = args.preset
+        label = "linear" if args.preset is None else args.preset
+        sigma = mod.preset_modulus(label)
     verdict = mod.dini_classify(sigma, depth=args.depth)
     rows = ["t,sigma,ratio,j_sigma"]
     for t in np.geomspace(2.0 ** -args.depth, 1.0, 25).tolist():
@@ -260,12 +267,12 @@ def _cmd_solve(args) -> int:
 # ----------------------------------------------------------------------
 
 def _cmd_decay(args) -> int:
-    h, R0, bc_kind = _resolve_config(args, 2**-7)
+    h, R0, bc_kind = _resolve_config(args, decay.HopfExperiment.h)
     base = decay.HopfExperiment(profile=args.profile or "log1",
                                 operator=args.op, R0=R0, K=args.K, h=h,
                                 bc=bc_kind, seed=args.seed)
     base.validate()
-    if not args.contrast:
+    if args.contrast is None:
         rep = decay.run_experiment(base)
         _write(args, "decay_levels.csv", decay.report_csv(rep))
         summary = decay.report_summary(rep)
@@ -318,8 +325,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("modulus", parents=[common],
                        help="modulus table and Dini verdict")
-    p.add_argument("--preset", default="linear")
-    p.add_argument("--csv", default=None, help="tabulated modulus CSV")
+    p.add_argument("--preset", default=None, help="default linear")
+    p.add_argument("--csv", default=None,
+                   help="tabulated modulus CSV, in place of --preset")
     p.add_argument("--depth", type=int, default=40)
     p.set_defaults(func=_cmd_modulus)
 
@@ -352,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decay", parents=[common, run],
                        help="dyadic decay experiment / contrast")
     p.add_argument("--profile", default=None)
-    p.add_argument("--K", type=int, default=3)
+    p.add_argument("--K", type=int, default=decay.HopfExperiment.K)
     p.add_argument("--contrast", default=None,
                    help="comma-separated profile list")
     p.set_defaults(func=_cmd_decay)

@@ -27,7 +27,8 @@ from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
-from .modulus import DomainError, Verdict, from_table, preset_modulus
+from .modulus import (DomainError, Verdict, _preset_args, from_table,
+                      preset_modulus)
 
 __all__ = [
     "BallInclusionReport",
@@ -73,9 +74,9 @@ class RadialProfile:
     """F(x') = f(|x'|) with f convex nondecreasing, f(0) = 0."""
 
     f: Callable[[np.ndarray], np.ndarray]
+    df: Callable[[float], float]  # closed-form derivative
     R0: float
     ambient_dim: int = 2
-    df: Optional[Callable[[float], float]] = None  # closed-form derivative
     preset: Optional[str] = None
 
     def height(self, x1):
@@ -84,10 +85,7 @@ class RadialProfile:
         return float(out) if out.ndim == 0 else out
 
     def left_derivative(self, r: float) -> float:
-        if self.df is not None:
-            return float(self.df(r))
-        h = max(r * 1e-7, 1e-13)
-        return (float(self.f(r)) - float(self.f(r - h))) / h
+        return float(self.df(r))
 
 
 @dataclass(frozen=True)
@@ -98,7 +96,6 @@ class MaxAffineProfile:
     offsets: np.ndarray  # (k,)
     R0: float
     ambient_dim: int = 2
-    preset: Optional[str] = None
 
     def __post_init__(self):
         slopes = np.atleast_2d(np.asarray(self.slopes, dtype=float))
@@ -135,72 +132,58 @@ def profile_height(profile: BoundaryProfile, xprime) -> float:
     return float(vals.max())
 
 
+# argument defaults of each profile preset, None where required
+_PROFILE_GRAMMAR = {"flat": (), "cone": (None,), "power": (None,),
+                    "log1": (), "log2": (), "wedge": (2.0 * math.pi / 3.0,)}
+
+
 def preset_profile(spec: str, R0: float = 0.5, ambient_dim: int = 2) -> BoundaryProfile:
     """Boundary profile presets.
 
     "flat", "cone:<c>", "power:<alpha>" (f = rho^(1+alpha)),
     "log1" (f = rho/ln(e R0/rho)), "log2" (f = rho/ln(e R0/rho)^2),
-    "wedge:<theta>" (planar cone of opening angle theta < pi).
+    "wedge[:<theta>]" (planar cone of opening angle theta < pi, default
+    2 pi/3).  cone and power need their one argument, wedge takes at most
+    one, and the others take none; any other count raises ``ValueError``.
     """
     if not 0.0 < R0 <= 1.0:
         raise ValueError(f"patch radius R0 must lie in (0, 1], got {R0}")
-    name, _, arg = spec.partition(":")
-    if name == "flat":
-        return RadialProfile(f=lambda rho: np.zeros_like(np.asarray(rho, float)),
-                             df=lambda r: 0.0, R0=R0,
-                             ambient_dim=ambient_dim, preset=spec)
+    name, args = _preset_args(spec, "profile", _PROFILE_GRAMMAR)
     if name == "cone":
-        c = float(arg)
+        (c,) = args
         if not 0 <= c < math.inf:
             raise ValueError("cone slope must be nonnegative and finite")
-        return RadialProfile(f=lambda rho, c=c: c * np.asarray(rho, float),
-                             df=lambda r, c=c: c, R0=R0,
-                             ambient_dim=ambient_dim, preset=spec)
-    if name == "wedge":
-        theta = float(arg) if arg else 2.0 * math.pi / 3.0
+    elif name == "wedge":
+        (theta,) = args
         if not 0.0 < theta < math.pi:
             raise ValueError("wedge opening angle must lie in (0, pi)")
-        c = 1.0 / math.tan(theta / 2.0)
-        return RadialProfile(f=lambda rho, c=c: c * np.asarray(rho, float),
-                             df=lambda r, c=c: c, R0=R0,
-                             ambient_dim=2, preset=spec)
-    if name == "power":
-        alpha = float(arg)
+        c, ambient_dim = 1.0 / math.tan(theta / 2.0), 2
+    if name == "flat":
+        f, df = (lambda rho: np.zeros_like(np.asarray(rho, float)),
+                 lambda r: 0.0)
+    elif name in ("cone", "wedge"):
+        f, df = lambda rho: c * np.asarray(rho, float), lambda r: c
+    elif name == "power":
+        (alpha,) = args
         if not 0.0 < alpha <= 1.0:
             raise ValueError("power profile needs alpha in (0, 1]")
-        return RadialProfile(
-            f=lambda rho, a=alpha: np.power(np.asarray(rho, float), 1.0 + a),
-            df=lambda r, a=alpha: (1.0 + a) * r**a,
-            R0=R0, ambient_dim=ambient_dim, preset=spec)
-    if name == "log1":
-        def _f(rho, R0=R0):
+        f, df = (lambda rho: np.power(np.asarray(rho, float), 1.0 + alpha),
+                 lambda r: (1.0 + alpha) * r**alpha)
+    else:
+        p = 1 if name == "log1" else 2  # f = rho / L**p, L = ln(e R0/rho)
+
+        def f(rho):
             rho = np.asarray(rho, dtype=float)
             with np.errstate(divide="ignore", invalid="ignore"):
                 L = 1.0 + np.log(R0) - np.log(rho)
-                out = np.where(rho > 0.0, rho / L, 0.0)
+                out = np.where(rho > 0.0, rho / L**p, 0.0)
             return out
 
-        def _df(r, R0=R0):
+        def df(r):
             L = 1.0 + math.log(R0) - math.log(r)
-            return 1.0 / L + 1.0 / L**2
-
-        return RadialProfile(f=_f, df=_df, R0=R0,
-                             ambient_dim=ambient_dim, preset=spec)
-    if name == "log2":
-        def _f(rho, R0=R0):
-            rho = np.asarray(rho, dtype=float)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                L = 1.0 + np.log(R0) - np.log(rho)
-                out = np.where(rho > 0.0, rho / L**2, 0.0)
-            return out
-
-        def _df(r, R0=R0):
-            L = 1.0 + math.log(R0) - math.log(r)
-            return 1.0 / L**2 + 2.0 / L**3
-
-        return RadialProfile(f=_f, df=_df, R0=R0,
-                             ambient_dim=ambient_dim, preset=spec)
-    raise ValueError(f"unknown profile preset {spec!r}")
+            return 1.0 / L**p + p / L**(p + 1)
+    return RadialProfile(f=f, df=df, R0=R0, ambient_dim=ambient_dim,
+                         preset=spec)
 
 
 def validate_profile(profile: BoundaryProfile, samples: int = 200,
@@ -690,8 +673,8 @@ def boundary_modulus(profile: BoundaryProfile):
     modulus (trivially Dini).  Cones and wedges have delta bounded away
     from zero; the domain then sits inside a planar wedge, the regime in
     which the normal derivative already degenerates (hint NonDini)."""
-    preset = getattr(profile, "preset", None) or ""
-    name = preset.partition(":")[0]
+    preset = getattr(profile, "preset", None)
+    name = preset and _preset_args(preset, "profile", _PROFILE_GRAMMAR)[0]
     if name == "flat":
         return None, Verdict.DINI
     if name in ("cone", "wedge"):

@@ -32,7 +32,7 @@ from . import fd_solver as fds
 from .elliptic_operator import preset_operator
 from .modulus import (DiniDivergenceError, Modulus,
                       QuadratureToleranceError, Verdict, dini_classify,
-                      dini_integral, _dyadic_increments)
+                      dini_integral, _dyadic_increments, _preset_args)
 
 __all__ = [
     "AdjustK0Error",
@@ -87,7 +87,7 @@ class HopfExperiment:
     profile: str
     operator: str = "laplace"
     R0: float = 0.5
-    K: int = 4
+    K: int = 3
     h: float = 2.0**-7
     bc: str = "linear"
     seed: int = 0
@@ -137,12 +137,12 @@ def boundary_data(kind: str, profile: geo.BoundaryProfile) -> Callable:
         return lambda X1, X2: np.asarray(X2, dtype=float) * np.ones_like(
             np.asarray(X1, dtype=float))
     if kind == "sector":
-        preset = getattr(profile, "preset", "") or ""
-        name, _, arg = preset.partition(":")
+        preset = getattr(profile, "preset", None)
+        name, args = (_preset_args(preset, "profile", geo._PROFILE_GRAMMAR)
+                      if preset else (None, ()))
         if name != "wedge":
             raise ValueError("sector data requires a wedge profile")
-        theta = float(arg) if arg else 2.0 * math.pi / 3.0
-        return sector_harmonic(theta)
+        return sector_harmonic(*args)
     raise ValueError(f"unknown bc kind {kind!r}")
 
 

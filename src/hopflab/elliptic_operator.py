@@ -10,8 +10,8 @@ majorant |b_eps . grad u| <= |b . grad u| with componentwise
 Discrete L_p norms of grid fields — the concrete realization of the
 function-space norms the solver works with — live here as well.
 
-Operator presets: "laplace", "aniso:<l1>,<l2>", "checker:<eps0>",
-"drift:<scale>".
+Operator presets: "laplace", "aniso:<l1>,<l2>", "checker[:<eps0>]"
+(eps0 = 0.25 by default), "drift[:<scale>]" (scale = 1.0 by default).
 """
 
 from __future__ import annotations
@@ -21,6 +21,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
+
+from .modulus import _preset_args
 
 __all__ = [
     "ApproximantPair",
@@ -66,17 +68,28 @@ def _zero_b(X1, X2):
     return z, z.copy()
 
 
+def _unit_a(X1, X2):
+    ones = np.ones(np.broadcast(X1, X2).shape)
+    return ones, ones.copy(), np.zeros_like(ones)
+
+
+# argument defaults of each operator preset, None where required
+_OPERATOR_GRAMMAR = {"laplace": (), "aniso": (None, None),
+                     "checker": (0.25,), "drift": (1.0,)}
+
+
 def preset_operator(spec: str) -> EllipticOperator:
-    """Operator presets by id; parameters are echoed in ``params``."""
-    name, _, arg = spec.partition(":")
+    """Operator presets by id; parameters are echoed in ``params``.
+
+    "laplace" takes no argument, "aniso:<l1>,<l2>" needs both,
+    "checker[:<eps0>]" defaults to eps0 = 0.25 and "drift[:<scale>]" to
+    scale = 1.0; any other count of arguments raises ``ValueError``."""
+    name, args = _preset_args(spec, "operator", _OPERATOR_GRAMMAR)
     if name == "laplace":
-        def a_grid(X1, X2):
-            ones = np.ones(np.broadcast(X1, X2).shape)
-            return ones, ones.copy(), np.zeros_like(ones)
-        return EllipticOperator(nu=1.0, a_grid=a_grid, b_grid=_zero_b,
+        return EllipticOperator(nu=1.0, a_grid=_unit_a, b_grid=_zero_b,
                                 params={})
     if name == "aniso":
-        l1, l2 = (float(v) for v in arg.split(","))
+        l1, l2 = args
         if not (0 < l1 < math.inf and 0 < l2 < math.inf):
             raise ValueError("anisotropy coefficients must be positive "
                              "and finite")
@@ -88,7 +101,7 @@ def preset_operator(spec: str) -> EllipticOperator:
         return EllipticOperator(nu=nu, a_grid=a_grid, b_grid=_zero_b,
                                 params={"l1": l1, "l2": l2})
     if name == "checker":
-        eps0 = float(arg) if arg else 0.25
+        (eps0,) = args
         if not 0 < eps0 < math.inf:
             raise ValueError("checker cell size must be positive and finite")
         lo, hi = 0.5, 2.0
@@ -102,23 +115,17 @@ def preset_operator(spec: str) -> EllipticOperator:
             return a11, a22, np.zeros_like(a11)
         return EllipticOperator(nu=0.5, a_grid=a_grid, b_grid=_zero_b,
                                 params={"eps0": eps0})
-    if name == "drift":
-        scale = float(arg) if arg else 1.0
-        if not math.isfinite(scale):
-            raise ValueError("drift scale must be finite")
+    (scale,) = args  # drift
+    if not math.isfinite(scale):
+        raise ValueError("drift scale must be finite")
 
-        def a_grid(X1, X2):
-            ones = np.ones(np.broadcast(X1, X2).shape)
-            return ones, ones.copy(), np.zeros_like(ones)
-
-        def b_grid(X1, X2, s=scale):
-            X1 = np.asarray(X1, dtype=float)
-            X2 = np.asarray(X2, dtype=float)
-            return (-s * np.sin(math.pi * X2) * np.ones_like(X1),
-                    s * np.cos(math.pi * X1) * np.ones_like(X2))
-        return EllipticOperator(nu=1.0, a_grid=a_grid, b_grid=b_grid,
-                                params={"scale": scale})
-    raise ValueError(f"unknown operator preset {spec!r}")
+    def b_grid(X1, X2, s=scale):
+        X1 = np.asarray(X1, dtype=float)
+        X2 = np.asarray(X2, dtype=float)
+        return (-s * np.sin(math.pi * X2) * np.ones_like(X1),
+                s * np.cos(math.pi * X1) * np.ones_like(X2))
+    return EllipticOperator(nu=1.0, a_grid=_unit_a, b_grid=b_grid,
+                            params={"scale": scale})
 
 
 def ellipticity_check(op: EllipticOperator, points: np.ndarray,

@@ -185,12 +185,39 @@ def _log_e_over(t: np.ndarray) -> np.ndarray:
         return 1.0 - np.log(t)
 
 
+def _preset_args(spec: str, kind: str, grammar: dict):
+    """Split the preset id ``name[:a1,a2,...]`` of a ``kind`` preset.
+
+    ``grammar[name]`` holds the defaults of the preset's float arguments in
+    order, None marking a required one.  Returns ``(name, args)`` with every
+    argument filled in.  An unknown name, a missing argument or one too many
+    raises ``ValueError`` naming the preset id."""
+    name, colon, arg = spec.partition(":")
+    if name not in grammar:
+        raise ValueError(f"unknown {kind} preset {spec!r}")
+    defaults = grammar[name]
+    given = arg.split(",") if colon else []
+    need = defaults.count(None)
+    if not need <= len(given) <= len(defaults):
+        span = (f"{need}" if need == len(defaults)
+                else f"{need} to {len(defaults)}")
+        raise ValueError(f"{kind} preset {spec!r} takes {span} argument"
+                         f"{'s' * (len(defaults) != 1)}, got {len(given)}")
+    return name, tuple(float(v) for v in given) + defaults[len(given):]
+
+
+# argument defaults of each modulus preset, None where required
+_MODULUS_GRAMMAR = {"linear": (), "power": (None,), "log1": (), "log2": ()}
+
+
 def preset_modulus(spec: str) -> Modulus:
     """Build a preset modulus from its string id.
 
-    Ids: "linear", "power:<alpha>" with alpha in (0, 1], "log1", "log2".
+    Ids: "linear", "power:<alpha>" with alpha in (0, 1] required, "log1",
+    "log2"; only power takes an argument, and any other count of arguments
+    raises ``ValueError``.
     """
-    name, _, arg = spec.partition(":")
+    name, args = _preset_args(spec, "modulus", _MODULUS_GRAMMAR)
     if name == "linear":
         return Modulus(
             fn=lambda t: np.asarray(t, dtype=float),
@@ -198,7 +225,7 @@ def preset_modulus(spec: str) -> Modulus:
             dini_flag=Verdict.DINI,
         )
     if name == "power":
-        alpha = float(arg)
+        (alpha,) = args
         if not 0.0 < alpha <= 1.0:
             raise ValueError(f"power modulus needs alpha in (0, 1], got {alpha}")
         return Modulus(
@@ -216,20 +243,18 @@ def preset_modulus(spec: str) -> Modulus:
             closed_form_j=None,  # J diverges at zero
             dini_flag=Verdict.NON_DINI,
         )
-    if name == "log2":
-        def _log2(t):
-            # 1/(L*L) rounds alike on numpy scalars and arrays; L**-2.0
-            # does not
-            t = np.asarray(t, dtype=float)
-            L = _log_e_over(np.maximum(t, 1e-300))
-            return np.where(t > 0.0, 1.0 / (L * L), 0.0)
 
-        return Modulus(
-            fn=_log2,
-            closed_form_j=lambda s: 1.0 / (1.0 - math.log(s)),
-            dini_flag=Verdict.DINI,
-        )
-    raise ValueError(f"unknown modulus preset {spec!r}")
+    def _log2(t):
+        # 1/(L*L) rounds alike on numpy scalars and arrays; L**-2.0 does not
+        t = np.asarray(t, dtype=float)
+        L = _log_e_over(np.maximum(t, 1e-300))
+        return np.where(t > 0.0, 1.0 / (L * L), 0.0)
+
+    return Modulus(
+        fn=_log2,
+        closed_form_j=lambda s: 1.0 / (1.0 - math.log(s)),
+        dini_flag=Verdict.DINI,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -294,20 +319,18 @@ def from_table(t: Sequence[float], s: Sequence[float]) -> Modulus:
 def load_csv(path) -> Modulus:
     """Load a tabulated modulus from a two-column CSV (t, sigma).
 
-    Header row optional; abscissae must be strictly increasing.
+    One header line is allowed, as the first nonblank line; abscissae
+    must be strictly increasing.
     """
-    rows = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            parts = [p.strip() for p in line.split(",")]
-            try:
-                rows.append((float(parts[0]), float(parts[1])))
-            except (ValueError, IndexError):
-                if not rows:  # tolerate a single header line
-                    continue
+        lines = [line for line in (raw.strip() for raw in fh) if line]
+    rows = []
+    for n, line in enumerate(lines):
+        parts = [p.strip() for p in line.split(",")]
+        try:
+            rows.append((float(parts[0]), float(parts[1])))
+        except (ValueError, IndexError):
+            if n > 0:  # only the first line may be a header
                 raise ValueError(f"malformed CSV row: {line!r}")
     if len(rows) < 2:
         raise ValueError("modulus CSV needs at least two data rows")

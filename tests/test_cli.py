@@ -221,16 +221,54 @@ def test_out_of_memory_exit_3(tmp_path, capsys, monkeypatch, command):
      "aniso:1e308,1"],
     ["solve", "--profile", "log1", "--h", "0.015625", "--op", "drift:1e308"],
     ["geometry", "--profile", "cone:nan"],
+    # a preset given an argument it does not take, or missing one, and
+    # input that was dropped without a word
+    ["decay", "--profile", "log1:0.3"],
+    ["decay", "--profile", "flat:9"],
+    ["decay", "--profile", "wedge:1.5,2", "--bc", "sector"],
+    ["geometry", "--profile", "cone"],
+    ["solve", "--op", "laplace:7"],
+    ["solve", "--op", "aniso:1"],
+    ["modulus", "--preset", "log2:3"],
+    ["modulus", "--preset", "linear:1"],
+    ["decay", "--profile", "log1", "--contrast", "", "--K", "2", "--h",
+     "0.015625"],
+    ["solve", "--config", "{twice}"],
+    ["modulus", "--csv", "{table}", "--preset", "log1"],
+    ["modulus", "--csv", "{headers}"],
 ], ids=lambda c: " ".join(c))
 def test_bad_input_exit_2(tmp_path, capsys, command):
     # the output directory is made at the first write, so a rejected
     # input leaves none behind
-    missing = str(tmp_path / "missing.txt")
+    paths = {"missing": tmp_path / "missing.txt"}
+    for name, text in (("twice", "grid.h = 0.015625\ngrid.h = 0.03125\n"),
+                       ("table", "0,0\n0.5,0.6\n1,1\n"),
+                       ("headers", "t,sigma\nfoo,bar\nbaz\n0,0\n1,1\n")):
+        paths[name] = tmp_path / f"{name}.txt"
+        paths[name].write_text(text, encoding="utf-8")
     out = tmp_path / "out"
-    assert run_cli([a.format(missing=missing) for a in command], out) == 2
+    assert run_cli([a.format(**paths) for a in command], out) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: ")
     assert not out.exists()
+
+
+def test_decay_defaults_are_hopf_experiment_defaults(tmp_path,
+                                                     monkeypatch):
+    # the parser takes K and h from HopfExperiment, whose defaults validate
+    from hopflab import decay_analysis
+
+    seen = []
+
+    def run_experiment(cfg):
+        seen.append(cfg)
+        raise MemoryError("stop before solving")
+
+    monkeypatch.setattr(decay_analysis, "run_experiment", run_experiment)
+    assert run_cli(["decay"], tmp_path) == 3
+    default = decay_analysis.HopfExperiment(profile="log1")
+    default.validate()
+    assert seen == [default]
 
 
 def test_verify_large_n_exits_2_before_sampling(tmp_path, capsys):

@@ -24,6 +24,35 @@ GOOD_PRESETS = ["linear", "power:0.5", "power:0.25", "log1"]  # ratio-monotone
 ALL_PRESETS = GOOD_PRESETS + ["log2"]
 
 
+# ---------------------------------------------------------------- preset ids
+
+GRAMMAR = {"bare": (), "one": (None,), "two": (None, None), "opt": (0.25,)}
+
+
+@pytest.mark.parametrize("spec, expected", [
+    ("bare", ("bare", ())),
+    ("one:0.5", ("one", (0.5,))),
+    ("two:1,2e-3", ("two", (1.0, 2e-3))),
+    ("opt", ("opt", (0.25,))),
+    ("opt:3", ("opt", (3.0,))),
+])
+def test_preset_args_fills_defaults(spec, expected):
+    assert M._preset_args(spec, "demo", GRAMMAR) == expected
+
+
+@pytest.mark.parametrize("spec", ["bare:1", "one", "two:1", "two:1,2,3",
+                                  "opt:1,2"])
+def test_preset_args_refuses_argument_count(spec):
+    with pytest.raises(ValueError, match=f"demo preset '{spec}' takes"):
+        M._preset_args(spec, "demo", GRAMMAR)
+
+
+def test_preset_args_unknown_name_message():
+    with pytest.raises(ValueError) as err:
+        M._preset_args("nosuch:1", "demo", GRAMMAR)
+    assert str(err.value) == "unknown demo preset 'nosuch:1'"
+
+
 # ---------------------------------------------------------------- invariants
 
 @pytest.mark.parametrize("pid", ALL_PRESETS)
