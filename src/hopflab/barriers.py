@@ -33,7 +33,6 @@ __all__ = [
     "AleksandrovFit",
     "BarrierSpec",
     "ChainReport",
-    "ChainSpacingError",
     "CylinderCertificate",
     "OutOfDomainError",
     "RadialCertificate",
@@ -53,10 +52,6 @@ __all__ = [
 
 class OutOfDomainError(ValueError):
     """Evaluation point outside the barrier's natural domain."""
-
-
-class ChainSpacingError(ValueError):
-    """Chain length incompatible with the ball-spacing window."""
 
 
 @dataclass(frozen=True)
@@ -317,7 +312,7 @@ def chain_geometry(nu: float, n: int, r: float,
     if z_prime is not None:
         zp = np.atleast_1d(np.asarray(z_prime, dtype=float))
         if np.linalg.norm(zp) > r / 4.0 + 1e-12:
-            raise ChainSpacingError("|z~'| must not exceed r/4")
+            raise ValueError("|z~'| must not exceed r/4")
         zt[:-1] = zp
     zt[-1] = r / 4.0 + rho0 / 8.0
     dist = float(np.linalg.norm(z0 - zt))
@@ -344,7 +339,7 @@ def growth_chain(v_lower: float, nu: float, n: int, r: float,
     z0, zt, rho0, window = chain_geometry(nu, n, r, z_prime)
     if check_spacing and not (window[0] - 1e-9 <= chain_length
                               <= window[1] + 1e-9):
-        raise ChainSpacingError(
+        raise ValueError(
             f"chain length {chain_length} outside the admissible window "
             f"[{window[0]:.2f}, {window[1]:.2f}]")
     step_vec = (zt - z0) / chain_length

@@ -4,11 +4,13 @@ Exit codes, decided in ``main`` alone: 0 success; 1 a failed check,
 returned only by ``verify`` (certificates, property suites) and
 ``geometry`` (sandwich check); 2 configuration error, for every bad flag,
 config key or missing file; 3 numerical failure (including a system
-whose factorization runs out of memory).  A preset id given an argument
-it does not take, or missing one it needs, is a configuration error
-(exit 2), as are ``modulus --csv`` together with ``--preset``.  Reports
-are plain text (key: value) and CSV, byte-reproducible for a fixed
-(config, seed, build); every report embeds the resolved configuration.
+whose factorization runs out of memory).  Every ``ValueError`` but
+``StencilMonotonicityError`` is a configuration error: among them a
+preset id given an argument it does not take, missing one it needs or
+given one that is not a number, and ``modulus --csv`` together with
+``--preset``.  Reports are plain text (key: value) and CSV,
+byte-reproducible for a fixed (config, seed, build); every report embeds
+the resolved configuration.
 ``--config FILE`` reads key=value lines for grid.h, grid.R0 and bc.kind,
 which flags then override; any other key, or a key set twice, is a
 configuration error.  The default output directory comes from
@@ -33,10 +35,6 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
 
-class ConfigError(ValueError):
-    pass
-
-
 def _read_config(path):
     cfg = {}
     for raw in Path(path).read_text(encoding="utf-8").splitlines():
@@ -44,24 +42,26 @@ def _read_config(path):
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ConfigError(f"malformed config line: {raw!r}")
+            raise ValueError(f"malformed config line: {raw!r}")
         key, _, value = (part.strip() for part in line.partition("="))
         if key in cfg:
-            raise ConfigError(f"config key set twice: {key}")
+            raise ValueError(f"config key set twice: {key}")
         cfg[key] = value
     return cfg
 
 
 def _resolve_config(args, default_h: float):
     """(h, R0, bc kind): each flag over its --config key over the
-    default."""
+    default, which for R0 and bc kind is ``HopfExperiment``'s."""
     cfg = _read_config(args.config) if args.config else {}
     unknown = sorted(set(cfg) - {"grid.h", "grid.R0", "bc.kind"})
     if unknown:
-        raise ConfigError(f"unknown config key: {', '.join(unknown)}")
+        raise ValueError(f"unknown config key: {', '.join(unknown)}")
+    defaults = decay.HopfExperiment
     h = args.h if args.h is not None else float(cfg.get("grid.h", default_h))
-    R0 = args.R0 if args.R0 is not None else float(cfg.get("grid.R0", 0.5))
-    return h, R0, args.bc or cfg.get("bc.kind", "linear")
+    R0 = (args.R0 if args.R0 is not None
+          else float(cfg.get("grid.R0", defaults.R0)))
+    return h, R0, args.bc or cfg.get("bc.kind", defaults.bc)
 
 
 def _out_file(args, name: str) -> Path:
@@ -100,7 +100,7 @@ def _j_cell(sigma, t: float) -> str:
 def _cmd_modulus(args) -> int:
     if args.csv is not None:
         if args.preset is not None:
-            raise ConfigError("--csv and --preset are exclusive")
+            raise ValueError("--csv and --preset are exclusive")
         sigma = mod.load_csv(args.csv)
         label = f"csv:{args.csv}"
     else:
@@ -171,7 +171,7 @@ def _cmd_verify(args) -> int:
     for flag, count in (("--samples", args.samples),
                         ("--profiles", args.profiles)):
         if count < 1:
-            raise ConfigError(f"{flag} must be at least 1, got {count}")
+            raise ValueError(f"{flag} must be at least 1, got {count}")
     rng = np.random.default_rng(args.seed)
     failures = []
     lines = {}
@@ -317,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--out", default=None)
     run = argparse.ArgumentParser(add_help=False)
-    run.add_argument("--op", default="laplace")
+    run.add_argument("--op", default=decay.HopfExperiment.operator)
     run.add_argument("--h", type=float, default=None)
     run.add_argument("--R0", type=float, default=None)
     run.add_argument("--bc", default=None, choices=(None, "linear", "sector"))

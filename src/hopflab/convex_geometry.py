@@ -27,20 +27,16 @@ from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
-from .modulus import (DomainError, Verdict, _preset_args, from_table,
-                      preset_modulus)
+from .modulus import Verdict, _preset_args, from_table, preset_modulus
 
 __all__ = [
     "BallInclusionReport",
     "BoundaryProfile",
     "CrossingArms",
-    "DomainError",
     "DomainMask",
     "ExtremalFrame",
-    "FrameMismatchError",
     "MaxAffineProfile",
     "RadialProfile",
-    "ResolutionError",
     "SandwichReport",
     "arm_fraction",
     "ball_inclusion_check",
@@ -55,14 +51,6 @@ __all__ = [
     "sandwich_check",
     "validate_profile",
 ]
-
-
-class ResolutionError(ValueError):
-    """Grid too coarse to resolve the domain above the graph."""
-
-
-class FrameMismatchError(ValueError):
-    """Frame inconsistent with the profile/scale it claims to describe."""
 
 
 # ----------------------------------------------------------------------
@@ -223,7 +211,7 @@ def _check_scale(profile: BoundaryProfile, r, limit: float = None):
     r = np.asarray(r, dtype=float)
     bad = ~((r > 0.0) & (r <= limit + 1e-12))
     if np.any(bad):
-        raise DomainError(f"scale r = {r[bad].flat[0]} outside (0, {limit}]")
+        raise ValueError(f"scale r = {r[bad].flat[0]} outside (0, {limit}]")
 
 
 def delta(profile: BoundaryProfile, r):
@@ -316,7 +304,7 @@ def sandwich_check(profile: BoundaryProfile, r: float,
                    tol: float = 1e-10) -> SandwichReport:
     """Verify delta(r) <= delta1(r) <= 2 delta(2r) and report slacks."""
     if 2.0 * r > profile.R0 + 1e-12:
-        raise DomainError(f"need 2r <= R0, got r = {r}, R0 = {profile.R0}")
+        raise ValueError(f"need 2r <= R0, got r = {r}, R0 = {profile.R0}")
     d = delta(profile, r)
     d1 = delta1(profile, r)
     d2 = delta(profile, 2.0 * r)
@@ -425,10 +413,10 @@ def ball_inclusion_check(profile: BoundaryProfile, frame: ExtremalFrame,
     n = frame.n
     r = frame.r
     if not 0.0 < r <= profile.R0 / 2.0 + 1e-12:
-        raise FrameMismatchError("frame scale exceeds R0/2")
+        raise ValueError("frame scale exceeds R0/2")
     expected_xn = r * delta(profile, r)
     if abs(frame.x_star[-1] - expected_xn) > 1e-9 * max(1.0, expected_xn):
-        raise FrameMismatchError("frame does not realize r*delta(r)")
+        raise ValueError("frame does not realize r*delta(r)")
     gamma = nu / math.sqrt(n - 1)
     rho0 = gamma * r / 8.0
     z0_y = np.zeros(n)
@@ -603,12 +591,12 @@ def domain_mask(profile: BoundaryProfile, h: float) -> DomainMask:
     if profile.ambient_dim != 2:
         raise ValueError("rasterization supports planar profiles only")
     if not (math.isfinite(h) and h > 0.0):
-        raise ResolutionError(f"grid spacing h must be finite and positive, "
-                              f"got {h}")
+        raise ValueError(f"grid spacing h must be finite and positive, "
+                         f"got {h}")
     R0 = profile.R0
     M = int(round(R0 / h))
     if M < 2 or abs(M * h - R0) > 1e-9 * h:
-        raise ResolutionError("R0 must be an integer multiple of h")
+        raise ValueError("R0 must be an integer multiple of h")
     x1 = (np.arange(2 * M + 1) - M) * h
     x2 = np.arange(M + 1) * h
     F = np.asarray(profile.height(x1), dtype=float)
@@ -630,7 +618,7 @@ def domain_mask(profile: BoundaryProfile, h: float) -> DomainMask:
 
     interior_center = int(np.count_nonzero(cls[M, :] == INTERIOR))
     if interior_center < _MIN_COLUMN_NODES:
-        raise ResolutionError(
+        raise ValueError(
             f"only {interior_center} interior nodes on the x1 = 0 column; "
             f"need at least {_MIN_COLUMN_NODES}")
 

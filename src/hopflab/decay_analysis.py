@@ -23,7 +23,7 @@ import enum
 import io
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -35,14 +35,12 @@ from .modulus import (DiniDivergenceError, Modulus,
                       dini_integral, _dyadic_increments, _preset_args)
 
 __all__ = [
-    "AdjustK0Error",
     "ContrastReport",
     "DecayReport",
     "HopfExperiment",
     "HopfVerdict",
     "ProductReport",
     "RecursionReport",
-    "ScaleStarvedError",
     "boundary_data",
     "contrast_suite",
     "growth_recursion_bound",
@@ -52,18 +50,6 @@ __all__ = [
     "run_experiment",
     "sector_harmonic",
 ]
-
-
-class ScaleStarvedError(ValueError):
-    """Fewer than three dyadic levels (K < 2)."""
-
-
-class AdjustK0Error(ValueError):
-    """gamma_1 > 1/2; carries the minimal admissible k0 when one exists."""
-
-    def __init__(self, message: str, minimal_k0: Optional[int] = None):
-        super().__init__(message)
-        self.minimal_k0 = minimal_k0
 
 
 class HopfVerdict(str, enum.Enum):
@@ -94,7 +80,7 @@ class HopfExperiment:
 
     def validate(self) -> None:
         if self.K < 2:
-            raise ScaleStarvedError(
+            raise ValueError(
                 f"dyadic depth K = {self.K} gives fewer than three levels; "
                 f"K must be at least 2")
         if 2.0 ** -self.K * self.R0 < 8.0 * self.h - 1e-12:
@@ -181,6 +167,17 @@ def _fit_kappa(osc, deltas) -> float:
     return float(min(max(min(vals), 0.0), 1.0 - 1e-9))
 
 
+def _dini_verdict(profile: geo.BoundaryProfile) -> Verdict:
+    """Dini verdict of the profile's boundary modulus: the preset's hint,
+    else the numeric classification, else Inconclusive.  No solve."""
+    sigma, hint = geo.boundary_modulus(profile)
+    if hint is not None:
+        return hint
+    if sigma is not None:
+        return dini_classify(sigma).verdict
+    return Verdict.INCONCLUSIVE
+
+
 def run_experiment(cfg: HopfExperiment) -> DecayReport:
     """Solve once and extract oscillations, trace and verdict.
 
@@ -209,14 +206,7 @@ def run_experiment(cfg: HopfExperiment) -> DecayReport:
     heights = [round(r / cfg.h) * cfg.h for r in radii]
     trace = fds.hopf_trace(sol, heights)
 
-    sigma, hint = geo.boundary_modulus(profile)
-    if hint is not None:
-        dini = hint
-    elif sigma is not None:
-        dini = dini_classify(sigma).verdict
-    else:
-        dini = Verdict.INCONCLUSIVE
-
+    dini = _dini_verdict(profile)
     tail = np.asarray(trace[-4:])
     strictly_down = bool(np.all(np.diff(tail) < 0.0))
     rel_var = float((tail.max() - tail.min()) / max(abs(tail.max()), 1e-300))
@@ -268,7 +258,7 @@ def product_bound(delta_fn: Callable[[np.ndarray], np.ndarray], kappa: float,
     deltas = np.broadcast_to(np.asarray(delta_fn(radii / 2.0), dtype=float),
                              radii.shape)
     if deltas[0] * kappa >= 1.0:
-        raise geo.DomainError("kappa * delta(r0/2) >= 1: factors not positive")
+        raise ValueError("kappa * delta(r0/2) >= 1: factors not positive")
     partials = np.cumprod(1.0 - kappa * deltas)
     delta_sum = float(np.sum(deltas))
     integral = float(_dyadic_increments(delta_fn, radii[0] / 2.0, 3 * K).sum())
@@ -319,9 +309,9 @@ def growth_recursion_bound(sigma: Modulus, mathfrak_b: float,
               (exp(-lambda/(2 zeta_k)) + N2 B sigma(2^-k rho/rho*)/(t/2)),
     zeta_k = 1/(k+k0), lambda = -ln(1 - t/2); the structural constants,
     N2 here and N3 in the source of M_k, are 1.  Requires gamma_1 <= 1/2;
-    otherwise ``AdjustK0Error`` carries the minimal admissible k0 (when
-    the sigma term alone blocks the bound, no k0 works and the error says
-    to shrink rho_ratio).  The M_k trajectory takes the recursion as
+    otherwise a ``ValueError`` names the minimal admissible k0 (when the
+    sigma term alone blocks the bound, no k0 works and the error says to
+    shrink rho_ratio).  The M_k trajectory takes the recursion as
     equality, which dominates the true inequality.
     """
     if not 0.0 < vartheta < 1.0:
@@ -348,7 +338,7 @@ def growth_recursion_bound(sigma: Modulus, mathfrak_b: float,
         msg = (f"gamma_1 = {gamma_1:.4f} > 1/2 at k0 = {k0}"
                + (f"; minimal admissible k0 = {minimal}" if minimal
                   else "; no k0 suffices, reduce rho_ratio"))
-        raise AdjustK0Error(msg, minimal_k0=minimal)
+        raise ValueError(msg)
 
     gam = gamma(ks + k0, sig_terms)
     pi_partials = np.cumprod(1.0 + gam)
@@ -420,24 +410,22 @@ def contrast_suite(profiles: Sequence[str], operator: str,
     Requires at least one Dini and one non-Dini profile.  Consistency
     property: with one common kappa, every non-Dini profile's partial
     product at depth K sits below every Dini profile's.  A profile named
-    twice raises ``ValueError`` before any solve."""
+    twice, or a list without both kinds, raises ``ValueError`` before any
+    solve."""
     repeated = sorted({p for p in profiles if profiles.count(p) > 1})
     if repeated:
         raise ValueError(f"contrast profile repeated: {', '.join(repeated)}")
-    reports = {}
-    for p in profiles:
-        c = replace(cfg, profile=p, operator=operator)
-        reports[p] = run_experiment(c)
-    verdicts = {p: r.dini_verdict for p, r in reports.items()}
+    boundaries = {p: geo.preset_profile(p, R0=cfg.R0) for p in profiles}
+    verdicts = {p: _dini_verdict(prof) for p, prof in boundaries.items()}
     if not any(v == Verdict.NON_DINI for v in verdicts.values()) or \
             not any(v == Verdict.DINI for v in verdicts.values()):
         raise ValueError("contrast needs at least one Dini and one "
                          "non-Dini profile")
-    prods = {}
-    for p in profiles:
-        prof = geo.preset_profile(p, R0=cfg.R0)
-        prods[p] = product_bound(lambda r, prof=prof: geo.delta(prof, r),
-                                 _COMMON_KAPPA, cfg.R0, 40).partials[-1]
+    reports = {p: run_experiment(replace(cfg, profile=p, operator=operator))
+               for p in profiles}
+    prods = {p: product_bound(lambda r, prof=prof: geo.delta(prof, r),
+                              _COMMON_KAPPA, cfg.R0, 40).partials[-1]
+             for p, prof in boundaries.items()}
     dini_products = [prods[p] for p in profiles
                      if verdicts[p] == Verdict.DINI]
     nondini_products = [prods[p] for p in profiles

@@ -27,7 +27,6 @@ from .modulus import _preset_args
 __all__ = [
     "ApproximantPair",
     "EllipticOperator",
-    "EmptyRegionError",
     "approximate",
     "correct_drift",
     "ellipticity_check",
@@ -37,10 +36,6 @@ __all__ = [
     "preset_operator",
     "truncate_drift",
 ]
-
-
-class EmptyRegionError(ValueError):
-    """The requested region contains no grid nodes."""
 
 
 @dataclass(frozen=True)
@@ -313,7 +308,7 @@ def local_norm(values: np.ndarray, h: float,
     if region is not None:
         mask &= np.asarray(region, dtype=bool)
     if not np.any(mask):
-        raise EmptyRegionError("region contains no grid nodes")
+        raise ValueError("region contains no grid nodes")
     return float((np.abs(vals[mask]) ** p).sum() ** (1.0 / p) * h ** (2.0 / p))
 
 
@@ -331,7 +326,7 @@ def norm_modulus(values: np.ndarray, h: float, rho_list,
     if region is not None:
         mask &= np.asarray(region, dtype=bool)
     if not np.any(mask):
-        raise EmptyRegionError("region contains no grid nodes")
+        raise ValueError("region contains no grid nodes")
     power = np.where(mask, np.abs(np.nan_to_num(vals)) ** p, 0.0)
     out = []
     for rho in rho_list:

@@ -115,14 +115,13 @@ import scipy.sparse.linalg as spla
 from .convex_geometry import (CURVE, EDGE, INTERIOR,
                               BoundaryProfile, DomainMask, arm_fraction,
                               domain_mask)
-from .elliptic_operator import EllipticOperator, EmptyRegionError
+from .elliptic_operator import EllipticOperator
 
 __all__ = [
     "ConvergenceReport",
     "DiscreteDomain",
     "DiscreteSolution",
     "LinearSystem",
-    "MisalignedHeightError",
     "StencilMonotonicityError",
     "convergence_study",
     "discretize",
@@ -137,10 +136,6 @@ __all__ = [
 
 class StencilMonotonicityError(ValueError):
     """|a12| > min(a11, a22) somewhere: monotone 9-point split impossible."""
-
-
-class MisalignedHeightError(ValueError):
-    """Requested trace height is not a grid line."""
 
 
 @dataclass(frozen=True)
@@ -992,7 +987,7 @@ def hopf_trace(sol: DiscreteSolution, heights: Sequence[float]) -> np.ndarray:
     lines with a defined value (interior or box top): each is looked up
     as the nearest row x2[j], which must lie within 1e-9 max(1, |x2|) of
     it and above the base row j = 0.  The first height that fails raises
-    ``MisalignedHeightError``."""
+    ``ValueError``."""
     mask = sol.dom.mask
     lines = mask.x2
     x2 = np.asarray(heights, dtype=float).reshape(-1)
@@ -1007,9 +1002,8 @@ def hopf_trace(sol: DiscreteSolution, heights: Sequence[float]) -> np.ndarray:
     if np.any(bad):
         m = int(np.flatnonzero(bad)[0])
         if not aligned[m]:
-            raise MisalignedHeightError(f"height {heights[m]} is not a grid "
-                                        f"line")
-        raise MisalignedHeightError(f"no solution value at (0, {heights[m]})")
+            raise ValueError(f"height {heights[m]} is not a grid line")
+        raise ValueError(f"no solution value at (0, {heights[m]})")
     return v / lines[j]
 
 
@@ -1034,7 +1028,7 @@ def oscillation(sol: DiscreteSolution, profile: BoundaryProfile,
     window = (slice(i0, i1), slice(j0, j1))
     region = mask.cls[window] == INTERIOR
     if not np.any(region):
-        raise EmptyRegionError(f"no interior nodes in the cylinder r = {r}")
+        raise ValueError(f"no interior nodes in the cylinder r = {r}")
     X2 = np.broadcast_to(mask.x2[j0:j1], region.shape)
     quot = sol.values[window][region] / X2[region]
     return float(quot.max() - quot.min())

@@ -38,10 +38,7 @@ __all__ = [
     "DiniIntegralResult",
     "InvariantReport",
     "Modulus",
-    "NotMonotoneError",
-    "NotNormalizedError",
     "DiniDivergenceError",
-    "DomainError",
     "QuadratureToleranceError",
     "RelationReport",
     "Verdict",
@@ -55,14 +52,6 @@ __all__ = [
     "regularize",
     "verify_relations",
 ]
-
-
-class NotNormalizedError(ValueError):
-    """Endpoint conditions sigma(0) = 0 or sigma(1) = 1 fail."""
-
-
-class NotMonotoneError(ValueError):
-    """sigma decreases somewhere on the evaluation grid."""
 
 
 class DiniDivergenceError(ArithmeticError):
@@ -190,8 +179,9 @@ def _preset_args(spec: str, kind: str, grammar: dict):
 
     ``grammar[name]`` holds the defaults of the preset's float arguments in
     order, None marking a required one.  Returns ``(name, args)`` with every
-    argument filled in.  An unknown name, a missing argument or one too many
-    raises ``ValueError`` naming the preset id."""
+    argument filled in.  An unknown name, a missing argument, one too many
+    or one that is not a number raises ``ValueError`` naming the preset
+    id."""
     name, colon, arg = spec.partition(":")
     if name not in grammar:
         raise ValueError(f"unknown {kind} preset {spec!r}")
@@ -203,7 +193,14 @@ def _preset_args(spec: str, kind: str, grammar: dict):
                 else f"{need} to {len(defaults)}")
         raise ValueError(f"{kind} preset {spec!r} takes {span} argument"
                          f"{'s' * (len(defaults) != 1)}, got {len(given)}")
-    return name, tuple(float(v) for v in given) + defaults[len(given):]
+    values = []
+    for v in given:
+        try:
+            values.append(float(v))
+        except ValueError:
+            raise ValueError(f"{kind} preset {spec!r} argument {v!r} is not "
+                             f"a number") from None
+    return name, tuple(values) + defaults[len(given):]
 
 
 # argument defaults of each modulus preset, None where required
@@ -277,19 +274,19 @@ def from_table(t: Sequence[float], s: Sequence[float]) -> Modulus:
     if t.ndim != 1 or t.shape != s.shape or t.size < 2:
         raise ValueError("need two equal-length 1-D columns with >= 2 rows")
     if np.any(np.diff(t) <= 0.0):
-        raise NotMonotoneError("abscissae t must be strictly increasing")
+        raise ValueError("abscissae t must be strictly increasing")
     if t[0] < 0.0 or abs(t[-1] - 1.0) > 1e-12:
-        raise NotNormalizedError("t must lie in [0, 1] with last entry 1")
+        raise ValueError("t must lie in [0, 1] with last entry 1")
     if np.any(np.diff(s) < 0.0):
-        raise NotMonotoneError("sigma values decrease along the table")
+        raise ValueError("sigma values decrease along the table")
     if s[-1] <= 0.0:
-        raise NotNormalizedError("sigma(1) must be positive")
+        raise ValueError("sigma(1) must be positive")
     s = s / s[-1]
     if t[0] > 0.0:
         t = np.concatenate(([0.0], t))
         s = np.concatenate(([0.0], s))
     if abs(s[0]) > 1e-12:
-        raise NotNormalizedError("sigma(0) must be 0")
+        raise ValueError("sigma(0) must be 0")
     s[0] = 0.0
 
     tt = t.copy()
@@ -359,12 +356,12 @@ def regularize(sigma_raw: Callable[[np.ndarray], np.ndarray],
     raw0 = float(sigma_raw(0.0))
     raw1 = float(sigma_raw(1.0))
     if abs(raw0) > 1e-12 or abs(raw1 - 1.0) > 1e-12:
-        raise NotNormalizedError(
+        raise ValueError(
             f"need sigma(0) = 0 and sigma(1) = 1, got {raw0!r} and {raw1!r}"
         )
     vals = np.asarray(sigma_raw(grid), dtype=float)
     if np.any(np.diff(vals) < -1e-12):
-        raise NotMonotoneError("sigma decreases on the evaluation grid")
+        raise ValueError("sigma decreases on the evaluation grid")
     ratio = vals / grid
     suffix = np.maximum.accumulate(ratio[::-1])[::-1]
     reg = grid * suffix
@@ -576,7 +573,7 @@ def verify_relations(sigma: Modulus, t: float, t0: float,
     """Check sigma(t) <= J(t), sigma(t/t0) <= sigma(t)/t0 and
     J(t/t0) <= J(t)/t0, reporting the slack of each."""
     if not (0.0 < t <= t0 <= 1.0):
-        raise DomainError(f"need 0 < t <= t0 <= 1, got t={t}, t0={t0}")
+        raise ValueError(f"need 0 < t <= t0 <= 1, got t={t}, t0={t0}")
     try:
         j_t = dini_integral(sigma, t, rel_tol)
         j_scaled = dini_integral(sigma, t / t0, rel_tol)
@@ -597,10 +594,6 @@ def verify_relations(sigma: Modulus, t: float, t0: float,
         slack_scaling_sigma=slack2,
         slack_scaling_j=slack3,
     )
-
-
-class DomainError(ValueError):
-    """Arguments outside the operation's stated domain."""
 
 
 def check_invariants(sigma: Modulus, grid_size: int = 400) -> InvariantReport:

@@ -187,9 +187,11 @@ def test_chain_short_with_spacing_off():
 
 
 def test_chain_spacing_window_enforced():
-    with pytest.raises(B.ChainSpacingError):
+    with pytest.raises(ValueError, match="chain length 3 outside the "
+                                         "admissible window"):
         B.growth_chain(1.0, 0.5, 2, 0.1, chain_length=3)
-    with pytest.raises(B.ChainSpacingError):
+    with pytest.raises(ValueError, match="chain length 40 outside the "
+                                         "admissible window"):
         B.growth_chain(1.0, 0.5, 2, 0.1, chain_length=40)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -270,6 +271,18 @@ def test_decay_defaults_are_hopf_experiment_defaults(tmp_path,
     default.validate()
     assert seen == [default]
 
+    # operator, R0 and bc kind are read from HopfExperiment as well
+    @dataclasses.dataclass(frozen=True)
+    class Altered(decay_analysis.HopfExperiment):
+        operator: str = "checker"
+        R0: float = 1.0
+        bc: str = "sector"
+
+    monkeypatch.setattr(decay_analysis, "HopfExperiment", Altered)
+    seen.clear()
+    assert run_cli(["decay"], tmp_path) == 3
+    assert seen == [Altered(profile="log1")]
+
 
 def test_verify_large_n_exits_2_before_sampling(tmp_path, capsys):
     # 2^n corner matrices: n = 64 is refused before any is built, with
@@ -352,9 +365,32 @@ def test_decay_invalid_depth_exit_2(tmp_path):
                     "--h", "0.015625"], tmp_path) == 2
 
 
-def test_decay_missing_nondini_exit_2(tmp_path):
+def test_decay_missing_nondini_exit_2(tmp_path, capsys, monkeypatch):
+    from hopflab import decay_analysis
+
+    def run_experiment(cfg):
+        raise AssertionError("ran an experiment for a one-sided contrast")
+
+    monkeypatch.setattr(decay_analysis, "run_experiment", run_experiment)
     assert run_cli(["decay", "--contrast", "flat,power:0.5", "--K", "2",
                     "--h", "0.015625"], tmp_path) == 2
+    assert capsys.readouterr().err == (
+        "config error: contrast needs at least one Dini and one non-Dini "
+        "profile\n")
+
+
+@pytest.mark.parametrize("command, message", [
+    (["decay", "--profile", "wedge:", "--bc", "sector"],
+     "profile preset 'wedge:' argument '' is not a number"),
+    (["solve", "--op", "aniso:1,x"],
+     "operator preset 'aniso:1,x' argument 'x' is not a number"),
+    (["modulus", "--preset", "power:abc"],
+     "modulus preset 'power:abc' argument 'abc' is not a number"),
+], ids=["profile", "operator", "modulus"])
+def test_non_numeric_preset_argument_names_the_id(tmp_path, capsys, command,
+                                                  message):
+    assert run_cli(command, tmp_path) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 def test_decay_byte_reproducible(tmp_path):

@@ -66,7 +66,7 @@ def test_verdict_resolution_stable():
 
 def test_scale_starved():
     cfg = D.HopfExperiment(profile="flat", R0=0.5, K=1, h=2.0**-5)
-    with pytest.raises(D.ScaleStarvedError):
+    with pytest.raises(ValueError, match="fewer than three levels"):
         D.run_experiment(cfg)
 
 
@@ -163,7 +163,7 @@ def test_product_log1_decreases_log2_levels_off():
 
 
 def test_product_domain_error():
-    with pytest.raises(G.DomainError):
+    with pytest.raises(ValueError, match="factors not positive"):
         D.product_bound(lambda r: 20.0, 0.1, 0.5, 5)
     with pytest.raises(ValueError):
         D.product_bound(lambda r: 0.1, 1.5, 0.5, 5)
@@ -198,21 +198,22 @@ def test_recursion_source_free_reduces_to_pi_m1():
 
 
 def test_recursion_adjust_k0():
-    with pytest.raises(D.AdjustK0Error) as exc:
+    with pytest.raises(ValueError,
+                       match=r"minimal admissible k0 = \d+$") as exc:
         D.growth_recursion_bound(M.preset_modulus("linear"), 0.0, 1.0,
                                  0.9, k0=1, rho_ratio=0.01)
-    assert exc.value.minimal_k0 is not None
     # the suggested k0 is admissible
+    minimal_k0 = int(str(exc.value).rpartition(" = ")[2])
     D.growth_recursion_bound(M.preset_modulus("linear"), 0.0, 1.0, 0.9,
-                             k0=exc.value.minimal_k0, rho_ratio=0.01)
+                             k0=minimal_k0, rho_ratio=0.01)
 
 
 def test_recursion_adjust_k0_hopeless():
     # the sigma term alone exceeds the bound: no k0 can help
-    with pytest.raises(D.AdjustK0Error) as exc:
+    with pytest.raises(ValueError,
+                       match="; no k0 suffices, reduce rho_ratio$"):
         D.growth_recursion_bound(M.preset_modulus("linear"), 1.0, 1.0,
                                  0.5, k0=10, rho_ratio=1.0)
-    assert exc.value.minimal_k0 is None
 
 
 def test_recursion_pi_monotone_and_k0_monotone():
@@ -275,9 +276,9 @@ def test_recursion_matches_per_level_reference(sigma, params, adjusts):
     assert ("minimal_k0" in ref) == adjusts
     if adjusts:
         assert ref["minimal_k0"] is not None
-        with pytest.raises(D.AdjustK0Error) as exc:
+        with pytest.raises(ValueError, match=f"; minimal admissible k0 = "
+                                             f"{ref['minimal_k0']}$"):
             D.growth_recursion_bound(sigma, **params)
-        assert exc.value.minimal_k0 == ref["minimal_k0"]
         return
     rep = D.growth_recursion_bound(sigma, **params)
     for field, want in ref.items():

@@ -193,7 +193,7 @@ def test_local_norm_ideal_property():
 
 
 def test_local_norm_empty_region():
-    with pytest.raises(E.EmptyRegionError):
+    with pytest.raises(ValueError, match="region contains no grid nodes"):
         E.local_norm(np.ones((4, 4)), 0.1, region=np.zeros((4, 4), bool))
 
 

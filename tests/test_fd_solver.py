@@ -69,7 +69,7 @@ def test_hopf_trace_misaligned():
     # cell off a line; a good height does not hide a bad one after it
     for heights in ([0.1], [0.0], [0.5 + h], [2.0**-3 + h / 2.0],
                     [2.0**-2, 0.1], [-h], [float("nan")], [float("inf")]):
-        with pytest.raises(F.MisalignedHeightError, match="not a grid line"):
+        with pytest.raises(ValueError, match="not a grid line"):
             F.hopf_trace(sol, heights)
     # the box top is a grid line with data
     assert F.hopf_trace(sol, [0.5])[0] == pytest.approx(1.0, abs=1e-12)
@@ -95,7 +95,7 @@ def test_hopf_trace_needs_a_solution_value():
     values = sol.values.copy()
     values[col, 4] = np.nan
     sol = dataclasses.replace(sol, values=values)
-    with pytest.raises(F.MisalignedHeightError, match="no solution value"):
+    with pytest.raises(ValueError, match="no solution value"):
         F.hopf_trace(sol, [2.0**-2, 4 * 2.0**-6])
 
 
@@ -653,7 +653,8 @@ def test_oscillation_window_matches_full_grid(profile_id):
     for r in radii.tolist():
         ref = _full_grid_oscillation(sol, r)
         if ref is None:
-            with pytest.raises(E.EmptyRegionError):
+            with pytest.raises(ValueError,
+                               match="no interior nodes in the cylinder"):
                 F.oscillation(sol, prof, r)
         else:
             assert F.oscillation(sol, prof, r) == ref
@@ -662,7 +663,8 @@ def test_oscillation_window_matches_full_grid(profile_id):
 def test_oscillation_empty_region():
     prof = G.preset_profile("flat", R0=0.5)
     sol, _, _ = solve_preset("flat", "laplace", 2.0**-5)
-    with pytest.raises(E.EmptyRegionError):
+    with pytest.raises(ValueError,
+                       match="no interior nodes in the cylinder"):
         F.oscillation(sol, prof, 2.0**-5)  # cylinder below the noise floor
 
 
@@ -1319,7 +1321,8 @@ def test_factor_peak_memory():
 
 
 def test_empty_interior_raises_from_domain_build():
-    with pytest.raises(G.ResolutionError):
+    with pytest.raises(ValueError,
+                       match="interior nodes on the x1 = 0 column"):
         F.DiscreteDomain.build(G.preset_profile("flat", R0=0.5), 0.25)
 
 

@@ -50,6 +50,12 @@ COMMANDS = [
     ["modulus", "--preset", "nosuch"],
     ["decay", "--profile", "nosuch", "--K", "2", "--h", "0.015625"],
     ["solve", "--profile", "log1", "--h", "0.015625", "--op", "nosuch"],
+    ["solve", "--h", "0"],
+    ["solve", "--h", "0.3"],
+    ["decay", "--K", "1"],
+    ["verify", "--samples", "0"],
+    ["decay", "--profile", "wedge:", "--bc", "sector"],
+    ["decay", "--contrast", "log1,cone:0.4", "--K", "2", "--h", "0.015625"],
 ]
 
 
