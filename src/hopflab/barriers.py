@@ -75,9 +75,9 @@ class BarrierSpec:
 
 
 def cylinder_barrier(k: float, rho: float, nu: float, n: int,
-                     frame=None, gamma: Optional[float] = None) -> BarrierSpec:
-    g = nu / math.sqrt(n - 1) if gamma is None else gamma
-    return BarrierSpec(kind="cylinder", amplitude=k, rho=rho, gamma=g,
+                     frame=None) -> BarrierSpec:
+    return BarrierSpec(kind="cylinder", amplitude=k, rho=rho,
+                       gamma=nu / math.sqrt(n - 1),
                        center=np.zeros(n), frame=frame)
 
 
@@ -192,8 +192,8 @@ class CylinderCertificate:
 
 
 def cylinder_barrier_certificate(nu: float, n: int = 2, samples: int = 10000,
-                                 seed: int = 0, gamma_scale: float = 1.0,
-                                 tol: float = 1e-12) -> CylinderCertificate:
+                                 seed: int = 0, gamma_scale: float = 1.0
+                                 ) -> CylinderCertificate:
     """Verify the cylinder barrier's second-order bracket over sampled
     admissible matrices.
 
@@ -217,7 +217,7 @@ def cylinder_barrier_certificate(nu: float, n: int = 2, samples: int = 10000,
     grad_bound = 2.0 * math.sqrt((n - 1) + 1.0 / gamma**2)
     return CylinderCertificate(
         nu=nu, n=n, gamma=gamma, samples=samples, seed=seed,
-        bracket_max=bracket_max, passed=bool(bracket_max <= tol),
+        bracket_max=bracket_max, passed=bool(bracket_max <= 1e-12),
         gradient_bound=grad_bound,
         center_gain=(1.0 - gamma**2) / 16.0,
         worst_matrix=mats[k_worst],
@@ -241,8 +241,8 @@ class RadialCertificate:
 
 
 def radial_exponent_certificate(s: float, nu: float, n: int = 2,
-                                samples: int = 10000, seed: int = 0,
-                                tol: float = 1e-12) -> RadialCertificate:
+                                samples: int = 10000, seed: int = 0
+                                ) -> RadialCertificate:
     """Certify -a^{ij} D_i D_j |x-z|^-s <= 0 for admissible a.
 
     The sign is governed by the bracket (s+2)(a xhat, xhat) - tr a.  The
@@ -277,7 +277,7 @@ def radial_exponent_certificate(s: float, nu: float, n: int = 2,
         critical_s=n / nu**2 - 2.0,
         attainable_critical_s=(n - 1) / nu**2 - 1.0,
         sampled_min_bracket=float(brackets[k_worst]),
-        passed=bool(margin >= -tol),
+        passed=bool(margin >= -1e-12),
         worst_matrix=mats[k_worst],
         worst_direction=dirs[k_worst],
     )
@@ -298,10 +298,9 @@ class ChainReport:
     rho0: float
 
 
-def chain_geometry(nu: float, n: int, r: float,
-                   z_prime: Optional[np.ndarray] = None):
+def chain_geometry(nu: float, n: int, r: float):
     """Centers z0 (ball of Eq-style construction) and z~ (target above the
-    trace column), plus the admissible chain-length window
+    trace column, z~' = 0), plus the admissible chain-length window
     [4|z0-z~|/(3 rho0), 2|z0-z~|/rho0]."""
     gamma = nu / math.sqrt(n - 1)
     rho0 = gamma * r / 8.0
@@ -309,11 +308,6 @@ def chain_geometry(nu: float, n: int, r: float,
     z0[0] = r / 2.0
     z0[-1] = gamma * r / 4.0
     zt = np.zeros(n)
-    if z_prime is not None:
-        zp = np.atleast_1d(np.asarray(z_prime, dtype=float))
-        if np.linalg.norm(zp) > r / 4.0 + 1e-12:
-            raise ValueError("|z~'| must not exceed r/4")
-        zt[:-1] = zp
     zt[-1] = r / 4.0 + rho0 / 8.0
     dist = float(np.linalg.norm(z0 - zt))
     return z0, zt, rho0, (4.0 * dist / (3.0 * rho0), 2.0 * dist / rho0)
@@ -324,7 +318,6 @@ _SPHERE_SAMPLES = 256   # boundary points of a chain ball that theta samples
 
 def growth_chain(v_lower: float, nu: float, n: int, r: float,
                  chain_length: int, drift_term: float = 0.0,
-                 z_prime: Optional[np.ndarray] = None,
                  check_spacing: bool = True) -> ChainReport:
     """Propagate a positivity bound along a chain of overlapping balls.
 
@@ -336,7 +329,7 @@ def growth_chain(v_lower: float, nu: float, n: int, r: float,
     flags the first step whose bound hits zero under positive drift."""
     if v_lower < 0.0:
         raise ValueError("v_lower must be nonnegative")
-    z0, zt, rho0, window = chain_geometry(nu, n, r, z_prime)
+    z0, zt, rho0, window = chain_geometry(nu, n, r)
     if check_spacing and not (window[0] - 1e-9 <= chain_length
                               <= window[1] + 1e-9):
         raise ValueError(
@@ -382,17 +375,17 @@ def growth_chain(v_lower: float, nu: float, n: int, r: float,
 # ----------------------------------------------------------------------
 
 def cap_bound_constant(nu: float, n: int, r: float,
-                       samples: int = 4000, seed: int = 0) -> float:
+                       samples: int = 4000) -> float:
     """Smallest N with  W_unit(x) <= N * x_n * (4/r)  on the closed annulus
     of the capped barrier centered above the origin (z~' = 0).
 
     The outer sphere of W passes through the origin, where both sides
     vanish; the ratio W r/(4 x_n) stays bounded and scale-invariant, so
     the fitted constant can be reused across r."""
-    z0, zt, rho0, _ = chain_geometry(nu, n, r, z_prime=None)
+    z0, zt, rho0, _ = chain_geometry(nu, n, r)
     s = n / nu**2
     spec = capped_barrier(1.0, rho0, s, center=zt, outer_radius=float(zt[-1]))
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     dirs = rng.standard_normal((samples, n))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     radii = rng.uniform(rho0 / 8.0, float(zt[-1]), size=samples)

@@ -174,15 +174,15 @@ def preset_profile(spec: str, R0: float = 0.5, ambient_dim: int = 2) -> Boundary
                          preset=spec)
 
 
-def validate_profile(profile: BoundaryProfile, samples: int = 200,
-                     seed: int = 0) -> None:
-    """Sampled invariant checks: F(0) = 0, F >= 0 on the patch, midpoint
-    convexity, and (radial) nondecreasing difference quotients."""
-    rng = np.random.default_rng(seed)
+def validate_profile(profile: BoundaryProfile) -> None:
+    """Sampled invariant checks over 200 seeded points of the patch: F(0) =
+    0, F >= 0, midpoint convexity, and (radial) nondecreasing difference
+    quotients."""
+    rng = np.random.default_rng(0)
     d = profile.ambient_dim - 1
     if abs(profile_height(profile, np.zeros(d))) > 1e-12:
         raise ValueError("F(0) must be 0")
-    pts = rng.uniform(-profile.R0, profile.R0, size=(samples, d))
+    pts = rng.uniform(-profile.R0, profile.R0, size=(200, d))
     pts = pts[np.linalg.norm(pts, axis=1) <= profile.R0]
     vals = np.array([profile_height(profile, p) for p in pts])
     if np.any(vals < -1e-12):
@@ -300,9 +300,9 @@ class SandwichReport:
         return self.lower_ok and self.upper_ok
 
 
-def sandwich_check(profile: BoundaryProfile, r: float,
-                   tol: float = 1e-10) -> SandwichReport:
-    """Verify delta(r) <= delta1(r) <= 2 delta(2r) and report slacks."""
+def sandwich_check(profile: BoundaryProfile, r: float) -> SandwichReport:
+    """Verify delta(r) <= delta1(r) <= 2 delta(2r), each to 1e-10, and
+    report slacks."""
     if 2.0 * r > profile.R0 + 1e-12:
         raise ValueError(f"need 2r <= R0, got r = {r}, R0 = {profile.R0}")
     d = delta(profile, r)
@@ -310,8 +310,8 @@ def sandwich_check(profile: BoundaryProfile, r: float,
     d2 = delta(profile, 2.0 * r)
     return SandwichReport(
         r=r, delta_r=d, delta1_r=d1, delta_2r=d2,
-        lower_ok=bool(d <= d1 + tol),
-        upper_ok=bool(d1 <= 2.0 * d2 + tol),
+        lower_ok=bool(d <= d1 + 1e-10),
+        upper_ok=bool(d1 <= 2.0 * d2 + 1e-10),
         lower_slack=d1 - d,
         upper_slack=2.0 * d2 - d1,
     )

@@ -175,9 +175,9 @@ class LinearSystem:
     dom: DiscreteDomain
     bc: Callable
 
-    def m_matrix_report(self, tol: float = 1e-10) -> dict:
-        """Off-diagonal sign and weak row dominance diagnostics; the row
-        sums, which scale as 1/spacing^2, are held to ``tol`` over the
+    def m_matrix_report(self) -> dict:
+        """Off-diagonal sign and weak row dominance diagnostics, held to
+        1e-10; the row sums, which scale as 1/spacing^2, to 1e-10 over the
         smallest spacing squared."""
         coo = self.matrix.tocoo()
         off = coo.data[coo.row != coo.col]
@@ -186,9 +186,9 @@ class LinearSystem:
         mask = self.dom.mask
         d = min(float(mask.dx1.min()), float(mask.dx2.min()))
         return {
-            "offdiag_ok": bool(max_off <= tol),
+            "offdiag_ok": bool(max_off <= 1e-10),
             "max_offdiag": max_off,
-            "rowsum_ok": bool(rowsum.min() >= -tol / d**2),
+            "rowsum_ok": bool(rowsum.min() >= -1e-10 / d**2),
             "min_rowsum": float(rowsum.min()),
         }
 

@@ -447,9 +447,9 @@ def _improper_quadrature(sigma: Modulus, s: float, rel_tol: float,
         f"rel_tol {rel_tol:g} not reached {stopped}", partial=total)
 
 
-def _decay_exponent(history, window: int = 40) -> float:
-    """Fitted p in c_m ~ m^-p over the trailing window of contributions."""
-    tail = np.asarray(history[-window:], dtype=float)
+def _decay_exponent(history) -> float:
+    """Fitted p in c_m ~ m^-p over the last 40 contributions."""
+    tail = np.asarray(history[-40:], dtype=float)
     pos = tail > 0.0
     if np.count_nonzero(pos) < 4:
         return math.inf
@@ -568,15 +568,14 @@ def dini_classify(sigma: Modulus, depth: int = 40) -> DiniVerdict:
 # relations and invariants
 # ----------------------------------------------------------------------
 
-def verify_relations(sigma: Modulus, t: float, t0: float,
-                     rel_tol: float = 1e-9) -> RelationReport:
+def verify_relations(sigma: Modulus, t: float, t0: float) -> RelationReport:
     """Check sigma(t) <= J(t), sigma(t/t0) <= sigma(t)/t0 and
     J(t/t0) <= J(t)/t0, reporting the slack of each."""
     if not (0.0 < t <= t0 <= 1.0):
         raise ValueError(f"need 0 < t <= t0 <= 1, got t={t}, t0={t0}")
     try:
-        j_t = dini_integral(sigma, t, rel_tol)
-        j_scaled = dini_integral(sigma, t / t0, rel_tol)
+        j_t = dini_integral(sigma, t)
+        j_scaled = dini_integral(sigma, t / t0)
     except DiniDivergenceError:
         j_t = math.inf
         j_scaled = math.inf
@@ -596,9 +595,10 @@ def verify_relations(sigma: Modulus, t: float, t0: float,
     )
 
 
-def check_invariants(sigma: Modulus, grid_size: int = 400) -> InvariantReport:
-    """Sampled endpoint, monotonicity and ratio-monotonicity checks."""
-    grid = np.geomspace(1e-10, 1.0, grid_size)
+def check_invariants(sigma: Modulus) -> InvariantReport:
+    """Endpoint, monotonicity and ratio-monotonicity checks on 400
+    geometric samples of [1e-10, 1]."""
+    grid = np.geomspace(1e-10, 1.0, 400)
     v0 = sigma(0.0)
     v1 = sigma(1.0)
     endpoints = abs(v0) <= 1e-12 and abs(v1 - 1.0) <= 1e-12
@@ -606,8 +606,8 @@ def check_invariants(sigma: Modulus, grid_size: int = 400) -> InvariantReport:
     dmon = np.diff(vals)
     ratio = vals / grid
     drat = np.diff(ratio)
-    worst_mon = float(-dmon.min()) if dmon.size else 0.0
-    worst_rat = float(drat.max()) if drat.size else 0.0
+    worst_mon = float(-dmon.min())
+    worst_rat = float(drat.max())
     return InvariantReport(
         endpoints_ok=bool(endpoints),
         monotone_ok=bool(worst_mon <= 1e-12),

@@ -418,3 +418,24 @@ def test_console_entry_point(tmp_path):
         env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert "verdict: Dini" in proc.stdout
+
+
+def test_decay_reports_independent_of_blas_threads(tmp_path):
+    # the residual norms go through OpenBLAS, whose reductions may split
+    # differently per thread count; the reports must not depend on it
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    runs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        proc = subprocess.run(
+            [sys.executable, "-m", "hopflab.cli", "decay", "--profile",
+             "log1", "--K", "4", "--h", "0.001953125", "--out", str(out)],
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": path,
+                 "OPENBLAS_NUM_THREADS": threads})
+        assert proc.returncode == 0, proc.stderr
+        runs.append((proc.stdout, {f.name: f.read_bytes()
+                                   for f in sorted(out.iterdir())}))
+    assert runs[0][1]
+    assert runs[0] == runs[1]

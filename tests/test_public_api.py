@@ -1,7 +1,9 @@
 """Each module's ``__all__`` is exact: every listed name resolves, and
 every public class or function the module defines is listed."""
 
+import ast
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -25,3 +27,113 @@ def test_all_is_exact(module):
         and (inspect.isclass(obj) or inspect.isfunction(obj))
         and obj.__module__ == module.__name__)
     assert [name for name in defined if name not in listed] == []
+
+
+# ------------------------------------------------------------ parameter census
+
+ROOT = Path(__file__).resolve().parents[1]
+CALLERS = ("src", "tests", "perfbench", "tools")
+# defaulted parameters that no call sets yet and that stay: the console
+# entry point reads sys.argv, and n = 3 profiles need ambient_dim
+UNSET_ALLOWED = ["cli.main(argv)",
+                 "convex_geometry.preset_profile(ambient_dim)"]
+NONE = ast.dump(ast.Constant(None))
+
+
+def _parse(dirs):
+    for d in dirs:
+        for path in sorted((ROOT / d).rglob("*.py")):
+            yield path, ast.parse(path.read_text(), filename=str(path))
+
+
+def _defaulted(fn, in_class):
+    """(name, position after self/cls or None, default) of each defaulted
+    parameter, leaving out closure bindings such as ``b=b``."""
+    a = fn.args
+    pos = a.posonlyargs + a.args
+    skip = int(in_class and bool(pos) and pos[0].arg in ("self", "cls"))
+    pairs = [(arg, i - skip, d) for i, (arg, d) in
+             enumerate(zip(pos[len(pos) - len(a.defaults):], a.defaults),
+                       len(pos) - len(a.defaults))]
+    pairs += [(arg, None, d) for arg, d in zip(a.kwonlyargs, a.kw_defaults)
+              if d is not None]
+    return [(arg.arg, i, d) for arg, i, d in pairs
+            if not isinstance(d, ast.Name)]
+
+
+def _census():
+    """Defaulted parameters in src/ that no call in src/, tests/,
+    perfbench/ or tools/ passes, by keyword or at its position.  Calls are
+    matched by the called name.  An explicit None for a None default, or
+    forwarding the caller's own unset parameter of equal default, sets
+    nothing."""
+    params = {}          # (function, parameter) -> (label, position, default)
+    for path, tree in _parse(["src"]):
+        module = path.stem
+
+        def visit(node, in_class):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.ClassDef):
+                    if not any(isinstance(b, ast.Name)
+                               and b.id.endswith("Error")
+                               for b in child.bases):
+                        visit(child, True)
+                elif isinstance(child, (ast.FunctionDef,
+                                        ast.AsyncFunctionDef)):
+                    for name, i, d in _defaulted(child, in_class):
+                        params[(child.name, name)] = (
+                            f"{module}.{child.name}({name})", i, ast.dump(d))
+                    visit(child, False)
+                else:
+                    visit(child, in_class)
+        visit(tree, False)
+
+    sets = []            # (key set, key of the parameter it forwards or None)
+
+    def scan(node, enclosing):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                scan(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                f = child.func
+                called = getattr(f, "id", None) or getattr(f, "attr", None)
+                keywords = {k.arg: k.value for k in child.keywords}
+                for (fn, name), (_, i, _) in params.items():
+                    if fn != called:
+                        continue
+                    if None in keywords or any(isinstance(v, ast.Starred)
+                                               for v in child.args):
+                        value = None
+                    elif name in keywords:
+                        value = keywords[name]
+                    elif i is not None and i < len(child.args):
+                        value = child.args[i]
+                    else:
+                        continue
+                    default = params[(fn, name)][2]
+                    if (default == NONE and isinstance(value, ast.Constant)
+                            and value.value is None):
+                        continue
+                    forwarded = (enclosing, getattr(value, "id", None))
+                    sets.append(((fn, name), forwarded
+                                 if forwarded in params
+                                 and params[forwarded][2] == default
+                                 else None))
+            scan(child, enclosing)
+
+    for _, tree in _parse(CALLERS):
+        scan(tree, None)
+    passed = set()
+    while True:
+        grown = {key for key, via in sets if via is None or via in passed}
+        if grown == passed:
+            break
+        passed = grown
+    return sorted(label for key, (label, _, _) in params.items()
+                  if key not in passed)
+
+
+def test_every_default_is_set_by_some_caller():
+    unset = [p for p in _census() if p not in UNSET_ALLOWED]
+    assert not unset, f"{len(unset)} defaults no caller sets: {unset}"

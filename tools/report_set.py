@@ -47,6 +47,8 @@ COMMANDS = [
       for p in ("power:0.5", "log1", "log2", "cone:0.4", "wedge:2.0944",
                 "flat")),
     ["verify", "--nu", "0.5", "--n", "2"],
+    ["verify", "--nu", "0.3", "--n", "3"],
+    ["verify", "--nu", "0.7", "--n", "4", "--samples", "2000"],
     ["modulus", "--preset", "nosuch"],
     ["decay", "--profile", "nosuch", "--K", "2", "--h", "0.015625"],
     ["solve", "--profile", "log1", "--h", "0.015625", "--op", "nosuch"],
