@@ -186,7 +186,6 @@ class CylinderCertificate:
     seed: int
     bracket_max: float
     passed: bool
-    gradient_bound: float      # sup |D psi| rho / k over the slab
     center_gain: float         # (1 - gamma^2)/16
     worst_matrix: np.ndarray
 
@@ -213,12 +212,9 @@ def cylinder_barrier_certificate(nu: float, n: int = 2, samples: int = 10000,
     brackets = diags[:, :-1].sum(axis=1) - diags[:, -1] / gamma**2
     k_worst = int(np.argmax(brackets))
     bracket_max = float(brackets[k_worst])
-    # sup over the slab of |D psi| rho / k, from the closed form
-    grad_bound = 2.0 * math.sqrt((n - 1) + 1.0 / gamma**2)
     return CylinderCertificate(
         nu=nu, n=n, gamma=gamma, samples=samples, seed=seed,
         bracket_max=bracket_max, passed=bool(bracket_max <= 1e-12),
-        gradient_bound=grad_bound,
         center_gain=(1.0 - gamma**2) / 16.0,
         worst_matrix=mats[k_worst],
     )
@@ -237,7 +233,6 @@ class RadialCertificate:
     sampled_min_bracket: float
     passed: bool
     worst_matrix: np.ndarray
-    worst_direction: np.ndarray
 
 
 def radial_exponent_certificate(s: float, nu: float, n: int = 2,
@@ -249,11 +244,13 @@ def radial_exponent_certificate(s: float, nu: float, n: int = 2,
     verdict uses the elementary decoupled bound (margin (s+2) nu - n/nu,
     sharp at s = n/nu^2 - 2 and cleared by 2 nu at s = n/nu^2); the
     sampled minimum over matrices and directions is reported alongside
-    together with its minimizer (radial eigenvalue nu, transverse 1/nu).
+    together with its matrix (radial eigenvalue nu, transverse 1/nu).
     Over the admissible class the sampled bracket only turns negative
-    below (n-1)/nu^2 - 1."""
-    if s <= 0.0:
-        raise ValueError("radial exponent s must be positive")
+    below (n-1)/nu^2 - 1.  An s that is not in (0, inf), NaN included,
+    raises ``ValueError``."""
+    if not 0.0 < s < math.inf:
+        raise ValueError(f"radial exponent s must be positive and finite, "
+                         f"got {s!r}")
     if not 0.0 < nu <= 1.0:
         raise ValueError("nu must lie in (0, 1]")
     rng = np.random.default_rng(seed)
@@ -279,7 +276,6 @@ def radial_exponent_certificate(s: float, nu: float, n: int = 2,
         sampled_min_bracket=float(brackets[k_worst]),
         passed=bool(margin >= -1e-12),
         worst_matrix=mats[k_worst],
-        worst_direction=dirs[k_worst],
     )
 
 
@@ -294,7 +290,6 @@ class ChainReport:
     closed_form_zero_drift: float
     theta: float
     broken_at: Optional[int]
-    spacing: float
     rho0: float
 
 
@@ -367,7 +362,7 @@ def growth_chain(v_lower: float, nu: float, n: int, r: float,
     closed = v_lower * (theta / 2.0) ** chain_length
     return ChainReport(values=tuple(values), k_final=values[-1],
                        closed_form_zero_drift=closed, theta=theta,
-                       broken_at=broken_at, spacing=step, rho0=rho0)
+                       broken_at=broken_at, rho0=rho0)
 
 
 # ----------------------------------------------------------------------

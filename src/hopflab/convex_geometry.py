@@ -390,7 +390,6 @@ class BallInclusionReport:
     margin: float
     gamma: float
     rho0: float
-    cos_phi: float
     z0: np.ndarray
     smallness_ok: bool
     sufficient_condition: bool  # 16 delta(2r) < gamma (2 cos phi - 1)
@@ -443,7 +442,6 @@ def ball_inclusion_check(profile: BoundaryProfile, frame: ExtremalFrame,
         margin=margin,
         gamma=gamma,
         rho0=rho0,
-        cos_phi=cos_phi,
         z0=z0_x,
         smallness_ok=bool(delta1(profile, profile.R0) <= 0.75),
         sufficient_condition=bool(sufficient),

@@ -238,7 +238,6 @@ class ProductReport:
     integral: float            # int of delta(r)/r over [r_K/2, r_0/2]
     sum_to_integral: float     # ~ 1/ln 8 for slowly varying delta
     limit_estimate: float      # partial_K damped by the analytic tail bound
-    tail_sum_bound: float
 
 
 def product_bound(delta_fn: Callable[[np.ndarray], np.ndarray], kappa: float,
@@ -278,7 +277,7 @@ def product_bound(delta_fn: Callable[[np.ndarray], np.ndarray], kappa: float,
         radii=tuple(radii.tolist()), partials=tuple(partials.tolist()),
         delta_sum=delta_sum, integral=integral,
         sum_to_integral=float(delta_sum / integral) if integral > 0 else math.inf,
-        limit_estimate=float(limit_estimate), tail_sum_bound=float(tail))
+        limit_estimate=float(limit_estimate))
 
 
 # ----------------------------------------------------------------------
@@ -293,9 +292,7 @@ class RecursionReport:
     pi_increment_at_horizon: float
     pi_tail_bound: float       # analytic bound on sum of gamma beyond horizon
     m_bound: tuple             # M_k trajectory with the recursion as equality
-    c4_estimate: float
     sigma_sum: float           # sum over k >= 1 of sigma(2^-k rho/rho*)
-    sigma_integral: float      # J(rho/rho*)
     sum_to_integral: float
 
 
@@ -365,7 +362,6 @@ def growth_recursion_bound(sigma: Modulus, mathfrak_b: float,
         src = (mathfrak_f * sig_terms[k] * 2.0 * zeta_fac[k]
                / ((1.0 - half_t) * half_t))
         m_vals.append(m_vals[-1] * (1.0 + gam[k]) + src)
-    m_bound = np.asarray(m_vals)
 
     sigma_sum = float(sig_terms.sum())
     try:
@@ -373,18 +369,14 @@ def growth_recursion_bound(sigma: Modulus, mathfrak_b: float,
                               max_intervals=900)
     except (DiniDivergenceError, QuadratureToleranceError):
         j_val = math.inf
-    denom = m1 + mathfrak_f * (j_val if math.isfinite(j_val) else 0.0)
-    c4 = float(m_bound.max() / denom) if denom > 0 else math.inf
     return RecursionReport(
         gamma=tuple(float(g) for g in gam),
         pi_partials=tuple(float(p) for p in pi_partials),
         pi_value=pi_value,
         pi_increment_at_horizon=increment,
         pi_tail_bound=float(pi_tail_bound),
-        m_bound=tuple(float(m) for m in m_bound),
-        c4_estimate=c4,
+        m_bound=tuple(float(m) for m in m_vals),
         sigma_sum=sigma_sum,
-        sigma_integral=float(j_val),
         sum_to_integral=float(sigma_sum / j_val) if j_val and
         math.isfinite(j_val) and j_val > 0 else math.inf)
 

@@ -266,7 +266,6 @@ class ApproximantPair:
     the gradient of the target function there; with no gradient the
     truncation alone is returned."""
 
-    epsilon: float
     a_eps: Callable
     b_eps_raw: Callable
     b_grid: Callable
@@ -285,7 +284,6 @@ def approximate(op: EllipticOperator, epsilon: float,
                 box) -> ApproximantPair:
     """Approximating operator: mollified a plus truncated drift."""
     return ApproximantPair(
-        epsilon=epsilon,
         a_eps=mollify_a(op.a_grid, epsilon, box),
         b_eps_raw=truncate_drift(op.b_grid, epsilon),
         b_grid=op.b_grid,

@@ -1040,7 +1040,6 @@ def oscillation(sol: DiscreteSolution, profile: BoundaryProfile,
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    h_list: tuple
     errors: tuple
     observed_order: Optional[float]
     exact: bool
@@ -1088,11 +1087,11 @@ def convergence_study(op: EllipticOperator, profile: BoundaryProfile,
         errors.append(err)
     errors_arr = np.asarray(errors)
     if np.all(errors_arr < 1e-9):
-        return ConvergenceReport(tuple(h_list), tuple(errors), None, True,
+        return ConvergenceReport(tuple(errors), None, True,
                                  "exact" if exact else "richardson")
     slope = float(np.polyfit(np.log(np.asarray(h_list)),
                              np.log(np.maximum(errors_arr, 1e-300)), 1)[0])
-    return ConvergenceReport(tuple(h_list), tuple(errors), slope, False,
+    return ConvergenceReport(tuple(errors), slope, False,
                              "exact" if exact else "richardson")
 
 

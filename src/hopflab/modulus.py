@@ -124,8 +124,6 @@ class InvariantReport:
     endpoints_ok: bool
     monotone_ok: bool
     ratio_monotone_ok: bool
-    worst_monotone_violation: float
-    worst_ratio_violation: float
 
     @property
     def all_ok(self) -> bool:
@@ -136,9 +134,7 @@ class InvariantReport:
 class DiniIntegralResult:
     value: float
     method: str  # "closed-form" or "quadrature"
-    quadrature_value: Optional[float]
-    quadrature_intervals: int
-    quadrature_note: str = ""
+    quadrature_value: float
 
 
 @dataclass(frozen=True)
@@ -155,9 +151,7 @@ class RelationReport:
     sigma_le_j: bool
     scaling_sigma: bool
     scaling_j: bool
-    slack_sigma_le_j: float
     slack_scaling_sigma: float
-    slack_scaling_j: float
 
     @property
     def all_hold(self) -> bool:
@@ -267,12 +261,15 @@ def from_table(t: Sequence[float], s: Sequence[float]) -> Modulus:
     linear through the origin (constant ratio).
 
     The table is normalized so that sigma(1) = 1; t must be strictly
-    increasing inside [0, 1] with final abscissa 1.
+    increasing inside [0, 1] with final abscissa 1, and every entry must be
+    finite.
     """
     t = np.asarray(t, dtype=float)
     s = np.asarray(s, dtype=float)
     if t.ndim != 1 or t.shape != s.shape or t.size < 2:
         raise ValueError("need two equal-length 1-D columns with >= 2 rows")
+    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(s))):
+        raise ValueError("table entries t and sigma must be finite")
     if np.any(np.diff(t) <= 0.0):
         raise ValueError("abscissae t must be strictly increasing")
     if t[0] < 0.0 or abs(t[-1] - 1.0) > 1e-12:
@@ -394,7 +391,7 @@ def _dyadic_increments(sigma: Callable, s: float, count: int) -> np.ndarray:
 def _improper_quadrature(sigma: Modulus, s: float, rel_tol: float,
                          max_intervals: int):
     """Sum of dyadic-interval contributions of J(s), with divergence and
-    budget guards.  Returns (partial_sum, intervals_used).
+    budget guards.  Returns the sum.
 
     Every contribution the budget allows is evaluated up front, down to
     the last interval whose low end stays above 1e-280; the contributions
@@ -414,7 +411,7 @@ def _improper_quadrature(sigma: Modulus, s: float, rel_tol: float,
     for m, c in enumerate(history.tolist()):
         total += c
         if c == 0.0:
-            return total, m + 1
+            return total
         if prev is not None and prev > 0.0:
             r = c / prev
             if r >= 1.0 - 1e-3:
@@ -429,7 +426,7 @@ def _improper_quadrature(sigma: Modulus, s: float, rel_tol: float,
             r_cl = min(r, 0.9999)
             tail_estimate = 2.0 * c * r_cl / (1.0 - r_cl)
             if tail_estimate <= rel_tol * max(total, 1e-300):
-                return total, m + 1
+                return total
         prev = c
     if count < max_intervals:
         diverges = f"detected at the double-precision floor, interval {count}"
@@ -459,39 +456,40 @@ def _decay_exponent(history) -> float:
     return float(-slope)
 
 
-def dini_integral_report(sigma: Modulus, s: float, rel_tol: float = 1e-9,
-                         max_intervals: int = 1500,
-                         force_quadrature: bool = False) -> DiniIntegralResult:
-    """J(s) = int_0^s sigma(tau)/tau dtau with full bookkeeping.
+def dini_integral(sigma: Modulus, s: float, rel_tol: float = 1e-9,
+                  max_intervals: int = 1500,
+                  force_quadrature: bool = False) -> float:
+    """J(s) = int_0^s sigma(tau)/tau dtau.
 
-    When the modulus carries a closed form, it is returned and a
-    (budget-limited) quadrature value is recorded for cross-checking;
-    quadrature failures then only annotate the result.  Otherwise the
-    dyadic quadrature value is returned, raising ``DiniDivergenceError``
-    when contributions fail to decay and ``QuadratureToleranceError`` when
-    the budget is exhausted.
+    The closed form, when the modulus carries one, is returned as is and no
+    quadrature runs.  Otherwise (or with ``force_quadrature``) the dyadic
+    quadrature value is returned, raising ``DiniDivergenceError`` when
+    contributions fail to decay and ``QuadratureToleranceError`` when the
+    budget is exhausted.
     """
     if not 0.0 < s <= 1.0:
         raise ValueError(f"s must lie in (0, 1], got {s}")
     if sigma.closed_form_j is not None and not force_quadrature:
-        value = float(sigma.closed_form_j(s))
-        try:
-            q, used = _improper_quadrature(sigma, s, rel_tol, max_intervals)
-            note = ""
-        except (DiniDivergenceError, QuadratureToleranceError) as exc:
-            q, used, note = exc.partial, max_intervals, \
-                f"cross-check stopped: {exc}"
-        return DiniIntegralResult(value, "closed-form", q, used, note)
-    q, used = _improper_quadrature(sigma, s, rel_tol, max_intervals)
-    return DiniIntegralResult(q, "quadrature", q, used)
+        return float(sigma.closed_form_j(s))
+    return _improper_quadrature(sigma, s, rel_tol, max_intervals)
 
 
-def dini_integral(sigma: Modulus, s: float, rel_tol: float = 1e-9,
-                  max_intervals: int = 1500,
-                  force_quadrature: bool = False) -> float:
-    """J(s); see `dini_integral_report` for the algorithm and errors."""
-    return dini_integral_report(sigma, s, rel_tol, max_intervals,
-                                force_quadrature).value
+def dini_integral_report(sigma: Modulus, s: float) -> DiniIntegralResult:
+    """`dini_integral` plus a quadrature value to cross-check it against.
+
+    For a closed form, the quadrature (``rel_tol`` 1e-9, at most 1500
+    intervals) runs as well; if it stops early, its partial sum is
+    recorded.  Without a closed form the quadrature is the value itself,
+    and its errors propagate as in `dini_integral`.
+    """
+    value = dini_integral(sigma, s)
+    if sigma.closed_form_j is None:
+        return DiniIntegralResult(value, "quadrature", value)
+    try:
+        q = _improper_quadrature(sigma, s, 1e-9, 1500)
+    except (DiniDivergenceError, QuadratureToleranceError) as exc:
+        q = exc.partial
+    return DiniIntegralResult(value, "closed-form", q)
 
 
 # ----------------------------------------------------------------------
@@ -570,7 +568,9 @@ def dini_classify(sigma: Modulus, depth: int = 40) -> DiniVerdict:
 
 def verify_relations(sigma: Modulus, t: float, t0: float) -> RelationReport:
     """Check sigma(t) <= J(t), sigma(t/t0) <= sigma(t)/t0 and
-    J(t/t0) <= J(t)/t0, reporting the slack of each."""
+    J(t/t0) <= J(t)/t0, reporting whether each holds and the slack
+    sigma(t)/t0 - sigma(t/t0) of the second.  A divergent J makes the
+    first and third hold."""
     if not (0.0 < t <= t0 <= 1.0):
         raise ValueError(f"need 0 < t <= t0 <= 1, got t={t}, t0={t0}")
     try:
@@ -582,16 +582,13 @@ def verify_relations(sigma: Modulus, t: float, t0: float) -> RelationReport:
     s_t = sigma(t)
     s_scaled = sigma(t / t0)
     tol = 1e-8
-    slack1 = j_t - s_t
-    slack2 = s_t / t0 - s_scaled
-    slack3 = (math.inf if math.isinf(j_t) else j_t / t0 - j_scaled)
+    slack = s_t / t0 - s_scaled
     return RelationReport(
-        sigma_le_j=bool(slack1 >= -tol * max(1.0, abs(j_t) if not math.isinf(j_t) else 1.0)),
-        scaling_sigma=bool(slack2 >= -tol),
-        scaling_j=bool(math.isinf(j_t) or slack3 >= -tol * max(1.0, j_t)),
-        slack_sigma_le_j=slack1,
-        slack_scaling_sigma=slack2,
-        slack_scaling_j=slack3,
+        sigma_le_j=bool(j_t - s_t >= -tol * max(1.0, abs(j_t))),
+        scaling_sigma=bool(slack >= -tol),
+        scaling_j=bool(math.isinf(j_t)
+                       or j_t / t0 - j_scaled >= -tol * max(1.0, j_t)),
+        slack_scaling_sigma=slack,
     )
 
 
@@ -603,15 +600,8 @@ def check_invariants(sigma: Modulus) -> InvariantReport:
     v1 = sigma(1.0)
     endpoints = abs(v0) <= 1e-12 and abs(v1 - 1.0) <= 1e-12
     vals = sigma(grid)
-    dmon = np.diff(vals)
-    ratio = vals / grid
-    drat = np.diff(ratio)
-    worst_mon = float(-dmon.min())
-    worst_rat = float(drat.max())
     return InvariantReport(
         endpoints_ok=bool(endpoints),
-        monotone_ok=bool(worst_mon <= 1e-12),
-        ratio_monotone_ok=bool(worst_rat <= 1e-12),
-        worst_monotone_violation=worst_mon,
-        worst_ratio_violation=worst_rat,
+        monotone_ok=bool(np.diff(vals).min() >= -1e-12),
+        ratio_monotone_ok=bool(np.diff(vals / grid).max() <= 1e-12),
     )

@@ -211,6 +211,9 @@ def test_out_of_memory_exit_3(tmp_path, capsys, monkeypatch, command):
     ["verify", "--profiles", "0"],
     ["verify", "--samples", "-1"],
     ["verify", "--samples", "0"],
+    # a non-finite radial exponent: a failed, or a passed, certificate
+    ["verify", "--s", "nan"],
+    ["verify", "--s", "inf"],
     # non-finite parameters: silently dropped, or a singular factor
     ["solve", "--profile", "log1", "--h", "0.015625", "--op", "drift:nan"],
     ["solve", "--profile", "log1", "--h", "0.015625", "--op", "checker:nan"],

@@ -226,6 +226,22 @@ def test_recursion_pi_monotone_and_k0_monotone():
     assert rep2.pi_value <= rep.pi_value + 1e-12
 
 
+def test_recursion_tail_bound_shrinks_with_horizon():
+    def tail(spec, horizon):
+        return D.growth_recursion_bound(
+            M.preset_modulus(spec), 1.0, 1.0, 0.5, k0=30,
+            rho_ratio=2.0**-10, horizon=horizon).pi_tail_bound
+
+    # log2: the sigma part J(2^-H rho) ~ 1/(H ln 2) halves as H doubles
+    bounds = {h: tail("log2", h) for h in (100, 200, 400, 800)}
+    for horizon in (200, 400, 800):
+        assert math.isfinite(bounds[horizon])
+        assert bounds[horizon] <= 0.6 * bounds[horizon // 2]
+    # geometric sigma terms leave a negligible tail by horizon 200
+    for spec in ("linear", "power:0.5"):
+        assert tail(spec, 200) <= 1e-12
+
+
 def _recursion_reference(sigma, mathfrak_b, mathfrak_f, vartheta, k0,
                          rho_ratio, horizon=200, m1=1.0):
     """growth_recursion_bound's recursion one level at a time: the

@@ -183,6 +183,22 @@ def test_dini_integral_budget_error():
                         force_quadrature=True, max_intervals=200)
 
 
+def test_dini_integral_closed_form_runs_no_quadrature():
+    shapes = []
+
+    def fn(t):
+        shapes.append(np.shape(t))
+        return np.asarray(t, dtype=float)
+
+    sigma = M.Modulus(fn=fn, closed_form_j=lambda s: s)
+    assert M.dini_integral(sigma, 0.5) == 0.5
+    assert shapes == []
+    # the report's cross-check is the one quadrature, on all its nodes at once
+    assert M.dini_integral_report(sigma, 0.5).quadrature_value == \
+        pytest.approx(0.5, rel=1e-9)
+    assert len(shapes) == 1 and len(shapes[0]) == 3
+
+
 def test_dini_integral_domain():
     with pytest.raises(ValueError):
         M.dini_integral(M.preset_modulus("linear"), 1.5)
@@ -357,6 +373,19 @@ def test_csv_rejects_nonmonotone(tmp_path):
     with pytest.raises(ValueError,
                        match="sigma values decrease along the table"):
         M.load_csv(path)
+
+
+# each was once accepted: NaN fails every check, being a comparison, and
+# an infinite sigma(1) normalizes the table to NaN
+@pytest.mark.parametrize("t, s", [
+    ([0.0, math.nan, 1.0], [0.0, 0.5, 1.0]),
+    ([0.0, 0.5, 1.0], [0.0, math.nan, 1.0]),
+    ([0.0, 0.5, 1.0], [0.0, 0.5, math.inf]),
+], ids=["nan-t", "nan-sigma", "inf-sigma"])
+def test_table_refuses_non_finite_entries(t, s):
+    with pytest.raises(ValueError, match="^table entries t and sigma must "
+                                         "be finite$"):
+        M.from_table(t, s)
 
 
 def test_table_normalization():

@@ -137,3 +137,36 @@ def _census():
 def test_every_default_is_set_by_some_caller():
     unset = [p for p in _census() if p not in UNSET_ALLOWED]
     assert not unset, f"{len(unset)} defaults no caller sets: {unset}"
+
+
+# ---------------------------------------------------------------- field census
+
+def _unread_fields():
+    """Annotated class fields in src/ (dataclasses and NamedTuples) whose
+    name no code in src/, tests/, perfbench/ or tools/ reads as an
+    attribute or spells as a string (``getattr`` over dict keys counts)."""
+    fields = {}
+    for path, tree in _parse(["src"]):
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                for stmt in cls.body:
+                    if (isinstance(stmt, ast.AnnAssign)
+                            and isinstance(stmt.target, ast.Name)):
+                        fields.setdefault(stmt.target.id, []).append(
+                            f"{path.stem}.{cls.name}.{stmt.target.id}")
+    read = set()
+    for _, tree in _parse(CALLERS):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx,
+                                                              ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value,
+                                                               str):
+                read.add(node.value)
+    return sorted(label for name, labels in fields.items()
+                  if name not in read for label in labels)
+
+
+def test_every_report_field_is_read():
+    unread = _unread_fields()
+    assert not unread, f"{len(unread)} fields nothing reads: {unread}"

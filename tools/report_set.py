@@ -58,6 +58,8 @@ COMMANDS = [
     ["verify", "--samples", "0"],
     ["decay", "--profile", "wedge:", "--bc", "sector"],
     ["decay", "--contrast", "log1,cone:0.4", "--K", "2", "--h", "0.015625"],
+    ["verify", "--s", "nan"],
+    ["verify", "--s", "inf"],
 ]
 
 
