@@ -66,12 +66,13 @@ class BarrierSpec:
     frame: Optional[object] = None  # ExtremalFrame; evaluation maps x -> y
 
     def __post_init__(self):
-        if self.amplitude < 0.0:
-            raise ValueError("amplitude must be nonnegative")
-        if self.rho <= 0.0:
-            raise ValueError("radius must be positive")
-        if self.kind in ("annulus", "capped") and self.s <= 0.0:
-            raise ValueError("radial exponent s must be positive")
+        # written so that NaN fails each test
+        if not 0.0 <= self.amplitude < math.inf:
+            raise ValueError("amplitude must be nonnegative and finite")
+        if not 0.0 < self.rho < math.inf:
+            raise ValueError("radius must be positive and finite")
+        if self.kind in ("annulus", "capped") and not 0.0 < self.s < math.inf:
+            raise ValueError("radial exponent s must be positive and finite")
 
 
 def cylinder_barrier(k: float, rho: float, nu: float, n: int,

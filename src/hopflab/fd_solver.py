@@ -101,6 +101,11 @@ them when no unknown is red), is freed with every other temporary
 before the factor.  The residuals read the (folded) system itself.  The
 |A| and |b| of the refinement's stop test are built after the first
 factor.
+
+Vector reductions on the solve path, such as the final residual norms,
+stay in numpy's own loops and out of BLAS: a BLAS call on a long vector
+wakes OpenBLAS's worker thread, which then spins for about 0.1 s and, on
+two cores, slows the numpy stages that follow by 1.5-2x.
 """
 
 from __future__ import annotations
@@ -939,6 +944,20 @@ def _refined_lu_solve(elim: _RedBlack, b: np.ndarray):
     return x, fill, solves
 
 
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of ``v`` in numpy's own loops, not BLAS.
+
+    The entries are scaled by the power of two at max|v| before they are
+    squared, as BLAS ``dnrm2`` scales them, so that the sum of squares
+    neither overflows nor flushes to 0; a power of two scales exactly.
+    numpy's norm would call ``dnrm2``, whose OpenBLAS worker thread,
+    once a long vector wakes it, spins on and slows the numpy stages
+    that follow (module docstring)."""
+    e = np.frexp(np.abs(v).max())[1]   # 0 for a max of 0, inf or nan
+    w = np.ldexp(v, -e)
+    return float(np.ldexp(np.sqrt(np.einsum("i,i->", w, w)), e))
+
+
 def solve(system: LinearSystem) -> DiscreteSolution:
     """Solve the assembled system by a sparse LU factorization.
 
@@ -961,8 +980,7 @@ def solve(system: LinearSystem) -> DiscreteSolution:
     x_f, fill, iterations = _refined_lu_solve(_red_black(A, ij_f), b_f)
     del A
     x = x_f[rep]
-    res = float(np.linalg.norm(b - system.matrix @ x)
-                / max(np.linalg.norm(b), 1e-300))
+    res = _norm(b - system.matrix @ x) / max(_norm(b), 1e-300)
 
     mask = dom.mask
     values = np.full(mask.cls.shape, np.nan)
@@ -1063,22 +1081,29 @@ def convergence_study(op: EllipticOperator, profile: BoundaryProfile,
     With ``exact`` the error is max |u_h - exact| over interior nodes;
     otherwise each grid is compared against its once-refined solve
     (Richardson-style difference) at the nodes the two grids share,
-    matched by coordinate.  Errors below 1e-9 everywhere are reported as
-    exact reproduction (order undefined)."""
+    matched by coordinate; when the next h is exactly h/2, the refined
+    solve is reused as that grid's own, so each grid is solved once.
+    Errors below 1e-9 everywhere are reported as exact reproduction
+    (order undefined)."""
     if len(h_list) < 2 or np.any(np.diff(h_list) >= 0.0):
         raise ValueError("h_list must be strictly decreasing with >= 2 entries")
-    errors = []
-    for h in h_list:
+
+    def solved(h):
         dom = DiscreteDomain.build(profile, h)
-        sol = solve(discretize(op, dom, bc))
+        return dom, solve(discretize(op, dom, bc))
+
+    errors = []
+    refined = {}   # h/2 -> the last refined (domain, solution)
+    for h in h_list:
+        dom, sol = refined.pop(h, None) or solved(h)
         if exact is not None:
             ii, jj = dom.interior_ij[:, 0], dom.interior_ij[:, 1]
             ref = np.asarray(exact(dom.mask.x1[ii], dom.mask.x2[jj]),
                              dtype=float)
             err = float(np.abs(sol.vec - ref).max())
         else:
-            dom2 = DiscreteDomain.build(profile, h / 2.0)
-            sol2 = solve(discretize(op, dom2, bc))
+            dom2, sol2 = solved(h / 2.0)
+            refined = {h / 2.0: (dom2, sol2)}
             ii, jj = dom.interior_ij[:, 0], dom.interior_ij[:, 1]
             fine = sol2.values[_lines_in(dom2.mask.x1, dom.mask.x1)[ii],
                                _lines_in(dom2.mask.x2, dom.mask.x2)[jj]]

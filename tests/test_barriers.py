@@ -92,6 +92,27 @@ def test_out_of_domain():
         B.barrier_eval(cyl, np.array([0.0, 0.5]))
 
 
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("amplitude", -1.0, "amplitude must be nonnegative and finite"),
+    ("amplitude", _NAN, "amplitude must be nonnegative and finite"),
+    ("amplitude", _INF, "amplitude must be nonnegative and finite"),
+    ("rho", 0.0, "radius must be positive and finite"),
+    ("rho", _NAN, "radius must be positive and finite"),
+    ("rho", _INF, "radius must be positive and finite"),
+    ("s", 0.0, "radial exponent s must be positive and finite"),
+    ("s", _NAN, "radial exponent s must be positive and finite"),
+    ("s", _INF, "radial exponent s must be positive and finite"),
+])
+def test_barrier_spec_refuses_out_of_range_fields(field, value, message):
+    fields = dict(kind="annulus", amplitude=1.0, rho=0.2, s=8.0)
+    B.BarrierSpec(**fields)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        B.BarrierSpec(**{**fields, field: value})
+
+
 def test_frame_transport():
     from hopflab import convex_geometry as G
     prof = G.preset_profile("power:1", R0=1.0)

@@ -424,8 +424,9 @@ def test_console_entry_point(tmp_path):
 
 
 def test_decay_reports_independent_of_blas_threads(tmp_path):
-    # the residual norms go through OpenBLAS, whose reductions may split
-    # differently per thread count; the reports must not depend on it
+    # a BLAS reduction may split its sum differently per thread count;
+    # the solve path keeps its vector reductions out of BLAS (fd_solver),
+    # so the reports cannot depend on the caller's thread count
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     runs = []

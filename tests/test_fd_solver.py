@@ -1262,6 +1262,22 @@ def test_zero_rhs_gives_zero_solution():
     assert sol.residual_norm == 0.0
 
 
+@pytest.mark.parametrize("power", [-600, 600])
+def test_residual_norm_is_scale_invariant(power):
+    # each norm scales its vector by a power of two before squaring, so
+    # the relative residual of (b, r) scaled by 2^+-600 is the same
+    # number, where a plain sum of squares overflows or flushes to 0
+    system = _laplace_system(G.preset_profile("log1", R0=0.5), 2.0**-6)
+    sol = F.solve(system)
+    b = system.rhs
+    r = b - system.matrix @ sol.vec
+    assert F._norm(r) / F._norm(b) == sol.residual_norm > 0.0
+    rs, bs = np.ldexp(r, power), np.ldexp(b, power)
+    assert F._norm(rs) / F._norm(bs) == sol.residual_norm
+    with np.errstate(over="ignore", under="ignore"):
+        assert np.sum(bs * bs) in (0.0, np.inf)
+
+
 @pytest.mark.parametrize("power", [-130, 130])
 def test_refinement_is_scale_invariant(power):
     # each residual is scaled by max|r| before its float32 cast, so data
@@ -1320,6 +1336,62 @@ def test_factor_peak_memory():
     assert excess_kib and max(excess_kib) <= 2048
 
 
+# runs a log1 experiment at K = 4, h = 2^-9 to warm up, then three more
+# and one 9-point solve (a12 = 0.4, drift:1.5), and prints the CPU ticks
+# that the threads other than the main one gained over those, and the
+# number of threads
+_WORKER_TICKS_SCRIPT = """
+import os
+import numpy as np
+from hopflab import convex_geometry as G, elliptic_operator as E
+from hopflab import fd_solver as F
+from hopflab.decay_analysis import (HopfExperiment, boundary_data,
+                                    run_experiment)
+
+def worker_ticks():
+    tids = [t for t in os.listdir("/proc/self/task") if int(t) != os.getpid()]
+    ticks = 0
+    for tid in tids:
+        with open(f"/proc/self/task/{tid}/stat") as f:
+            fields = f.read().rpartition(")")[2].split()
+        ticks += int(fields[11]) + int(fields[12])   # utime + stime
+    return ticks, len(tids) + 1
+
+def a_grid(X1, X2):
+    ones = np.ones(np.broadcast(np.asarray(X1), np.asarray(X2)).shape)
+    return ones, ones.copy(), np.full(ones.shape, 0.4)
+
+cfg = HopfExperiment(profile="log1", K=4, h=2.0**-9)
+run_experiment(cfg)
+before, _ = worker_ticks()
+for _ in range(3):
+    run_experiment(cfg)
+op = E.EllipticOperator(nu=0.6, a_grid=a_grid,
+                        b_grid=E.preset_operator("drift:1.5").b_grid)
+prof = G.preset_profile("log1", R0=0.5)
+F.solve(F.discretize(op, F.DiscreteDomain.build(prof, 2.0**-9),
+                     boundary_data("linear", prof)))
+after, threads = worker_ticks()
+print(after - before, threads)
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="needs /proc/self/task")
+def test_experiment_path_leaves_the_blas_worker_idle():
+    # a BLAS call on a long vector wakes OpenBLAS's worker thread, which
+    # then spins for about 0.1 s and slows the numpy stages after it by
+    # 1.5-2x on two cores; the experiment path makes no such call
+    src = os.path.dirname(os.path.dirname(F.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="2")
+    out = subprocess.run([sys.executable, "-c", _WORKER_TICKS_SCRIPT],
+                         env=env, capture_output=True, text=True, check=True)
+    ticks, threads = (int(v) for v in out.stdout.split())
+    if threads == 1:
+        pytest.skip("a single thread: no BLAS worker")
+    assert ticks <= 1
+
+
 def test_empty_interior_raises_from_domain_build():
     with pytest.raises(ValueError,
                        match="interior nodes on the x1 = 0 column"):
@@ -1366,6 +1438,23 @@ def test_richardson_errors_on_a_non_dyadic_grid():
         expect.append(float(np.abs(sol.vec[ok] - ref[ok]).max()))
     assert rep.errors == tuple(expect)
     assert rep.reference == "richardson"
+
+
+def test_richardson_solves_each_grid_once(monkeypatch):
+    # the solve at h/2 that each grid is compared against is the next
+    # grid's own: 2^-5..2^-7 and the refined 2^-8, no grid twice
+    solve = F.solve
+    unknowns = []
+
+    def counted(system):
+        unknowns.append(system.dom.n_unknowns)
+        return solve(system)
+
+    monkeypatch.setattr(F, "solve", counted)
+    F.convergence_study(E.preset_operator("laplace"),
+                        G.preset_profile("log1", R0=0.5), bc_linear,
+                        [2.0**-5, 2.0**-6, 2.0**-7])
+    assert len(unknowns) == len(set(unknowns)) == 4
 
 
 def test_wedge_richardson_order_at_least_one():
