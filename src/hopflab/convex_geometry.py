@@ -27,7 +27,7 @@ from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
-from .modulus import Verdict, _preset_args, from_table, preset_modulus
+from .modulus import Modulus, Verdict, _preset_args, preset_modulus
 
 __all__ = [
     "BallInclusionReport",
@@ -658,7 +658,12 @@ def boundary_modulus(profile: BoundaryProfile):
     Returns (modulus or None, verdict hint).  Flat boundaries have a zero
     modulus (trivially Dini).  Cones and wedges have delta bounded away
     from zero; the domain then sits inside a planar wedge, the regime in
-    which the normal derivative already degenerates (hint NonDini)."""
+    which the normal derivative already degenerates (hint NonDini).  The
+    other presets return their modulus preset and its analytic flag.  A
+    profile without a preset returns delta(t R0)/delta(R0) itself, with
+    sigma(0) = 0, and no hint: delta is exact, nondecreasing and
+    vectorized, so the numeric classification reads it at every depth it
+    probes."""
     preset = getattr(profile, "preset", None)
     name = preset and _preset_args(preset, "profile", _PROFILE_GRAMMAR)[0]
     if name == "flat":
@@ -671,8 +676,11 @@ def boundary_modulus(profile: BoundaryProfile):
     d_R0 = delta(profile, profile.R0)
     if d_R0 <= 0.0:
         return None, Verdict.DINI
-    ts = np.geomspace(1e-8, 1.0, 200)
-    vals = delta(profile, ts * profile.R0) / d_R0
-    table = from_table(np.concatenate(([0.0], ts)),
-                       np.concatenate(([0.0], np.maximum.accumulate(vals))))
-    return table, None
+
+    def sigma(t):
+        t = np.asarray(t, dtype=float)
+        out = np.zeros(t.shape)
+        out[t > 0.0] = delta(profile, t[t > 0.0] * profile.R0) / d_R0
+        return out
+
+    return Modulus(fn=sigma), None

@@ -169,13 +169,10 @@ def _fit_kappa(osc, deltas) -> float:
 
 def _dini_verdict(profile: geo.BoundaryProfile) -> Verdict:
     """Dini verdict of the profile's boundary modulus: the preset's hint,
-    else the numeric classification, else Inconclusive.  No solve."""
+    else the numeric classification of delta(t R0)/delta(R0).  No solve.
+    Every profile without a hint has a modulus (`boundary_modulus`)."""
     sigma, hint = geo.boundary_modulus(profile)
-    if hint is not None:
-        return hint
-    if sigma is not None:
-        return dini_classify(sigma).verdict
-    return Verdict.INCONCLUSIVE
+    return hint if hint is not None else dini_classify(sigma).verdict
 
 
 def run_experiment(cfg: HopfExperiment) -> DecayReport:

@@ -886,7 +886,7 @@ def _refined_lu_solve(elim: _RedBlack, b: np.ndarray):
     """
     A = elim.A
     m = int(A.getnnz(axis=1).max()) + 1
-    u = np.finfo(np.float64).eps / 2.0
+    u = float(np.finfo(np.float64).eps) / 2.0
     gamma = m * u / (1.0 - m * u)
     abs_A = abs_b = None
 

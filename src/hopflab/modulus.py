@@ -394,40 +394,31 @@ def _improper_quadrature(sigma: Modulus, s: float, rel_tol: float,
     budget guards.  Returns the sum.
 
     Every contribution the budget allows is evaluated up front, down to
-    the last interval whose low end stays above 1e-280; the contributions
-    are then added in order until the tail estimate meets ``rel_tol``.
-    Divergence fires when consecutive contributions keep a ratio of at
-    least 1 - 1e-3 for 20 intervals.  When the abscissae exhaust double
-    precision first (contributions of log-type moduli approach that ratio
-    only around interval 1000, past the 1e-280 floor), the decay exponent
-    fitted on the last intervals decides: contributions shrinking no
-    faster than 1/m integrate to a divergent tail."""
+    the last interval whose low end stays above 1e-280.  The sum stops at
+    the first interval whose contribution c is 0, or whose tail estimate
+    2 c r / (1 - r) meets ``rel_tol`` relative to the running sum, r the
+    ratio to the previous contribution clamped to 0.9999; the running sums
+    are one cumulative sum, added in order.  When no interval stops it,
+    the decay exponent fitted on the last intervals decides: contributions
+    shrinking no faster than 1/m integrate to a divergent tail
+    (``DiniDivergenceError``), faster ones to a finite J that the budget or
+    double precision's range cut short (``QuadratureToleranceError``)."""
     lows = np.ldexp(s, -np.arange(1, max_intervals + 1))
     count = int(np.count_nonzero(lows >= 1e-280))
     history = _dyadic_increments(sigma, s, count)
-    total = 0.0
-    prev = None
-    stall = 0
-    for m, c in enumerate(history.tolist()):
-        total += c
-        if c == 0.0:
-            return total
-        if prev is not None and prev > 0.0:
-            r = c / prev
-            if r >= 1.0 - 1e-3:
-                stall += 1
-                if stall >= 20:
-                    raise DiniDivergenceError(
-                        f"contributions fail to decay near zero (ratio "
-                        f"{r:.6f} for {stall} consecutive dyadic intervals)",
-                        partial=total)
-            else:
-                stall = 0
-            r_cl = min(r, 0.9999)
-            tail_estimate = 2.0 * c * r_cl / (1.0 - r_cl)
-            if tail_estimate <= rel_tol * max(total, 1e-300):
-                return total
-        prev = c
+    totals = np.cumsum(history)
+    prev, c = history[:-1], history[1:]
+    # silent, as Python floats are: a ratio over a 0 lies past the first
+    # stop, and an overflow reads inf
+    with np.errstate(all="ignore"):
+        r_cl = np.minimum(c / prev, 0.9999)
+        tail_estimate = 2.0 * c * r_cl / (1.0 - r_cl)
+    stop = history == 0.0
+    stop[1:] |= (prev > 0.0) & (
+        tail_estimate <= rel_tol * np.maximum(totals[1:], 1e-300))
+    if stop.any():
+        return float(totals[stop.argmax()])
+    total = float(totals[-1]) if count else 0.0
     if count < max_intervals:
         diverges = f"detected at the double-precision floor, interval {count}"
         stopped = ("before exhausting double-precision range at interval "
@@ -463,9 +454,11 @@ def dini_integral(sigma: Modulus, s: float, rel_tol: float = 1e-9,
 
     The closed form, when the modulus carries one, is returned as is and no
     quadrature runs.  Otherwise (or with ``force_quadrature``) the dyadic
-    quadrature value is returned, raising ``DiniDivergenceError`` when
-    contributions fail to decay and ``QuadratureToleranceError`` when the
-    budget is exhausted.
+    quadrature value is returned (`_improper_quadrature`): the sum up to
+    the first interval whose tail estimate meets ``rel_tol``.  When no
+    interval does within ``max_intervals`` or double precision's range,
+    the contributions' fitted decay exponent decides: ``DiniDivergenceError``
+    when they shrink no faster than 1/m, else ``QuadratureToleranceError``.
     """
     if not 0.0 < s <= 1.0:
         raise ValueError(f"s must lie in (0, 1], got {s}")

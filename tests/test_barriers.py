@@ -193,11 +193,14 @@ def test_admissible_sampler_spectrum():
 # ---------------------------------------------------------------- chain
 
 def test_chain_closed_form_zero_drift():
-    rep = B.growth_chain(1.0, 0.5, 2, 0.1, chain_length=12)
-    assert rep.k_final == pytest.approx(rep.closed_form_zero_drift,
-                                        rel=1e-12)
-    assert rep.theta > 0.0
-    assert rep.broken_at is None
+    # at n = 3 the next ball's sphere is sampled by Gaussian directions,
+    # and the admissible window is [15.9, 23.8]
+    for n, length in ((2, 12), (3, 18)):
+        rep = B.growth_chain(1.0, 0.5, n, 0.1, chain_length=length)
+        assert rep.k_final == pytest.approx(rep.closed_form_zero_drift,
+                                            rel=1e-12)
+        assert rep.theta > 0.0
+        assert rep.broken_at is None
 
 
 def test_chain_short_with_spacing_off():

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -45,6 +46,17 @@ def test_modulus_bad_csv_exit_2(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("0.0,0.0\n0.5,0.9\n1.0,0.4\n", encoding="utf-8")
     assert run_cli(["modulus", "--csv", str(bad)], tmp_path) == 2
+
+
+def test_modulus_csv_plateau_table_is_finite(tmp_path):
+    # sigma = 1/2 on [1e-9, 1e-2]: 23 dyadic intervals of equal
+    # contribution, and a finite J at every t of the table
+    table = tmp_path / "plateau.csv"
+    table.write_text("t,sigma\n0,0\n1e-9,0.5\n1e-2,0.5\n1,1\n")
+    assert run_cli(["modulus", "--csv", str(table)], tmp_path) == 0
+    rows = (tmp_path / "modulus_table.csv").read_text().splitlines()[1:]
+    assert len(rows) == 25
+    assert all(math.isfinite(float(row.split(",")[3])) for row in rows)
 
 
 def test_modulus_unknown_preset_exit_2(tmp_path):

@@ -133,6 +133,11 @@ def test_delta1_maxaffine_active_pieces():
     assert G.delta1(ma, 0.1) == pytest.approx(2.0)
     # below the kink at x = 0.05 the steep piece is inactive
     assert G.delta1(ma, 0.04) == pytest.approx(0.0, abs=1e-15)
+    # a piece parallel to another and strictly below it is never active
+    ma = G.MaxAffineProfile(slopes=[[0.0], [2.0], [2.0], [-1.0]],
+                            offsets=[0.0, -0.1, -0.12, -0.2], R0=0.5)
+    assert G._active_pieces(ma, 0.1).tolist() == [True, True, False, False]
+    assert G.delta1(ma, 0.1) == 2.0
 
 
 def test_moduli_nondecreasing_in_r():
@@ -185,10 +190,15 @@ def test_sandwich_precondition():
 # ---------------------------------------------------------------- frames
 
 def test_frame_flat_is_identity():
-    fr = G.extremal_frame(G.preset_profile("flat", R0=0.5), 0.1)
-    assert fr.degenerate
-    assert fr.phi == 0.0
-    np.testing.assert_allclose(fr.rotation, np.eye(2))
+    # the max-affine profile's best piece at r = 0.1 is its flat one
+    for prof in (G.preset_profile("flat", R0=0.5),
+                 G.MaxAffineProfile(slopes=[[0.0], [1.0]],
+                                    offsets=[0.0, -0.2], R0=0.5)):
+        fr = G.extremal_frame(prof, 0.1)
+        assert fr.degenerate
+        assert fr.phi == 0.0
+        np.testing.assert_allclose(fr.rotation, np.eye(2))
+        np.testing.assert_array_equal(fr.x_star, [0.1, 0.0])
 
 
 def test_frame_parabola_supporting_slope():
@@ -207,11 +217,21 @@ def test_frame_log_profile_fd_slope():
 
 
 def test_frame_orthogonal_and_realizes_delta():
-    for pid in ("power:0.5", "power:1", "log1", "log2"):
-        prof = G.preset_profile(pid, R0=0.5)
+    # at n = 3 the tangential rows complete u to an orthonormal basis;
+    # the max-affine piece realizing delta(0.1) points along (0.6, 0.8)
+    cases = [(G.preset_profile(pid, R0=0.5, ambient_dim=n), [1.0, 0.0][:n - 1])
+             for pid in ("power:0.5", "power:1", "log1", "log2")
+             for n in (2, 3)]
+    cases.append((G.MaxAffineProfile(slopes=[[0.0, 0.0], [0.3, 0.4]],
+                                     offsets=[0.0, -0.01], R0=0.5,
+                                     ambient_dim=3), [0.6, 0.8]))
+    for prof, u in cases:
+        n = prof.ambient_dim
         fr = G.extremal_frame(prof, 0.1)
-        np.testing.assert_allclose(fr.rotation @ fr.rotation.T, np.eye(2),
+        np.testing.assert_allclose(fr.rotation @ fr.rotation.T, np.eye(n),
                                    atol=1e-10)
+        np.testing.assert_allclose(fr.x_star[:-1], 0.1 * np.asarray(u),
+                                   rtol=1e-12)
         assert fr.x_star[-1] == pytest.approx(0.1 * G.delta(prof, 0.1),
                                               rel=1e-12)
 
@@ -294,13 +314,17 @@ def test_ball_excluded_for_curved_steep_patch():
 
 
 def test_ball_sufficient_condition_implies_included():
-    for pid in ("power:0.5", "power:1", "log1", "log2", "cone:0.2"):
-        prof = G.preset_profile(pid, R0=0.5)
+    # at n = 3 the ball's boundary is sampled by Gaussian directions
+    profiles = [G.preset_profile(pid, R0=0.5)
+                for pid in ("power:0.5", "power:1", "log1", "log2",
+                            "cone:0.2")]
+    profiles.append(G.preset_profile("flat", R0=0.5, ambient_dim=3))
+    for prof in profiles:
         for r in (prof.R0 / 8.0, prof.R0 / 16.0, prof.R0 / 64.0):
             fr = G.extremal_frame(prof, r)
             rep = G.ball_inclusion_check(prof, fr, nu=0.5, samples=256)
             if rep.sufficient_condition:
-                assert rep.included, (pid, r)
+                assert rep.included, (prof.preset, prof.ambient_dim, r)
 
 
 def test_ball_frame_mismatch():

@@ -304,6 +304,33 @@ def test_recursion_matches_per_level_reference(sigma, params, adjusts):
 
 # ---------------------------------------------------------------- contrast
 
+def _radial(pid):
+    """The preset radial profile with its preset id dropped."""
+    prof = G.preset_profile(pid, R0=0.5)
+    return G.RadialProfile(f=prof.f, df=prof.df, R0=prof.R0)
+
+
+@pytest.mark.parametrize("profile, verdict", [
+    (G.MaxAffineProfile(slopes=[[0.4], [-0.4]], offsets=[0.0, 0.0],
+                        R0=0.5), M.Verdict.NON_DINI),
+    (G.MaxAffineProfile(slopes=[[0.4, 0.0], [-0.2, 0.3], [-0.2, -0.3]],
+                        offsets=[0.0, 0.0, 0.0], R0=0.5, ambient_dim=3),
+     M.Verdict.NON_DINI),
+    # flat on [-0.1, 0.1]: sigma vanishes below t = 0.2
+    (G.MaxAffineProfile(slopes=[[0.0], [1.0], [-1.0]],
+                        offsets=[0.0, -0.1, -0.1], R0=0.5), M.Verdict.DINI),
+    # the numeric verdict of the log1 modulus at depth 40
+    (_radial("log1"), M.Verdict.INCONCLUSIVE),
+    (_radial("power:0.5"), M.Verdict.DINI),
+], ids=["cone-2d", "cone-3d", "flat-near-0", "radial-log1", "radial-power"])
+def test_preset_free_dini_verdict(profile, verdict):
+    # a profile without a preset is classified on delta(t R0)/delta(R0)
+    # itself, down to the 2^-40 that dini_classify probes
+    assert D._dini_verdict(profile) == verdict
+    sigma, hint = G.boundary_modulus(profile)
+    assert hint is None and sigma(0.0) == 0.0 and sigma(1.0) == 1.0
+
+
 def test_contrast_requires_both_classes():
     cfg = D.HopfExperiment(profile="flat", R0=0.5, K=2, h=2.0**-6)
     with pytest.raises(ValueError):

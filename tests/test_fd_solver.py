@@ -1278,16 +1278,21 @@ def test_residual_norm_is_scale_invariant(power):
         assert np.sum(bs * bs) in (0.0, np.inf)
 
 
-@pytest.mark.parametrize("power", [-130, 130])
+@pytest.mark.parametrize("power", [-130, 130, 560, 600, 700])
 def test_refinement_is_scale_invariant(power):
     # each residual is scaled by max|r| before its float32 cast, so data
     # far outside float32's range give the solution scaled by the same
-    # power of two, bitwise
+    # power of two, bitwise, in as many steps; past 2^550 the stop test's
+    # products overflow, which in Python floats raises no warning
     system = _laplace_system(G.preset_profile("log1", R0=0.5), 2.0**-6)
     sol = F.solve(system)
-    scaled = F.solve(dataclasses.replace(
-        system, rhs=np.ldexp(system.rhs, power)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scaled = F.solve(dataclasses.replace(
+            system, rhs=np.ldexp(system.rhs, power)))
     np.testing.assert_array_equal(scaled.vec, np.ldexp(sol.vec, power))
+    assert (scaled.iterations, scaled.residual_norm) == \
+        (sol.iterations, sol.residual_norm)
 
 
 # prints, after each SuperLU factorization of a log1 laplace solve at

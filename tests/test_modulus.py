@@ -177,6 +177,64 @@ def test_dini_integral_divergent_log1():
         M.dini_integral(M.preset_modulus("log1"), 1.0)
 
 
+def test_dini_integral_plateau_table_is_finite():
+    # sigma = 1/2 on [1e-9, 1e-2], linear through 0 below it and a power
+    # law up to 1 above it: 23 dyadic intervals of equal contribution, yet
+    # J(1) = 1/2 + ln(1e7)/2 + ln(100)/(2 ln 2)
+    table = M.from_table([0.0, 1e-9, 1e-2, 1.0], [0.0, 0.5, 0.5, 1.0])
+    exact = 0.5 + 0.5 * math.log(1e7) + 0.5 * math.log(100.0) / math.log(2.0)
+    assert M.dini_integral(table, 1.0) == pytest.approx(exact, rel=1e-6)
+    assert exact == pytest.approx(11.880976, rel=1e-7)
+
+
+def test_dini_integral_jump_at_zero_diverges():
+    # sigma(0+) = 1/2: every dyadic interval adds about ln(2)/2, and the
+    # fitted decay exponent (0) reads the tail as divergent
+    jump = M.Modulus(fn=lambda t: np.where(np.asarray(t) > 0.0,
+                                           0.5 + 0.5 * np.asarray(t), 0.0))
+    with pytest.raises(M.DiniDivergenceError, match="m\\^-0.000"):
+        M.dini_integral(jump, 1.0)
+
+
+def loop_quadrature(sigma, s, rel_tol, max_intervals):
+    """Reference: the contributions added one at a time, stopping at the
+    first one that is 0 or whose clamped-ratio tail estimate meets
+    rel_tol.  Returns (stopped, sum)."""
+    lows = np.ldexp(s, -np.arange(1, max_intervals + 1))
+    count = int(np.count_nonzero(lows >= 1e-280))
+    total, prev = 0.0, None
+    for c in M._dyadic_increments(sigma, s, count).tolist():
+        total += c
+        if c == 0.0:
+            return True, total
+        if prev is not None and prev > 0.0:
+            r = min(c / prev, 0.9999)
+            if 2.0 * c * r / (1.0 - r) <= rel_tol * max(total, 1e-300):
+                return True, total
+        prev = c
+    return False, total
+
+
+def test_quadrature_matches_loop_reference():
+    table = M.from_table([0.0, 0.5, 0.75, 1.0], [0.0, 0.0, 0.5, 1.0])
+    moduli = [M.preset_modulus(p) for p in ("linear", "power:0.5",
+                                            "power:0.05", "log2")]
+    for sigma in moduli + [table]:
+        for s in (1.0, 0.3, 2.0**-40):
+            for rel_tol, budget in ((1e-9, 1500), (1e-6, 900),
+                                    (1e-14, 1500), (1e-9, 60)):
+                stopped, ref = loop_quadrature(sigma, s, rel_tol, budget)
+                try:
+                    value = M._improper_quadrature(sigma, s, rel_tol, budget)
+                except (M.DiniDivergenceError,
+                        M.QuadratureToleranceError) as exc:
+                    assert not stopped
+                    value = exc.partial
+                else:
+                    assert stopped
+                assert value == ref
+
+
 def test_dini_integral_budget_error():
     with pytest.raises(M.QuadratureToleranceError):
         M.dini_integral(M.preset_modulus("log2"), 1.0, rel_tol=1e-6,
