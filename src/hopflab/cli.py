@@ -3,8 +3,11 @@
 Exit codes, decided in ``main`` alone: 0 success; 1 a failed check,
 returned only by ``verify`` (certificates, property suites) and
 ``geometry`` (sandwich check); 2 configuration error, for every bad flag,
-config key or missing file; 3 numerical failure (including a system
-whose factorization runs out of memory).  Every ``ValueError`` but
+config key or missing file; 3 numerical failure: a Dini integral
+that is finite but not resolved to its tolerance, a mixed coefficient
+with no monotone stencil, or a system whose factorization runs out of
+memory.  A divergent Dini integral is no failure but the value inf
+("inf" in the modulus table).  Every ``ValueError`` but
 ``StencilMonotonicityError`` is a configuration error: among them a
 preset id given an argument it does not take, missing one it needs or
 given one that is not a number, and ``modulus --csv`` together with
@@ -91,8 +94,6 @@ def _j_cell(sigma, t: float) -> str:
     try:
         return repr(mod.dini_integral(sigma, t, rel_tol=1e-9,
                                       max_intervals=1400))
-    except mod.DiniDivergenceError:
-        return "inf"
     except mod.QuadratureToleranceError:
         return "budget"
 
@@ -374,7 +375,7 @@ def main(argv=None) -> int:
         return args.func(args)
     # StencilMonotonicityError is a ValueError: this clause comes first
     except (MemoryError, fds.StencilMonotonicityError,
-            mod.DiniDivergenceError, mod.QuadratureToleranceError) as exc:
+            mod.QuadratureToleranceError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ValueError, OSError) as exc:  # bad flag, config key or file

@@ -27,7 +27,7 @@ from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
-from .modulus import Modulus, Verdict, _preset_args, preset_modulus
+from .modulus import Modulus, Verdict, _preset_args
 
 __all__ = [
     "BallInclusionReport",
@@ -652,35 +652,34 @@ def domain_mask(profile: BoundaryProfile, h: float) -> DomainMask:
 # boundary modulus for the decay experiment
 # ----------------------------------------------------------------------
 
-def boundary_modulus(profile: BoundaryProfile):
-    """Normalized slope modulus t -> delta(t R0)/delta(R0) plus a Dini hint.
+# the analytic Dini class of each profile preset: cones and wedges have
+# delta bounded away from zero, the regime in which the normal derivative
+# already degenerates
+_PRESET_DINI = {"flat": Verdict.DINI, "cone": Verdict.NON_DINI,
+                "wedge": Verdict.NON_DINI, "power": Verdict.DINI,
+                "log1": Verdict.NON_DINI, "log2": Verdict.DINI}
 
-    Returns (modulus or None, verdict hint).  Flat boundaries have a zero
-    modulus (trivially Dini).  Cones and wedges have delta bounded away
-    from zero; the domain then sits inside a planar wedge, the regime in
-    which the normal derivative already degenerates (hint NonDini).  The
-    other presets return their modulus preset and its analytic flag.  A
-    profile without a preset returns delta(t R0)/delta(R0) itself, with
-    sigma(0) = 0, and no hint: delta is exact, nondecreasing and
-    vectorized, so the numeric classification reads it at every depth it
-    probes."""
+
+def boundary_modulus(profile: BoundaryProfile):
+    """Normalized slope modulus sigma(t) = delta(t R0)/delta(R0) plus a
+    Dini hint.
+
+    Returns (sigma, hint), the same rule for every profile: sigma(0) = 0,
+    and sigma = 0 throughout where delta(R0) = 0 (a flat boundary).  The
+    hint is the preset's analytic flag, None for a profile without a
+    preset, and sigma carries it as its ``dini_flag``.  delta is exact,
+    nondecreasing and vectorized, so the numeric classification reads
+    sigma at every depth it probes."""
     preset = getattr(profile, "preset", None)
-    name = preset and _preset_args(preset, "profile", _PROFILE_GRAMMAR)[0]
-    if name == "flat":
-        return None, Verdict.DINI
-    if name in ("cone", "wedge"):
-        return None, Verdict.NON_DINI
-    if name in ("power", "log1", "log2"):
-        sigma = preset_modulus(preset if name == "power" else name)
-        return sigma, sigma.dini_flag
+    flag = (_PRESET_DINI[_preset_args(preset, "profile", _PROFILE_GRAMMAR)[0]]
+            if preset else None)
     d_R0 = delta(profile, profile.R0)
-    if d_R0 <= 0.0:
-        return None, Verdict.DINI
 
     def sigma(t):
         t = np.asarray(t, dtype=float)
         out = np.zeros(t.shape)
-        out[t > 0.0] = delta(profile, t[t > 0.0] * profile.R0) / d_R0
+        if d_R0 > 0.0:
+            out[t > 0.0] = delta(profile, t[t > 0.0] * profile.R0) / d_R0
         return out
 
-    return Modulus(fn=sigma), None
+    return Modulus(fn=sigma, dini_flag=flag), flag

@@ -30,9 +30,9 @@ import numpy as np
 from . import convex_geometry as geo
 from . import fd_solver as fds
 from .elliptic_operator import preset_operator
-from .modulus import (DiniDivergenceError, Modulus,
-                      QuadratureToleranceError, Verdict, dini_classify,
-                      dini_integral, _dyadic_increments, _preset_args)
+from .modulus import (Modulus, QuadratureToleranceError, Verdict,
+                      dini_classify, dini_integral, _dyadic_increments,
+                      _preset_args)
 
 __all__ = [
     "ContrastReport",
@@ -169,8 +169,8 @@ def _fit_kappa(osc, deltas) -> float:
 
 def _dini_verdict(profile: geo.BoundaryProfile) -> Verdict:
     """Dini verdict of the profile's boundary modulus: the preset's hint,
-    else the numeric classification of delta(t R0)/delta(R0).  No solve.
-    Every profile without a hint has a modulus (`boundary_modulus`)."""
+    else the numeric classification of delta(t R0)/delta(R0)
+    (`boundary_modulus`).  No solve."""
     sigma, hint = geo.boundary_modulus(profile)
     return hint if hint is not None else dini_classify(sigma).verdict
 
@@ -344,13 +344,15 @@ def growth_recursion_bound(sigma: Modulus, mathfrak_b: float,
     exp_tail = (pref * 2.0 * (horizon + k0 + 2.0) / (horizon + k0 + 1.0)
                 * math.exp(-lam * (horizon + 1 + k0) / 2.0)
                 / (1.0 - math.exp(-lam / 2.0)))
+    # an unresolved J is finite, but inf bounds its tail safely; an
+    # infinite J keeps the tail infinite even at mathfrak_b = 0
     try:
         j_small = dini_integral(sigma, min(2.0 ** -horizon * rho_ratio, 1.0),
                                 rel_tol=1e-6, max_intervals=900)
-        sig_tail = (pref * 2.0 * mathfrak_b / half_t
-                    * j_small / math.log(2.0))
-    except (DiniDivergenceError, QuadratureToleranceError):
-        sig_tail = math.inf
+    except QuadratureToleranceError:
+        j_small = math.inf
+    sig_tail = (pref * 2.0 * mathfrak_b / half_t * j_small / math.log(2.0)
+                if math.isfinite(j_small) else math.inf)
     pi_tail_bound = exp_tail + sig_tail
 
     zeta_fac = (ks + k0 + 1.0) / (ks + k0)  # zeta_k / zeta_{k+1}
@@ -364,7 +366,7 @@ def growth_recursion_bound(sigma: Modulus, mathfrak_b: float,
     try:
         j_val = dini_integral(sigma, rho_ratio, rel_tol=1e-6,
                               max_intervals=900)
-    except (DiniDivergenceError, QuadratureToleranceError):
+    except QuadratureToleranceError:
         j_val = math.inf
     return RecursionReport(
         gamma=tuple(float(g) for g in gam),

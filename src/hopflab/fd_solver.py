@@ -1002,19 +1002,15 @@ def hopf_trace(sol: DiscreteSolution, heights: Sequence[float]) -> np.ndarray:
     """u(0, x2)/x2 at grid-aligned heights on the x1 = 0 column.
 
     Exact nodal division, no interpolation.  Heights must be positive grid
-    lines with a defined value (interior or box top): each is looked up
-    as the nearest row x2[j], which must lie within 1e-9 max(1, |x2|) of
-    it and above the base row j = 0.  The first height that fails raises
+    lines with a defined value (interior or box top): each must equal a
+    row x2[j] above the base row j = 0 exactly, as ``round(r/h) h`` does
+    on a uniform grid.  The first height that fails raises
     ``ValueError``."""
     mask = sol.dom.mask
     lines = mask.x2
     x2 = np.asarray(heights, dtype=float).reshape(-1)
-    # the nearest line: the first at or above x2, or the one below it
     j = np.minimum(np.searchsorted(lines, x2), lines.size - 1)
-    below = np.maximum(j - 1, 0)
-    j = np.where(x2 - lines[below] < lines[j] - x2, below, j)
-    aligned = np.isfinite(x2) & (j > 0)
-    aligned &= np.abs(lines[j] - x2) <= 1e-9 * np.maximum(1.0, np.abs(x2))
+    aligned = (lines[j] == x2) & (j > 0)
     v = sol.values[mask.center_col, j]
     bad = ~(aligned & np.isfinite(v))
     if np.any(bad):

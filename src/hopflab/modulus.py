@@ -6,7 +6,8 @@ downstream is the Dini integral
 
     J(s) = int_0^s sigma(tau)/tau dtau,
 
-finite iff sigma satisfies the Dini condition at zero.  The well-behaved
+a number in [0, inf], finite iff sigma satisfies the Dini condition at
+zero; `dini_integral` returns inf for a divergent one.  The well-behaved
 class has ``sigma(t)/t`` nonincreasing, which yields ``sigma(t) <= J(t)``
 and the scaling relations ``sigma(t/t0) <= sigma(t)/t0`` and
 ``J(t/t0) <= J(t)/t0``.
@@ -15,7 +16,7 @@ Built-in presets (addressable by string id):
 
 ``linear``          sigma(t) = t                (Dini, J(s) = s)
 ``power:<alpha>``   sigma(t) = t**alpha, 0<a<=1 (Dini, J(s) = s**a/a)
-``log1``            sigma(t) = 1/ln(e/t)        (not Dini: J diverges)
+``log1``            sigma(t) = 1/ln(e/t)        (not Dini: J = inf)
 ``log2``            sigma(t) = 1/ln(e/t)**2     (Dini, J(s) = 1/ln(e/s))
 
 Note: ``log2`` is kept in its raw closed form so its Dini integral stays
@@ -38,7 +39,6 @@ __all__ = [
     "DiniIntegralResult",
     "InvariantReport",
     "Modulus",
-    "DiniDivergenceError",
     "QuadratureToleranceError",
     "RelationReport",
     "Verdict",
@@ -54,19 +54,10 @@ __all__ = [
 ]
 
 
-class DiniDivergenceError(ArithmeticError):
-    """Geometric-interval contributions of the Dini integral fail to decay.
-
-    ``partial`` holds the sum accumulated before detection."""
-
-    def __init__(self, message: str, partial: float = math.nan):
-        super().__init__(message)
-        self.partial = partial
-
-
 class QuadratureToleranceError(ArithmeticError):
-    """Requested tolerance cannot be met within the interval budget (or
-    within double-precision range).  ``partial`` holds the accumulated sum."""
+    """A finite Dini integral whose requested tolerance cannot be met within
+    the interval budget (or within double-precision range).  ``partial``
+    holds the accumulated sum."""
 
     def __init__(self, message: str, partial: float = math.nan):
         super().__init__(message)
@@ -391,7 +382,7 @@ def _dyadic_increments(sigma: Callable, s: float, count: int) -> np.ndarray:
 def _improper_quadrature(sigma: Modulus, s: float, rel_tol: float,
                          max_intervals: int):
     """Sum of dyadic-interval contributions of J(s), with divergence and
-    budget guards.  Returns the sum.
+    budget guards.  Returns the sum, or inf for a divergent J.
 
     Every contribution the budget allows is evaluated up front, down to
     the last interval whose low end stays above 1e-280.  The sum stops at
@@ -400,9 +391,9 @@ def _improper_quadrature(sigma: Modulus, s: float, rel_tol: float,
     ratio to the previous contribution clamped to 0.9999; the running sums
     are one cumulative sum, added in order.  When no interval stops it,
     the decay exponent fitted on the last intervals decides: contributions
-    shrinking no faster than 1/m integrate to a divergent tail
-    (``DiniDivergenceError``), faster ones to a finite J that the budget or
-    double precision's range cut short (``QuadratureToleranceError``)."""
+    shrinking no faster than 1/m integrate to a divergent tail (inf),
+    faster ones to a finite J that the budget or double precision's range
+    cut short (``QuadratureToleranceError``)."""
     lows = np.ldexp(s, -np.arange(1, max_intervals + 1))
     count = int(np.count_nonzero(lows >= 1e-280))
     history = _dyadic_increments(sigma, s, count)
@@ -418,21 +409,14 @@ def _improper_quadrature(sigma: Modulus, s: float, rel_tol: float,
         tail_estimate <= rel_tol * np.maximum(totals[1:], 1e-300))
     if stop.any():
         return float(totals[stop.argmax()])
-    total = float(totals[-1]) if count else 0.0
-    if count < max_intervals:
-        diverges = f"detected at the double-precision floor, interval {count}"
-        stopped = ("before exhausting double-precision range at interval "
-                   f"{count}")
-    else:
-        diverges = f"budget of {max_intervals} intervals exhausted"
-        stopped = f"within {max_intervals} dyadic intervals"
-    p = _decay_exponent(history)
-    if p <= 1.01:
-        raise DiniDivergenceError(
-            f"contributions decay like m^-{p:.3f} (tail diverges); "
-            f"{diverges}", partial=total)
+    if _decay_exponent(history) <= 1.01:
+        return math.inf
+    stopped = (f"before exhausting double-precision range at interval {count}"
+               if count < max_intervals
+               else f"within {max_intervals} dyadic intervals")
     raise QuadratureToleranceError(
-        f"rel_tol {rel_tol:g} not reached {stopped}", partial=total)
+        f"rel_tol {rel_tol:g} not reached {stopped}",
+        partial=float(totals[-1]) if count else 0.0)
 
 
 def _decay_exponent(history) -> float:
@@ -450,15 +434,16 @@ def _decay_exponent(history) -> float:
 def dini_integral(sigma: Modulus, s: float, rel_tol: float = 1e-9,
                   max_intervals: int = 1500,
                   force_quadrature: bool = False) -> float:
-    """J(s) = int_0^s sigma(tau)/tau dtau.
+    """J(s) = int_0^s sigma(tau)/tau dtau, a number in [0, inf].
 
     The closed form, when the modulus carries one, is returned as is and no
     quadrature runs.  Otherwise (or with ``force_quadrature``) the dyadic
     quadrature value is returned (`_improper_quadrature`): the sum up to
     the first interval whose tail estimate meets ``rel_tol``.  When no
     interval does within ``max_intervals`` or double precision's range,
-    the contributions' fitted decay exponent decides: ``DiniDivergenceError``
-    when they shrink no faster than 1/m, else ``QuadratureToleranceError``.
+    the contributions' fitted decay exponent decides: inf when they shrink
+    no faster than 1/m, else ``QuadratureToleranceError``, the one error:
+    J is finite but not resolved to ``rel_tol``.
     """
     if not 0.0 < s <= 1.0:
         raise ValueError(f"s must lie in (0, 1], got {s}")
@@ -480,7 +465,7 @@ def dini_integral_report(sigma: Modulus, s: float) -> DiniIntegralResult:
         return DiniIntegralResult(value, "quadrature", value)
     try:
         q = _improper_quadrature(sigma, s, 1e-9, 1500)
-    except (DiniDivergenceError, QuadratureToleranceError) as exc:
+    except QuadratureToleranceError as exc:
         q = exc.partial
     return DiniIntegralResult(value, "closed-form", q)
 
@@ -562,16 +547,14 @@ def dini_classify(sigma: Modulus, depth: int = 40) -> DiniVerdict:
 def verify_relations(sigma: Modulus, t: float, t0: float) -> RelationReport:
     """Check sigma(t) <= J(t), sigma(t/t0) <= sigma(t)/t0 and
     J(t/t0) <= J(t)/t0, reporting whether each holds and the slack
-    sigma(t)/t0 - sigma(t/t0) of the second.  A divergent J makes the
-    first and third hold."""
+    sigma(t)/t0 - sigma(t/t0) of the second.  A divergent J (inf) makes
+    the first and third hold.  ``QuadratureToleranceError`` propagates: J
+    is finite there but not resolved to 1e-9, and reading it as inf would
+    pass the third check vacuously."""
     if not (0.0 < t <= t0 <= 1.0):
         raise ValueError(f"need 0 < t <= t0 <= 1, got t={t}, t0={t0}")
-    try:
-        j_t = dini_integral(sigma, t)
-        j_scaled = dini_integral(sigma, t / t0)
-    except DiniDivergenceError:
-        j_t = math.inf
-        j_scaled = math.inf
+    j_t = dini_integral(sigma, t)
+    j_scaled = dini_integral(sigma, t / t0)
     s_t = sigma(t)
     s_scaled = sigma(t / t0)
     tol = 1e-8

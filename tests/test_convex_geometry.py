@@ -502,6 +502,19 @@ def test_validate_profile_accepts_presets():
         G.validate_profile(G.preset_profile(pid, R0=0.5))
 
 
+@pytest.mark.parametrize("pid", ["flat", "cone:0.4", "wedge:2.0944",
+                                 "power:0.5", "log1", "log2"])
+def test_boundary_modulus_of_every_preset(pid):
+    # one rule for every profile: sigma(t) = delta(t R0)/delta(R0), which
+    # carries the preset's analytic flag
+    from hopflab.modulus import Modulus, dini_classify
+    sigma, hint = G.boundary_modulus(G.preset_profile(pid, R0=0.5))
+    assert isinstance(sigma, Modulus) and sigma.dini_flag == hint
+    assert sigma(0.0) == 0.0
+    assert sigma(1.0) == (0.0 if pid == "flat" else 1.0)
+    assert dini_classify(sigma).verdict == hint
+
+
 def test_boundary_modulus_mapping():
     from hopflab.modulus import Verdict
     assert G.boundary_modulus(G.preset_profile("flat", R0=0.5))[1] == Verdict.DINI

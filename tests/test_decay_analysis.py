@@ -242,6 +242,16 @@ def test_recursion_tail_bound_shrinks_with_horizon():
         assert tail(spec, 200) <= 1e-12
 
 
+def test_recursion_divergent_j_keeps_an_infinite_tail():
+    # J = inf on log1: the sigma part of the tail bound stays inf even with
+    # no drift (mathfrak_b = 0), where 0 * inf would read nan
+    for b in (0.0, 0.01):
+        rep = D.growth_recursion_bound(M.preset_modulus("log1"), b, 1.0,
+                                       0.5, k0=30, rho_ratio=0.01)
+        assert rep.pi_tail_bound == math.inf
+        assert rep.sum_to_integral == math.inf
+
+
 def _recursion_reference(sigma, mathfrak_b, mathfrak_f, vartheta, k0,
                          rho_ratio, horizon=200, m1=1.0):
     """growth_recursion_bound's recursion one level at a time: the

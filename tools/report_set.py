@@ -2,11 +2,15 @@
 
     python3 tools/report_set.py OUTDIR
 
-Each command below runs in a fresh process on this checkout's ``src/``.
-Its command line, stdout, stderr, exit code and report files go under
-``OUTDIR/<n>/`` (the reports in ``OUTDIR/<n>/reports``, absent when the
-command wrote none).  Reports are byte-reproducible for a fixed build, so a
-change that is not meant to move results is checked by
+Each command below runs in a fresh process on this checkout's ``src/``,
+with OUTDIR as its working directory.  Its command line, stdout, stderr,
+exit code and report files go under ``OUTDIR/<n>/`` (the reports in
+``OUTDIR/<n>/reports``, absent when the command wrote none).  The modulus
+tables that the ``--csv`` commands read are written to OUTDIR first and
+named by a relative path, so a command line and the ``csv:`` label it
+reports are the same bytes in every run.  Reports are byte-reproducible
+for a fixed build, so a change that is not meant to move results is
+checked by
 
     diff -r BEFORE AFTER
 
@@ -19,6 +23,20 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
+
+_GEOM = np.geomspace(1e-300, 1.0, 400)
+# (t, sigma) columns of the tables; between them the modulus table's J
+# column takes every value it can: finite numbers, "inf" and "budget"
+TABLES = {
+    # sigma = 1/2 on [1e-9, 1e-2]: finite J
+    "plateau.csv": ([0.0, 1e-9, 1e-2, 1.0], [0.0, 0.5, 0.5, 1.0]),
+    # 1/ln(e/t), not Dini: J = inf
+    "log1.csv": (_GEOM, 1.0 / (1.0 - np.log(_GEOM))),
+    # 1/ln(e/t)^2, Dini, but unresolved before the 1e-280 floor: "budget"
+    "log2.csv": (_GEOM, 1.0 / (1.0 - np.log(_GEOM)) ** 2),
+}
 
 DEEP = ["--K", "4", "--h", "0.001953125"]
 SHALLOW = ["--K", "3", "--h", "0.0078125"]
@@ -60,6 +78,7 @@ COMMANDS = [
     ["decay", "--contrast", "log1,cone:0.4", "--K", "2", "--h", "0.015625"],
     ["verify", "--s", "nan"],
     ["verify", "--s", "inf"],
+    *(["modulus", "--csv", name] for name in TABLES),
 ]
 
 
@@ -69,6 +88,11 @@ def main(argv) -> int:
         return 2
     out = Path(argv[0])
     out.mkdir(parents=True, exist_ok=False)
+    out = out.resolve()
+    for name, (t, sigma) in TABLES.items():
+        (out / name).write_text("t,sigma\n" + "".join(
+            f"{a!r},{b!r}\n" for a, b in zip(np.asarray(t).tolist(),
+                                             np.asarray(sigma).tolist())))
     src = Path(__file__).resolve().parent.parent / "src"
     env = {k: v for k, v in os.environ.items() if k != "HOPFLAB_OUT"}
     env["PYTHONPATH"] = str(src)
@@ -78,7 +102,7 @@ def main(argv) -> int:
         proc = subprocess.run(
             [sys.executable, "-m", "hopflab.cli", *command,
              "--out", str(case / "reports")],
-            capture_output=True, env=env, check=False)
+            capture_output=True, env=env, cwd=out, check=False)
         (case / "command").write_text(" ".join(command) + "\n")
         (case / "stdout").write_bytes(proc.stdout)
         (case / "stderr").write_bytes(proc.stderr)
