@@ -72,16 +72,19 @@ until the residual is within the rounding bound of its own computation
 and the error left, estimated from the contraction of the last two
 corrections, is within that bound carried to the solution (Demmel et
 al., ACM TOMS 32(2), 2006), so the result carries double-precision
-accuracy.  The residual is that of the (folded) system, and each
-correction is d_B = S^-1 (r_B - A_BR D^-1 r_R), d_R = D^-1 (r_R -
-A_RB d_B), only the solve with S in float32; with no red unknown it is
-d = S^-1 r.  A
-refinement that stalls, which takes a condition number near 1/u_32,
-falls back to a double-precision factor driven by the same loop
-(Buttari et al., ACM TOMS 34(4), 2008; Higham, Accuracy and Stability
-of Numerical Algorithms, ch. 12).  A factorized matrix with an entry
-outside float32's range, one that overflows to inf or flushes to 0 in
-the copy, goes straight to the double-precision factor.
+accuracy.  The second test compares two ratios of correction sizes, not
+their products, so data scaled by a power of two take the same steps
+and give the solution scaled by it, bitwise.  The residual is that of
+the (folded) system, and each correction is d_B = S^-1 (r_B - A_BR
+D^-1 r_R), d_R = D^-1 (r_R - A_RB d_B), only the solve with S in
+float32; with no red unknown it is d = S^-1 r.  A refinement that
+stalls, which takes a condition number near 1/u_32, falls back to a
+double-precision factor driven by the same loop (Buttari et al., ACM
+TOMS 34(4), 2008; Higham, Accuracy and Stability of Numerical
+Algorithms, ch. 12).  A Schur complement with an entry outside
+float32's range, one that overflows to inf or flushes to 0 in the copy,
+gets no float32 factor and reaches the double-precision one the same
+way.
 
 SuperLU factors ``_PANEL`` = 4 columns at a time, not its default 20.
 Each column of a panel takes work arrays as long as the matrix, held
@@ -94,13 +97,13 @@ input of the factor and the domain, whose mask keeps its node classes
 and the arms that meet the graph, not a grid of them, and whose node
 numbering is int32 wherever the grid's node count fits.  The input is
 S's float32 copy, which shares S's index arrays; S's float64 data is
-dropped before the factor, and should the refinement stall, S is formed
-again from the elimination for the float64 factor.  S comes from one
-sparse product whose one permuted operand, the black rows of A (all of
-them when no unknown is red), is freed with every other temporary
-before the factor.  The residuals read the (folded) system itself.  The
-|A| and |b| of the refinement's stop test are built after the first
-factor.
+dropped before the factor.  Every factor forms its own S from the
+elimination, the same to the bit each time, so a float64 factor is of
+an S formed afresh.  S comes from one sparse product whose one permuted
+operand, the black rows of A (all of them when no unknown is red), is
+freed with every other temporary before the factor.  The residuals
+read the (folded) system itself.  The |A| and |b| of the refinement's
+stop test are built after the first factor.
 
 Vector reductions on the solve path, such as the final residual norms,
 stay in numpy's own loops and out of BLAS: a BLAS call on a long vector
@@ -706,19 +709,23 @@ class _RedBlack:
 
     There are red unknowns only when every off-diagonal entry of A joins a
     red and a black node, so that the red block D is diagonal; else
-    ``red`` and ``d`` are empty and every unknown is black.  The black
-    unknowns solve the Schur complement S = A_BB - A_BR D^-1 A_RB, which
-    with no red unknown is A in the order ``black``.  ``schur()`` forms
-    S's canonical CSR arrays, with rows and columns in elimination order
-    ``black``, from the four fields, the same to the bit on every call:
-    read as CSC they are S^T, which SuperLU factorizes and solves
-    transposed.  Row by row S is diagonally dominant, so column by
+    ``red`` and ``red_at`` are empty and every unknown is black.
+    The black unknowns solve the Schur complement S = A_BB - A_BR D^-1
+    A_RB, which with no red unknown is A in the order ``black``.
+    ``schur()`` forms S's canonical CSR arrays, with rows and columns in
+    elimination order ``black``, from the fields, the same to the bit on
+    every call: read as CSC they are S^T, which SuperLU factorizes and
+    solves transposed.  Row by row S is diagonally dominant, so column by
     column S^T is, and its threshold partial pivoting exchanges no rows.
-    No S is held here: the solve forms one for each factor it makes."""
+    No S is held here: the solve forms one for each factor it makes.  The
+    row counts and the red diagonal positions are those the color test of
+    ``_red_black`` found, in A's index type; D, the red diagonal entries,
+    is read from A at those positions."""
 
     A: sp.csr_matrix     # the system, float64
+    counts: np.ndarray   # the entries in each row of A
     red: np.ndarray      # the red unknowns, none for a 9-point system
-    d: np.ndarray        # D, their diagonal entries, all > 0
+    red_at: np.ndarray   # where each red row's diagonal entry, > 0, sits
     black: np.ndarray    # the black unknowns in elimination order
 
     def schur(self) -> sp.csr_matrix:
@@ -727,41 +734,42 @@ class _RedBlack:
 
         P is the map from x_B to the x whose red equations hold,
         x_R = -D^-1 A_RB x_B: a red row keeps its off-diagonal entries
-        over -d, a black row holds 1 at its own position.  D^-1 A_RB
+        over minus its diagonal entry, a black row holds 1 at its own
+        position, written over the row's first entry of A.  D^-1 A_RB
         comes first, which keeps every intermediate within the size of
         A's entries: on these M-matrices a row of it sums to at most 1 in
         magnitude.  The rows of A_B. go in elimination order and P's
-        columns take their positions, so the product is S in that order.
-        With no red unknown P is a permutation and S is A[black][:, black]
-        to the bit, each entry one product with 1; A's rows must each hold
-        their diagonal entry, as those of ``discretize`` do.  A_B., a
-        row-permuted copy of half of A, or of all of it with no red
-        unknown, is the only permuted copy; it lives while the product
-        runs and is freed, with P, before the method returns."""
-        A, red, black = self.A, self.red, self.black
+        columns take their positions, so the product is S in that order.  With no red
+        unknown P is a permutation and S is A[black][:, black] to the
+        bit, each entry one product with 1; every row of A must hold an
+        entry, as a nonsingular A's do.  A_B., a row-permuted copy of
+        half of A, or of all of it with no red unknown, is the only
+        permuted copy; it lives while the product runs and is freed, with
+        P, before the method returns."""
+        A, red, black, counts = self.A, self.red, self.black, self.counts
         n = A.shape[0]
         itype = A.indices.dtype
-        counts = np.diff(A.indptr)
         is_red = np.zeros(n, dtype=bool)
         is_red[red] = True
-        # P's entries: a red row's off-diagonal ones, a black row's diagonal
-        keep = A.indices == np.repeat(np.arange(n, dtype=itype), counts)
-        np.not_equal(keep, np.repeat(is_red, counts), out=keep)
+        # P's entries: a red row's off-diagonal ones, a black row's first
+        keep = np.repeat(is_red, counts)
+        keep[self.red_at] = False
+        keep[A.indptr.take(black)] = True
         p_counts = np.where(is_red, counts - 1, 1).astype(itype)
-        del counts, is_red
         scale = np.ones(n)
-        scale[red] = -self.d
+        scale[red] = -A.data.take(self.red_at)
         values = A.data[keep]
         values /= np.repeat(scale, p_counts)
-        del scale
         indptr = np.zeros(n + 1, dtype=itype)
         np.cumsum(p_counts, out=indptr[1:])
-        values[indptr.take(black)] = 1.0
         pos = np.zeros(n, dtype=itype)   # each black unknown's position
         pos[black] = np.arange(black.size, dtype=itype)
-        P = sp.csr_matrix((values, pos.take(A.indices[keep]), indptr),
-                          shape=(n, black.size))
-        del keep, values, pos, indptr, p_counts
+        indices = pos.take(A.indices[keep])
+        first = indptr.take(black)   # a black row's one entry: 1 at its
+        values[first] = 1.0          # own position
+        indices[first] = pos.take(black)
+        P = sp.csr_matrix((values, indices, indptr), shape=(n, black.size))
+        del is_red, keep, p_counts, scale, values, indptr, pos, indices, first
         S = A[black] @ P
         del P
         S.sort_indices()
@@ -773,7 +781,8 @@ class _RedBlack:
         the products with A_BR and A_RB taken as products with A of a
         vector zero on the other color.  With no red unknown it is
         d = S^-1 r, with no product with A."""
-        A, red, d, black = self.A, self.red, self.d, self.black
+        A, red, black = self.A, self.red, self.black
+        d = A.data.take(self.red_at)
 
         def solve(r):
             z = np.zeros(r.size)
@@ -802,18 +811,21 @@ def _red_black(A: sp.csr_matrix, ij: np.ndarray) -> _RedBlack:
     equal color must be the n diagonal entries.  Every 5-point system
     passes it, folded or not (the mirror keeps the color on the odd grid
     width); a 9-point split with a12 != 0, whose diagonal arms join nodes
-    of one color, does not.  S is left to the solve, which forms it by
-    one sparse product (``_RedBlack.schur``) for each factor, after
-    every array of the test is freed.  With red unknowns the order is
+    of one color, does not.  The elimination keeps the test's row counts
+    and, of its diagonal positions, the red rows'; S is left to the
+    solve, which forms it by one sparse product (``_RedBlack.schur``)
+    for each factor, after every other array of the test is freed.  With
+    red unknowns the order is
     ``_nested_dissection`` of the black nodes on the rotated lattice
     u = (i + j - 1)/2, v = (i - j - 1)/2, on which S, which couples the
     black nodes that a red node joins, is a 9-point stencil; with none
     it is that of every node on the grid itself.
     """
     n = A.shape[0]
+    counts = np.diff(A.indptr)
     is_black = ((ij[:, 0] + ij[:, 1]) & 1).astype(bool)
     same = is_black.take(A.indices)
-    np.equal(same, np.repeat(is_black, np.diff(A.indptr)), out=same)
+    np.equal(same, np.repeat(is_black, counts), out=same)
     diag = np.flatnonzero(same)
     del same
     red = np.flatnonzero(~is_black)
@@ -823,9 +835,9 @@ def _red_black(A: sp.csr_matrix, ij: np.ndarray) -> _RedBlack:
                and np.all(diag >= A.indptr[:-1])
                and np.all(diag < A.indptr[1:])
                and np.array_equal(A.indices.take(diag), np.arange(n)))
-    d = A.data.take(diag.take(red)) if colored else None
+    red_at = (diag.take(red) if colored else red[:0]).astype(A.indptr.dtype)
     del diag
-    if colored and np.all(d > 0.0):
+    if colored and np.all(A.data.take(red_at) > 0.0):
         i, j = ij[black].T
         u = (i + j) >> 1
         v = (i - j) >> 1
@@ -835,9 +847,9 @@ def _red_black(A: sp.csr_matrix, ij: np.ndarray) -> _RedBlack:
             np.column_stack((u[order], v[order])))]]
         del u, v, order
     else:
-        red, d = red[:0], np.empty(0)
+        red, red_at = red[:0], red_at[:0]
         black = _nested_dissection(ij)
-    return _RedBlack(A=A, red=red, d=d, black=black)
+    return _RedBlack(A, counts, red, red_at, black)
 
 
 _MAX_SOLVES = 10   # triangular solves per factor before it counts as stalled
@@ -849,43 +861,48 @@ def _refined_lu_solve(elim: _RedBlack, b: np.ndarray):
     complement S (``_RedBlack``), refined in float64.
 
     SuperLU factorizes S^T, S's canonical CSR arrays read as CSC, as it
-    comes (``permc_spec="NATURAL"``), ``_PANEL`` columns at a time.  S is
-    formed for each factor (``_RedBlack.schur``), once for a float32
-    factor and again for a float64 one.  Its float32 copy shares S's
-    index arrays, and S is dropped once the copy exists, so that a
-    float32 factor runs without S's float64 data.  |A|, which the stop
-    test needs, shares A's index arrays and, with |b|, is built only once
-    the first factor exists, so that neither is held while SuperLU runs.
-    Starting from x = 0, each step solves for the correction d with the
-    factor, the residual scaled by max|r| first so that no entry
-    underflows in float32, adds d to x in float64 and recomputes
-    r = b - A x in float64.  The loop stops once x has reached the
-    double-precision level in two senses.  Backward: every |r_i| lies
-    within the rounding bound gamma_{m+1} (|b| + |A| |x|)_i of a computed
-    residual, m the most entries in a row (Higham, ch. 12), so the
-    residual holds no more information for a correction to act on.
-    Forward: the error left in x, estimated as max|d| times the
-    contraction max|d| / max|d_prev| of the last two corrections (Demmel
-    et al., ACM TOMS 32(2), 2006), is at most gamma_{m+1} max|x|.  That
-    is the same bound carried to x: a correction A^-1 r from a residual
-    known to within gamma_{m+1} (|b| + |A| |x|) is known to within
-    gamma_{m+1} |A^-1| (|b| + |A| |x|) >= gamma_{m+1} |x|, so a smaller
-    error is beyond what the loop can resolve.  The backward test alone
-    can pass with an error far above that when the factor contracts the
+    comes (``permc_spec="NATURAL"``), ``_PANEL`` columns at a time.  Each
+    factor forms its own S (``_RedBlack.schur``, the same to the bit on
+    every call), and S is dropped once SuperLU's input exists, so that a
+    float32 factor runs on the float32 copy, which shares S's index
+    arrays, without S's float64 data.  |A|, which the stop test needs,
+    shares A's index arrays and, with |b|, is built only once the first
+    factor exists, so that neither is held while SuperLU runs.  Starting
+    from x = 0, each step solves for the correction d with the factor,
+    the residual scaled by max|r| first so that no entry underflows in
+    float32, adds d to x in float64 and recomputes r = b - A x in
+    float64.  The loop stops once x has reached the double-precision
+    level in two senses.  Backward: every |r_i| lies within the rounding
+    bound gamma_{m+1} (|b| + |A| |x|)_i of a computed residual, m the
+    most entries in a row (Higham, ch. 12), so the residual holds no
+    more information for a correction to act on.  Forward: the error
+    left in x, estimated as max|d| times the contraction max|d| /
+    max|d_prev| of the last two corrections (Demmel et al., ACM TOMS
+    32(2), 2006), is at most gamma_{m+1} max|x|.  That is the same bound
+    carried to x: a correction A^-1 r from a residual known to within
+    gamma_{m+1} (|b| + |A| |x|) is known to within gamma_{m+1} |A^-1|
+    (|b| + |A| |x|) >= gamma_{m+1} |x|, so a smaller error is beyond
+    what the loop can resolve.  The test compares the product of the two
+    ratios max|d| / max|x| and max|d| / max|d_prev| with gamma_{m+1}:
+    both are at most 1 once the corrections halve, so the test neither
+    overflows nor divides by zero, and scaling b by a power of two
+    leaves every decision as it was.  The backward test alone can pass
+    with an error far above that bound when the factor contracts the
     error slowly, as S's float32 factor does (about 1e-3 a step).  Once
     the backward test holds, a correction that fails to halve, or the
     last of ``_MAX_SOLVES`` solves, also ends the loop: what is left is
     rounding.  Short of it, either means kappa u_32 is not small; the
     float32 factor is then freed and the same loop runs on a float64
-    factor, whose x is returned either way.  When the factorized matrix
-    has an entry outside float32's range, so that its float32 copy holds
-    an inf or fewer nonzeros, the loop runs on the float64 factor alone.
-    A zero ``b`` gives x = 0 without a solve.
+    factor, whose x is returned either way.  When S has an entry outside
+    float32's range, so that its float32 copy holds an inf or fewer
+    nonzeros, no float32 factor is made, and the float64 one is reached
+    as from a stalled refinement.  A zero ``b`` gives x = 0 without a
+    solve.
 
     Returns ``(x, SuperLU.nnz of the last factor, triangular solves)``.
     """
     A = elim.A
-    m = int(A.getnnz(axis=1).max()) + 1
+    m = int(elim.counts.max()) + 1
     u = float(np.finfo(np.float64).eps) / 2.0
     gamma = m * u / (1.0 - m * u)
     abs_A = abs_b = None
@@ -894,23 +911,19 @@ def _refined_lu_solve(elim: _RedBlack, b: np.ndarray):
         return bool(np.all(np.abs(r) <= gamma * (abs_b + abs_A @ np.abs(x))))
 
     solves = 0
-    S = None
     for dtype in (np.float32, np.float64):
-        # one S per factor; kept when its float32 copy was out of range
-        S = elim.schur() if S is None else S
+        S = elim.schur()
         with np.errstate(over="ignore"):
             data = S.data.astype(dtype, copy=False)
-        if dtype is np.float32 and not (
-                np.isfinite(data).all()
-                and np.count_nonzero(data) == np.count_nonzero(S.data)):
-            continue   # outside float32's range
-        indices, indptr, shape = S.indices, S.indptr, S.shape
+        if dtype is np.float32 and np.count_nonzero(
+                np.isfinite(data) & (data != 0.0)) < np.count_nonzero(S.data):
+            continue   # outside float32's range: an entry is inf or 0
         # S lives on only in SuperLU's input, which for a float32 factor
         # is the copy: S's float64 data is freed
-        S = None
-        lu = spla.splu(sp.csc_matrix((data, indices, indptr), shape=shape),
-                       permc_spec="NATURAL", panel_size=_PANEL)
-        del data, indices, indptr
+        M = sp.csc_matrix((data, S.indices, S.indptr), shape=S.shape)
+        del S, data
+        lu = spla.splu(M, permc_spec="NATURAL", panel_size=_PANEL)
+        del M
         if abs_A is None:
             abs_A = type(A)((np.abs(A.data), A.indices, A.indptr),
                             shape=A.shape)
@@ -930,13 +943,12 @@ def _refined_lu_solve(elim: _RedBlack, b: np.ndarray):
             r = b - A @ x
             backward = at_rounding_level(r, x)
             size = float(np.abs(d).max())
-            # the error left, about size * (size / last), is within
-            # gamma max|x|; in Python floats, whose inf * 0 raises no
-            # warning
-            xmax = float(np.abs(x).max())
-            done = backward and size * size <= gamma * xmax * last
-            if not size <= 0.5 * last:   # stalled, or not finite
+            if not 0.0 < size <= 0.5 * last:   # stalled, zero or not finite
                 break
+            # the error left, about size * (size / last), is within
+            # gamma max|x|; corrections that halve keep max|x| >= size
+            xmax = float(np.abs(x).max())
+            done = backward and (size / xmax) * (size / last) <= gamma
             last = size
         if backward:
             break

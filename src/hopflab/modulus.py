@@ -55,9 +55,10 @@ __all__ = [
 
 
 class QuadratureToleranceError(ArithmeticError):
-    """A finite Dini integral whose requested tolerance cannot be met within
-    the interval budget (or within double-precision range).  ``partial``
-    holds the accumulated sum."""
+    """A Dini integral not resolved to its requested tolerance: a finite
+    one that double precision's range cuts short, or one of either kind
+    that the interval budget cuts short first.  ``partial`` holds the
+    accumulated sum."""
 
     def __init__(self, message: str, partial: float = math.nan):
         super().__init__(message)
@@ -389,11 +390,14 @@ def _improper_quadrature(sigma: Modulus, s: float, rel_tol: float,
     the first interval whose contribution c is 0, or whose tail estimate
     2 c r / (1 - r) meets ``rel_tol`` relative to the running sum, r the
     ratio to the previous contribution clamped to 0.9999; the running sums
-    are one cumulative sum, added in order.  When no interval stops it,
-    the decay exponent fitted on the last intervals decides: contributions
-    shrinking no faster than 1/m integrate to a divergent tail (inf),
-    faster ones to a finite J that the budget or double precision's range
-    cut short (``QuadratureToleranceError``)."""
+    are one cumulative sum, added in order.  When no interval stops it
+    and the intervals reached the floor, the decay exponent fitted on the
+    last intervals decides: contributions shrinking no faster than 1/m
+    integrate to a divergent tail (inf), faster ones to a finite J that
+    double precision's range cut short (``QuadratureToleranceError``).
+    When ``max_intervals`` ends the sum before the floor, the few
+    contributions it allows do not show how the tail decays: that is
+    ``QuadratureToleranceError`` whatever they are, never inf."""
     lows = np.ldexp(s, -np.arange(1, max_intervals + 1))
     count = int(np.count_nonzero(lows >= 1e-280))
     history = _dyadic_increments(sigma, s, count)
@@ -409,11 +413,12 @@ def _improper_quadrature(sigma: Modulus, s: float, rel_tol: float,
         tail_estimate <= rel_tol * np.maximum(totals[1:], 1e-300))
     if stop.any():
         return float(totals[stop.argmax()])
-    if _decay_exponent(history) <= 1.01:
+    # the floor, not the budget, ended the sum: the next interval is below it
+    floor = np.ldexp(s, -max_intervals - 1) < 1e-280
+    if floor and _decay_exponent(history) <= 1.01:
         return math.inf
     stopped = (f"before exhausting double-precision range at interval {count}"
-               if count < max_intervals
-               else f"within {max_intervals} dyadic intervals")
+               if floor else f"within {max_intervals} dyadic intervals")
     raise QuadratureToleranceError(
         f"rel_tol {rel_tol:g} not reached {stopped}",
         partial=float(totals[-1]) if count else 0.0)
@@ -440,10 +445,11 @@ def dini_integral(sigma: Modulus, s: float, rel_tol: float = 1e-9,
     quadrature runs.  Otherwise (or with ``force_quadrature``) the dyadic
     quadrature value is returned (`_improper_quadrature`): the sum up to
     the first interval whose tail estimate meets ``rel_tol``.  When no
-    interval does within ``max_intervals`` or double precision's range,
-    the contributions' fitted decay exponent decides: inf when they shrink
-    no faster than 1/m, else ``QuadratureToleranceError``, the one error:
-    J is finite but not resolved to ``rel_tol``.
+    interval does down to double precision's range, the contributions'
+    fitted decay exponent decides: inf when they shrink no faster than
+    1/m, else ``QuadratureToleranceError``.  When ``max_intervals`` ends
+    the sum first, it is ``QuadratureToleranceError`` either way: the one
+    error, J not resolved to ``rel_tol``.
     """
     if not 0.0 < s <= 1.0:
         raise ValueError(f"s must lie in (0, 1], got {s}")

@@ -6,6 +6,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hopflab import cli
@@ -57,6 +58,21 @@ def test_modulus_csv_plateau_table_is_finite(tmp_path):
     rows = (tmp_path / "modulus_table.csv").read_text().splitlines()[1:]
     assert len(rows) == 25
     assert all(math.isfinite(float(row.split(",")[3])) for row in rows)
+
+
+def test_modulus_csv_unresolved_j_reads_budget(tmp_path):
+    # 1/ln(e/t)^2 has a finite J that the quadrature does not resolve
+    # before double precision's range ends it: those cells read "budget"
+    t = np.geomspace(1e-300, 1.0, 400)
+    table = tmp_path / "log2.csv"
+    table.write_text("t,sigma\n" + "".join(
+        f"{a!r},{b!r}\n" for a, b in zip(t.tolist(), (
+            1.0 / (1.0 - np.log(t)) ** 2).tolist())))
+    assert run_cli(["modulus", "--csv", str(table)], tmp_path) == 0
+    rows = (tmp_path / "modulus_table.csv").read_text().splitlines()[1:]
+    cells = [row.split(",")[3] for row in rows]
+    assert len(cells) == 25 and "budget" in cells
+    assert "inf" not in cells
 
 
 def test_modulus_unknown_preset_exit_2(tmp_path):

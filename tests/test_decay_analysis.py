@@ -252,6 +252,22 @@ def test_recursion_divergent_j_keeps_an_infinite_tail():
         assert rep.sum_to_integral == math.inf
 
 
+def test_recursion_unresolved_j_reads_inf():
+    # a log2-type table has no closed form, and at rel_tol 1e-6 its J is
+    # unresolved at both calls: at 0.01 the 900-interval budget ends the
+    # sum, at 0.01 * 2^-200 double precision's range does.  Both read inf
+    t = np.geomspace(1e-300, 1.0, 400)
+    table = M.from_table(t, 1.0 / (1.0 - np.log(t)) ** 2)
+    for s in (0.01, 2.0**-200 * 0.01):
+        with pytest.raises(M.QuadratureToleranceError):
+            M.dini_integral(table, s, rel_tol=1e-6, max_intervals=900)
+    rep = D.growth_recursion_bound(table, 0.01, 1.0, 0.5, k0=30,
+                                   rho_ratio=0.01)
+    assert rep.pi_tail_bound == math.inf
+    assert rep.sum_to_integral == math.inf
+    assert math.isfinite(rep.pi_value)
+
+
 def _recursion_reference(sigma, mathfrak_b, mathfrak_f, vartheta, k0,
                          rho_ratio, horizon=200, m1=1.0):
     """growth_recursion_bound's recursion one level at a time: the

@@ -1032,7 +1032,7 @@ def test_nine_point_systems_keep_the_whole_factor(op):
     dom = F.DiscreteDomain.build(G.preset_profile("log1", R0=0.5), 2.0**-7)
     system = F.discretize(op, dom, bc_linear)
     elim = _schur_input(system)
-    assert elim.red.size == 0 and elim.d.size == 0
+    assert elim.red.size == 0 and elim.red_at.size == 0
     p = F._nested_dissection(dom.interior_ij)
     np.testing.assert_array_equal(elim.black, p)
     ref = system.matrix[p][:, p]
@@ -1280,19 +1280,22 @@ def test_residual_norm_is_scale_invariant(power):
 
 @pytest.mark.parametrize("power", [-130, 130, 560, 600, 700])
 def test_refinement_is_scale_invariant(power):
-    # each residual is scaled by max|r| before its float32 cast, so data
-    # far outside float32's range give the solution scaled by the same
-    # power of two, bitwise, in as many steps; past 2^550 the stop test's
-    # products overflow, which in Python floats raises no warning
-    system = _laplace_system(G.preset_profile("log1", R0=0.5), 2.0**-6)
-    sol = F.solve(system)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        scaled = F.solve(dataclasses.replace(
-            system, rhs=np.ldexp(system.rhs, power)))
-    np.testing.assert_array_equal(scaled.vec, np.ldexp(sol.vec, power))
-    assert (scaled.iterations, scaled.residual_norm) == \
-        (sol.iterations, sol.residual_norm)
+    # each residual is scaled by max|r| before its float32 cast, and the
+    # forward stop test compares ratios, so data far outside float32's
+    # range give the solution scaled by the same power of two, bitwise,
+    # in as many steps.  On cone:0.4 the forward test decides the 4th
+    # solve, which a test by products of sizes, overflowing to inf <= inf
+    # past 2^550, skipped
+    for profile_id, h in (("log1", 2.0**-6), ("cone:0.4", 2.0**-7)):
+        system = _laplace_system(G.preset_profile(profile_id, R0=0.5), h)
+        sol = F.solve(system)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled = F.solve(dataclasses.replace(
+                system, rhs=np.ldexp(system.rhs, power)))
+        np.testing.assert_array_equal(scaled.vec, np.ldexp(sol.vec, power))
+        assert (scaled.iterations, scaled.residual_norm) == \
+            (sol.iterations, sol.residual_norm)
 
 
 # prints, after each SuperLU factorization of a log1 laplace solve at

@@ -198,6 +198,9 @@ def test_dini_integral_jump_at_zero_diverges():
     # exponent (0) reads the tail as divergent
     jump = M.Modulus(fn=_jump)
     assert M.dini_integral(jump, 1.0) == math.inf
+    # a budget of exactly the 930 intervals down to 1e-280 reaches the
+    # floor, so the fit still decides
+    assert M.dini_integral(jump, 1.0, max_intervals=930) == math.inf
     floor = M._dyadic_increments(jump, 1.0, 930)   # down to 1e-280
     assert abs(M._decay_exponent(floor)) < 5e-4
 
@@ -263,6 +266,43 @@ def test_dini_integral_budget_error():
     with pytest.raises(M.QuadratureToleranceError):
         M.dini_integral(M.preset_modulus("log2"), 1.0, rel_tol=1e-6,
                         force_quadrature=True, max_intervals=200)
+
+
+_PLATEAU = M.from_table([0.0, 1e-9, 1e-2, 1.0], [0.0, 0.5, 0.5, 1.0])
+
+
+@pytest.mark.parametrize("sigma,s,budget", [
+    (M.preset_modulus("log2"), 2.0**-40, 60),
+    (M.preset_modulus("log2"), 2.0**-40, 10),
+    (_PLATEAU, 1.0, 10), (_PLATEAU, 0.5, 10), (_PLATEAU, 0.3, 10)])
+def test_budget_cut_quadrature_is_never_divergent(sigma, s, budget):
+    # J is finite on both; a budget that ends the sum long before the
+    # 1e-280 floor leaves too few contributions to fit how the tail
+    # decays (the fit read these as divergent), so the sum is unresolved,
+    # with the budget's partial sum
+    with pytest.raises(M.QuadratureToleranceError,
+                       match=f"within {budget} dyadic intervals") as exc:
+        M.dini_integral(sigma, s, max_intervals=budget, force_quadrature=True)
+    partial = float(M._dyadic_increments(sigma, s, budget).sum())
+    assert exc.value.partial == pytest.approx(partial, rel=1e-12)
+    assert 0.0 < exc.value.partial < math.inf
+
+
+def test_quadrature_report_without_closed_form():
+    # a table has no closed form: its quadrature is the value itself
+    sigma = M.from_table([0.0, 1.0], [0.0, 1.0])
+    rep = M.dini_integral_report(sigma, 0.5)
+    assert rep == M.DiniIntegralResult(M.dini_integral(sigma, 0.5),
+                                       "quadrature", rep.value)
+    assert rep.value == pytest.approx(0.5, rel=1e-9)
+
+
+def test_decay_exponent_needs_four_positive_contributions():
+    # three positive contributions fit no tail: the exponent reads inf,
+    # so the quadrature never calls such a tail divergent
+    assert M._decay_exponent([0.0, 1.0, 0.0, 0.5, 0.25, 0.0]) == math.inf
+    assert M._decay_exponent([1.0, 0.5, 1.0 / 3.0, 0.25]) == \
+        pytest.approx(1.0)
 
 
 def test_dini_integral_closed_form_runs_no_quadrature():
