@@ -90,10 +90,10 @@ def _echo_config(pairs) -> str:
 
 def _j_cell(sigma, t: float) -> str:
     """J(t) for the modulus table: "inf" where the integral diverges,
-    "budget" where the quadrature runs out of intervals."""
+    "budget" where a finite J is not resolved before the quadrature's
+    1e-280 floor."""
     try:
-        return repr(mod.dini_integral(sigma, t, rel_tol=1e-9,
-                                      max_intervals=1400))
+        return repr(mod.dini_integral(sigma, t, rel_tol=1e-9))
     except mod.QuadratureToleranceError:
         return "budget"
 

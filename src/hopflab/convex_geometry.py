@@ -65,7 +65,7 @@ class RadialProfile:
     df: Callable[[float], float]  # closed-form derivative
     R0: float
     ambient_dim: int = 2
-    preset: Optional[str] = None
+    preset: Optional[tuple] = None  # parsed preset id (name, args)
 
     def height(self, x1):
         """Graph height over planar abscissae (ambient_dim = 2)."""
@@ -133,6 +133,8 @@ def preset_profile(spec: str, R0: float = 0.5, ambient_dim: int = 2) -> Boundary
     "wedge[:<theta>]" (planar cone of opening angle theta < pi, default
     2 pi/3).  cone and power need their one argument, wedge takes at most
     one, and the others take none; any other count raises ``ValueError``.
+    The profile keeps the parsed id, ``(name, args)`` with every argument
+    filled in, as its ``preset``.
     """
     if not 0.0 < R0 <= 1.0:
         raise ValueError(f"patch radius R0 must lie in (0, 1], got {R0}")
@@ -171,7 +173,7 @@ def preset_profile(spec: str, R0: float = 0.5, ambient_dim: int = 2) -> Boundary
             L = 1.0 + math.log(R0) - math.log(r)
             return 1.0 / L**p + p / L**(p + 1)
     return RadialProfile(f=f, df=df, R0=R0, ambient_dim=ambient_dim,
-                         preset=spec)
+                         preset=(name, args))
 
 
 def validate_profile(profile: BoundaryProfile) -> None:
@@ -486,8 +488,8 @@ class DomainMask:
     the arms that leave an interior node westward, eastward or southward
     and end on or below the graph (``CrossingArms``), a few per column of
     the boundary, not a value per node.  The upward arm never crosses
-    the graph.  ``frac_w/e/s`` are views built on demand from them: grids
-    of the fractions, NaN off the arms."""
+    the graph.  ``frac_w/e`` are views built on demand from the west and
+    east arms: grids of the fractions, NaN off the arms."""
 
     x1: np.ndarray
     x2: np.ndarray
@@ -518,12 +520,6 @@ class DomainMask:
         """East arm fractions as a grid, NaN off the arms; built anew on
         every read."""
         return self._dense(self.arms_e)
-
-    @property
-    def frac_s(self) -> np.ndarray:
-        """South arm fractions as a grid, NaN off the arms; built anew on
-        every read."""
-        return self._dense(self.arms_s)
 
 
 def curve_crossing_fraction(profile: BoundaryProfile, p_from, p_to):
@@ -671,8 +667,7 @@ def boundary_modulus(profile: BoundaryProfile):
     nondecreasing and vectorized, so the numeric classification reads
     sigma at every depth it probes."""
     preset = getattr(profile, "preset", None)
-    flag = (_PRESET_DINI[_preset_args(preset, "profile", _PROFILE_GRAMMAR)[0]]
-            if preset else None)
+    flag = _PRESET_DINI[preset[0]] if preset else None
     d_R0 = delta(profile, profile.R0)
 
     def sigma(t):

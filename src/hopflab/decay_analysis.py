@@ -31,8 +31,7 @@ from . import convex_geometry as geo
 from . import fd_solver as fds
 from .elliptic_operator import preset_operator
 from .modulus import (Modulus, QuadratureToleranceError, Verdict,
-                      dini_classify, dini_integral, _dyadic_increments,
-                      _preset_args)
+                      dini_classify, dini_integral, _dyadic_increments)
 
 __all__ = [
     "ContrastReport",
@@ -123,9 +122,7 @@ def boundary_data(kind: str, profile: geo.BoundaryProfile) -> Callable:
         return lambda X1, X2: np.asarray(X2, dtype=float) * np.ones_like(
             np.asarray(X1, dtype=float))
     if kind == "sector":
-        preset = getattr(profile, "preset", None)
-        name, args = (_preset_args(preset, "profile", geo._PROFILE_GRAMMAR)
-                      if preset else (None, ()))
+        name, args = getattr(profile, "preset", None) or (None, ())
         if name != "wedge":
             raise ValueError("sector data requires a wedge profile")
         return sector_harmonic(*args)
@@ -324,6 +321,13 @@ def growth_recursion_bound(sigma: Modulus, mathfrak_b: float,
         return pref * (2.0 * (kk + 1.0) / kk) * (np.exp(-lam * kk / 2.0)
                                                  + mathfrak_b * sig / half_t)
 
+    def j_or_inf(s):
+        # an unresolved J is finite, but inf bounds it safely
+        try:
+            return dini_integral(sigma, s, rel_tol=1e-6)
+        except QuadratureToleranceError:
+            return math.inf
+
     gamma_1 = float(gamma(1 + k0, sig_terms[0]))
     if gamma_1 > 0.5:
         cands = np.arange(k0 + 1, 400)
@@ -344,13 +348,8 @@ def growth_recursion_bound(sigma: Modulus, mathfrak_b: float,
     exp_tail = (pref * 2.0 * (horizon + k0 + 2.0) / (horizon + k0 + 1.0)
                 * math.exp(-lam * (horizon + 1 + k0) / 2.0)
                 / (1.0 - math.exp(-lam / 2.0)))
-    # an unresolved J is finite, but inf bounds its tail safely; an
-    # infinite J keeps the tail infinite even at mathfrak_b = 0
-    try:
-        j_small = dini_integral(sigma, min(2.0 ** -horizon * rho_ratio, 1.0),
-                                rel_tol=1e-6, max_intervals=900)
-    except QuadratureToleranceError:
-        j_small = math.inf
+    # an infinite J keeps the tail infinite even at mathfrak_b = 0
+    j_small = j_or_inf(min(2.0 ** -horizon * rho_ratio, 1.0))
     sig_tail = (pref * 2.0 * mathfrak_b / half_t * j_small / math.log(2.0)
                 if math.isfinite(j_small) else math.inf)
     pi_tail_bound = exp_tail + sig_tail
@@ -363,11 +362,7 @@ def growth_recursion_bound(sigma: Modulus, mathfrak_b: float,
         m_vals.append(m_vals[-1] * (1.0 + gam[k]) + src)
 
     sigma_sum = float(sig_terms.sum())
-    try:
-        j_val = dini_integral(sigma, rho_ratio, rel_tol=1e-6,
-                              max_intervals=900)
-    except QuadratureToleranceError:
-        j_val = math.inf
+    j_val = j_or_inf(rho_ratio)
     return RecursionReport(
         gamma=tuple(float(g) for g in gam),
         pi_partials=tuple(float(p) for p in pi_partials),

@@ -55,10 +55,10 @@ __all__ = [
 
 
 class QuadratureToleranceError(ArithmeticError):
-    """A Dini integral not resolved to its requested tolerance: a finite
-    one that double precision's range cuts short, or one of either kind
-    that the interval budget cuts short first.  ``partial`` holds the
-    accumulated sum."""
+    """A finite Dini integral not resolved to its requested tolerance
+    before its dyadic intervals reach the 1e-280 floor of double
+    precision's range.  ``partial`` holds the accumulated sum, 0.0 when
+    no interval lies above the floor."""
 
     def __init__(self, message: str, partial: float = math.nan):
         super().__init__(message)
@@ -116,10 +116,6 @@ class InvariantReport:
     endpoints_ok: bool
     monotone_ok: bool
     ratio_monotone_ok: bool
-
-    @property
-    def all_ok(self) -> bool:
-        return self.endpoints_ok and self.monotone_ok and self.ratio_monotone_ok
 
 
 @dataclass(frozen=True)
@@ -328,20 +324,17 @@ def load_csv(path) -> Modulus:
 # regularization: sigma~(t) = t * sup_{tau in [t,1]} sigma(tau)/tau
 # ----------------------------------------------------------------------
 
-def regularize(sigma_raw: Callable[[np.ndarray], np.ndarray],
-               grid_size: int = 400) -> Modulus:
+def regularize(sigma_raw: Callable[[np.ndarray], np.ndarray]) -> Modulus:
     """Ratio-monotone majorant of a raw nondecreasing modulus.
 
-    ``sigma_raw`` is vectorized: it is called once on the whole geometric
-    grid and must return an array of the grid's shape.  Evaluates
-    ``t * sup over tau in [t, 1] of sigma(tau)/tau`` on that grid (suffix
-    maximum of the sampled ratio) and returns the tabulated result.  A
-    modulus whose ratio is already nonincreasing is a fixed point at the
-    grid nodes.
+    ``sigma_raw`` is vectorized: it is called once on the whole grid, 400
+    geometric nodes of [1e-12, 1], and must return an array of the grid's
+    shape.  Evaluates ``t * sup over tau in [t, 1] of sigma(tau)/tau`` on
+    that grid (suffix maximum of the sampled ratio) and returns the
+    tabulated result.  A modulus whose ratio is already nonincreasing is a
+    fixed point at the grid nodes.
     """
-    if grid_size < 8:
-        raise ValueError("grid_size must be at least 8")
-    grid = np.geomspace(1e-12, 1.0, grid_size)
+    grid = np.geomspace(1e-12, 1.0, 400)
     raw0 = float(sigma_raw(0.0))
     raw1 = float(sigma_raw(1.0))
     if abs(raw0) > 1e-12 or abs(raw1 - 1.0) > 1e-12:
@@ -380,26 +373,21 @@ def _dyadic_increments(sigma: Callable, s: float, count: int) -> np.ndarray:
         count, _PANELS * _GL_NODES.size).sum(axis=1)
 
 
-def _improper_quadrature(sigma: Modulus, s: float, rel_tol: float,
-                         max_intervals: int):
-    """Sum of dyadic-interval contributions of J(s), with divergence and
-    budget guards.  Returns the sum, or inf for a divergent J.
+def _improper_quadrature(sigma: Modulus, s: float, rel_tol: float):
+    """Sum of dyadic-interval contributions of J(s), with a divergence
+    guard.  Returns the sum, or inf for a divergent J.
 
-    Every contribution the budget allows is evaluated up front, down to
-    the last interval whose low end stays above 1e-280.  The sum stops at
-    the first interval whose contribution c is 0, or whose tail estimate
-    2 c r / (1 - r) meets ``rel_tol`` relative to the running sum, r the
-    ratio to the previous contribution clamped to 0.9999; the running sums
-    are one cumulative sum, added in order.  When no interval stops it
-    and the intervals reached the floor, the decay exponent fitted on the
-    last intervals decides: contributions shrinking no faster than 1/m
-    integrate to a divergent tail (inf), faster ones to a finite J that
-    double precision's range cut short (``QuadratureToleranceError``).
-    When ``max_intervals`` ends the sum before the floor, the few
-    contributions it allows do not show how the tail decays: that is
-    ``QuadratureToleranceError`` whatever they are, never inf."""
-    lows = np.ldexp(s, -np.arange(1, max_intervals + 1))
-    count = int(np.count_nonzero(lows >= 1e-280))
+    Every contribution is evaluated up front, down to the last interval
+    whose low end stays above 1e-280 (at most 930 of them).  The sum stops
+    at the first interval whose contribution c is 0, or whose tail
+    estimate 2 c r / (1 - r) meets ``rel_tol`` relative to the running
+    sum, r the ratio to the previous contribution clamped to 0.9999; the
+    running sums are one cumulative sum, added in order.  When no interval
+    stops it, the decay exponent fitted on the last 40 intervals decides:
+    contributions shrinking no faster than 1/m integrate to a divergent
+    tail (inf), faster ones to a finite J that double precision's range
+    cut short (``QuadratureToleranceError``)."""
+    count = int(np.count_nonzero(np.ldexp(s, -np.arange(1, 931)) >= 1e-280))
     history = _dyadic_increments(sigma, s, count)
     totals = np.cumsum(history)
     prev, c = history[:-1], history[1:]
@@ -413,31 +401,27 @@ def _improper_quadrature(sigma: Modulus, s: float, rel_tol: float,
         tail_estimate <= rel_tol * np.maximum(totals[1:], 1e-300))
     if stop.any():
         return float(totals[stop.argmax()])
-    # the floor, not the budget, ended the sum: the next interval is below it
-    floor = np.ldexp(s, -max_intervals - 1) < 1e-280
-    if floor and _decay_exponent(history) <= 1.01:
+    tail = history[-40:]
+    if _decay_exponent(tail, count - tail.size + 1, 4) <= 1.01:
         return math.inf
-    stopped = (f"before exhausting double-precision range at interval {count}"
-               if floor else f"within {max_intervals} dyadic intervals")
     raise QuadratureToleranceError(
-        f"rel_tol {rel_tol:g} not reached {stopped}",
+        f"rel_tol {rel_tol:g} not reached before exhausting double-precision "
+        f"range at interval {count}",
         partial=float(totals[-1]) if count else 0.0)
 
 
-def _decay_exponent(history) -> float:
-    """Fitted p in c_m ~ m^-p over the last 40 contributions."""
-    tail = np.asarray(history[-40:], dtype=float)
-    pos = tail > 0.0
-    if np.count_nonzero(pos) < 4:
+def _decay_exponent(contribs, first: int, need: int) -> float:
+    """Fitted p in c_m ~ m^-p over the contributions c_m, m = first,
+    first + 1, ...; inf when fewer than ``need`` of them are positive."""
+    contribs = np.asarray(contribs, dtype=float)
+    pos = contribs > 0.0
+    if np.count_nonzero(pos) < need:
         return math.inf
-    idx = np.arange(len(history) - len(tail) + 1, len(history) + 1,
-                    dtype=float)
-    slope = np.polyfit(np.log(idx[pos]), np.log(tail[pos]), 1)[0]
-    return float(-slope)
+    ms = np.arange(first, first + contribs.size, dtype=float)
+    return float(-np.polyfit(np.log(ms[pos]), np.log(contribs[pos]), 1)[0])
 
 
 def dini_integral(sigma: Modulus, s: float, rel_tol: float = 1e-9,
-                  max_intervals: int = 1500,
                   force_quadrature: bool = False) -> float:
     """J(s) = int_0^s sigma(tau)/tau dtau, a number in [0, inf].
 
@@ -447,30 +431,29 @@ def dini_integral(sigma: Modulus, s: float, rel_tol: float = 1e-9,
     the first interval whose tail estimate meets ``rel_tol``.  When no
     interval does down to double precision's range, the contributions'
     fitted decay exponent decides: inf when they shrink no faster than
-    1/m, else ``QuadratureToleranceError``.  When ``max_intervals`` ends
-    the sum first, it is ``QuadratureToleranceError`` either way: the one
-    error, J not resolved to ``rel_tol``.
+    1/m, else ``QuadratureToleranceError``, the one error: a finite J not
+    resolved to ``rel_tol`` before the 1e-280 floor.
     """
     if not 0.0 < s <= 1.0:
         raise ValueError(f"s must lie in (0, 1], got {s}")
     if sigma.closed_form_j is not None and not force_quadrature:
         return float(sigma.closed_form_j(s))
-    return _improper_quadrature(sigma, s, rel_tol, max_intervals)
+    return _improper_quadrature(sigma, s, rel_tol)
 
 
 def dini_integral_report(sigma: Modulus, s: float) -> DiniIntegralResult:
     """`dini_integral` plus a quadrature value to cross-check it against.
 
-    For a closed form, the quadrature (``rel_tol`` 1e-9, at most 1500
-    intervals) runs as well; if it stops early, its partial sum is
-    recorded.  Without a closed form the quadrature is the value itself,
-    and its errors propagate as in `dini_integral`.
+    For a closed form, the quadrature (``rel_tol`` 1e-9) runs as well; if
+    it is not resolved, its partial sum is recorded.  Without a closed
+    form the quadrature is the value itself, and its errors propagate as
+    in `dini_integral`.
     """
     value = dini_integral(sigma, s)
     if sigma.closed_form_j is None:
         return DiniIntegralResult(value, "quadrature", value)
     try:
-        q = _improper_quadrature(sigma, s, 1e-9, 1500)
+        q = _improper_quadrature(sigma, s, 1e-9)
     except QuadratureToleranceError as exc:
         q = exc.partial
     return DiniIntegralResult(value, "closed-form", q)
@@ -514,14 +497,7 @@ def dini_classify(sigma: Modulus, depth: int = 40) -> DiniVerdict:
     partials = tuple(zip(np.ldexp(1.0, -np.arange(1, depth + 1)).tolist(),
                          np.cumsum(inc).tolist()))
 
-    half = inc[depth // 2:]
-    ms = np.arange(depth // 2 + 1, depth + 1, dtype=float)
-    pos = half > 0.0
-    if np.count_nonzero(pos) >= 3:
-        slope = np.polyfit(np.log(ms[pos]), np.log(half[pos]), 1)[0]
-        exponent = -slope
-    else:
-        exponent = math.inf
+    exponent = _decay_exponent(inc[depth // 2:], depth // 2 + 1, 3)
 
     window = inc[-11:]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -541,7 +517,7 @@ def dini_classify(sigma: Modulus, depth: int = 40) -> DiniVerdict:
         verdict=verdict,
         numeric_verdict=numeric,
         partial_integrals=partials,
-        growth_exponent_estimate=float(exponent),
+        growth_exponent_estimate=exponent,
         increment_ratios=tuple(float(r) for r in ratios),
     )
 

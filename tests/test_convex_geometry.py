@@ -346,7 +346,9 @@ def test_mask_flat_all_fractions_full():
                            ) == False)  # noqa: E712  (no stray fractions)
     # south fractions on the first interior row equal 1 (curve at x2 = 0)
     row1 = m.cls[:, 1] == G.INTERIOR
-    assert np.allclose(m.frac_s[row1, 1], 1.0)
+    ii, jj = np.divmod(m.arms_s.at, m.x2.size)
+    assert np.array_equal(ii[jj == 1], np.nonzero(row1)[0])
+    assert np.allclose(m.arms_s.frac[jj == 1], 1.0)
 
 
 def test_mask_node_exactly_on_curve():
@@ -372,7 +374,7 @@ def test_mask_node_just_over_tolerance_above_curve():
 def test_mask_spacings_are_h(h):
     # the spacing arrays hold h itself; differences of the node
     # coordinates are not h for every h, so they could not stand in.
-    # frac_s is the exact crossing (x2_j - F)/dx2[j - 1] of the south arm
+    # a south arm's fraction is the exact crossing (x2_j - F)/dx2[j - 1]
     prof = G.preset_profile("log1", R0=0.5)
     m = G.domain_mask(prof, h=h)
     for x, dx in ((m.x1, m.dx1), (m.x2, m.dx2)):
@@ -380,10 +382,10 @@ def test_mask_spacings_are_h(h):
         assert dx.tobytes() == np.full(x.size - 1, h).tobytes()
     if h == 0.5 / 48:
         assert np.count_nonzero(np.diff(m.x1) != h) > 0
-    ii, jj = np.nonzero(~np.isnan(m.frac_s))
+    ii, jj = np.divmod(m.arms_s.at, m.x2.size)
     assert ii.size > 0
     expect = np.clip((m.x2[jj] - prof.height(m.x1[ii])) / h, 1e-12, 1.0)
-    assert m.frac_s[ii, jj].tobytes() == expect.tobytes()
+    assert m.arms_s.frac.tobytes() == expect.tobytes()
 
 
 def test_mask_symmetric_for_radial_profile():
@@ -494,6 +496,67 @@ def test_mask_resolution_error():
 def test_mask_rejects_nonpositive_or_nonfinite_h(h):
     with pytest.raises(ValueError, match="finite and positive"):
         G.domain_mask(G.preset_profile("flat", R0=0.5), h=h)
+
+
+def _radial(f):
+    return G.RadialProfile(f=f, df=lambda r: 0.0, R0=0.5)
+
+
+def _late_kink(rho):
+    # convex up to 0.498, then a smaller slope: every point that
+    # validate_profile samples for the midpoint test has |x'| < 0.4973, so
+    # only its difference quotients on [0, R0] see the kink
+    rho = np.asarray(rho, dtype=float)
+    return np.where(rho <= 0.498, rho**2, 0.498**2 + 0.5 * (rho - 0.498))
+
+
+_PLANAR_CONE = G.preset_profile("cone:0.4", R0=0.5)
+
+
+# input checks, each by its message: deleting a check lets the call
+# return or fail later with another message
+@pytest.mark.parametrize("call, match", [
+    (lambda: G.MaxAffineProfile(slopes=[[1.0], [2.0]], offsets=[0.0],
+                                R0=0.5),
+     "slopes and offsets disagree on piece count"),
+    (lambda: G.MaxAffineProfile(slopes=[[1.0, 0.0]], offsets=[0.0], R0=0.5),
+     "slope dimension must be ambient_dim - 1"),
+    (lambda: G.MaxAffineProfile(slopes=[[1.0]], offsets=[-0.1], R0=0.5),
+     r"max offset must be 0 so that F\(0\) = 0"),
+    (lambda: G.MaxAffineProfile(slopes=[[1.0, 0.0]], offsets=[0.0], R0=0.5,
+                                ambient_dim=3).height(0.1),
+     r"height\(x1\) is the planar interface"),
+    (lambda: G.preset_profile("flat", R0=0.0),
+     r"patch radius R0 must lie in \(0, 1\], got 0.0"),
+    (lambda: G.preset_profile("wedge:3.5"),
+     r"wedge opening angle must lie in \(0, pi\)"),
+    (lambda: G.preset_profile("power:0"),
+     r"power profile needs alpha in \(0, 1\]"),
+    (lambda: G.validate_profile(_radial(lambda rho: np.asarray(rho) + 1.0)),
+     r"F\(0\) must be 0"),
+    (lambda: G.validate_profile(_radial(lambda rho: -np.asarray(rho))),
+     "F must be nonnegative on the patch"),
+    (lambda: G.validate_profile(_radial(np.sqrt)),
+     "midpoint convexity fails on a sampled pair"),
+    (lambda: G.validate_profile(_radial(_late_kink)),
+     "radial f has decreasing difference quotients"),
+    (lambda: G.ball_inclusion_check(
+        G.preset_profile("cone:0.4", R0=0.25),
+        G.extremal_frame(_PLANAR_CONE, 0.25), 0.5),
+     "frame scale exceeds R0/2"),
+    (lambda: G.curve_crossing_fraction(_PLANAR_CONE, [0.0, -0.1],
+                                       [0.0, -0.2]),
+     "segment start must lie above the graph"),
+    (lambda: G.domain_mask(G.MaxAffineProfile(
+        slopes=[[1.0, 0.0]], offsets=[0.0], R0=0.5, ambient_dim=3),
+        2.0**-5),
+     "rasterization supports planar profiles only"),
+], ids=["piece-count", "slope-dim", "max-offset", "planar-height", "R0",
+        "wedge-angle", "power-alpha", "F0", "nonnegative", "convexity",
+        "quotients", "frame-scale", "segment-start", "planar-mask"])
+def test_geometry_input_checks(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
 
 
 def test_validate_profile_accepts_presets():

@@ -19,6 +19,25 @@ def test_config_validation():
     D.HopfExperiment(profile="flat", R0=0.5, K=2, h=2.0**-6).validate()
 
 
+# input checks, each by its message: deleting a check lets the call
+# return or fail later with another message
+@pytest.mark.parametrize("call, match", [
+    (lambda: D.boundary_data("sector", G.preset_profile("cone:0.4")),
+     "sector data requires a wedge profile"),
+    (lambda: D.boundary_data("nosuch", G.preset_profile("wedge")),
+     "unknown bc kind 'nosuch'"),
+    (lambda: D.growth_recursion_bound(M.preset_modulus("linear"), 1.0, 1.0,
+                                      1.0, k0=30),
+     r"vartheta must lie in \(0, 1\)"),
+    (lambda: D.growth_recursion_bound(M.preset_modulus("linear"), 1.0, 1.0,
+                                      0.5, k0=30, rho_ratio=2.0),
+     r"rho_ratio must lie in \(0, 1\]"),
+], ids=["sector-non-wedge", "bc-kind", "vartheta", "rho-ratio"])
+def test_decay_input_checks(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 # ---------------------------------------------------------------- runs
 
 def test_flat_experiment_holds():
@@ -254,13 +273,13 @@ def test_recursion_divergent_j_keeps_an_infinite_tail():
 
 def test_recursion_unresolved_j_reads_inf():
     # a log2-type table has no closed form, and at rel_tol 1e-6 its J is
-    # unresolved at both calls: at 0.01 the 900-interval budget ends the
-    # sum, at 0.01 * 2^-200 double precision's range does.  Both read inf
+    # unresolved before the 1e-280 floor at both calls, 0.01 and
+    # 0.01 * 2^-200.  Both read inf
     t = np.geomspace(1e-300, 1.0, 400)
     table = M.from_table(t, 1.0 / (1.0 - np.log(t)) ** 2)
     for s in (0.01, 2.0**-200 * 0.01):
         with pytest.raises(M.QuadratureToleranceError):
-            M.dini_integral(table, s, rel_tol=1e-6, max_intervals=900)
+            M.dini_integral(table, s, rel_tol=1e-6)
     rep = D.growth_recursion_bound(table, 0.01, 1.0, 0.5, k0=30,
                                    rho_ratio=0.01)
     assert rep.pi_tail_bound == math.inf

@@ -370,7 +370,9 @@ def coo_reference_discretize(op, dom, bc_top_side, source=None,
     karr = np.arange(N)
     fw = mask.frac_w[ii, jj]
     fe = mask.frac_e[ii, jj]
-    fs = mask.frac_s[ii, jj]
+    south = np.full(cls.shape, np.nan)
+    south.ravel()[mask.arms_s.at] = mask.arms_s.frac
+    fs = south[ii, jj]
     alpha_w = np.where(np.isnan(fw), 1.0, fw)
     alpha_e = np.where(np.isnan(fe), 1.0, fe)
     alpha_s = np.where(np.isnan(fs), 1.0, fs)
@@ -539,17 +541,17 @@ def test_domain_mask_holds_crossing_arms_only():
 
 
 def test_dense_fractions_are_the_arms_on_a_nan_grid():
-    # the frac_w/e/s views are the arms scattered into NaN grids, bitwise,
+    # the frac_w/e views are the arms scattered into NaN grids, bitwise,
     # so a crossing count read off them is the arm count: 1,022 west and
     # east arms on log1 at h = 2^-10
     mask = G.domain_mask(G.preset_profile("log1", R0=0.5), 2.0**-10)
     for arms, dense in ((mask.arms_w, mask.frac_w),
-                        (mask.arms_e, mask.frac_e),
-                        (mask.arms_s, mask.frac_s)):
+                        (mask.arms_e, mask.frac_e)):
         expect = np.full(mask.cls.shape, np.nan)
         expect.ravel()[arms.at] = arms.frac
         assert dense.tobytes() == expect.tobytes()
         assert np.count_nonzero(~np.isnan(dense)) == arms.at.size
+    for arms in (mask.arms_w, mask.arms_e, mask.arms_s):
         assert np.all(np.diff(arms.at) > 0)
         assert np.all(mask.cls.ravel()[arms.at] == G.INTERIOR)
     crossings = (np.count_nonzero(~np.isnan(mask.frac_w))

@@ -113,10 +113,10 @@ def test_regularize_sqrt_fixed_point():
 
 def test_regularize_majorizes_and_idempotent():
     raw = lambda t: np.asarray(t, dtype=float) ** 2
-    reg = M.regularize(raw, grid_size=300)
+    reg = M.regularize(raw)
     grid = np.geomspace(1e-12, 1.0, 300)
     assert np.all(reg(grid) >= raw(grid) - 1e-14)
-    reg2 = M.regularize(reg, grid_size=300)
+    reg2 = M.regularize(reg)
     np.testing.assert_allclose(reg2(grid), reg(grid), rtol=1e-10)
 
 
@@ -198,19 +198,23 @@ def test_dini_integral_jump_at_zero_diverges():
     # exponent (0) reads the tail as divergent
     jump = M.Modulus(fn=_jump)
     assert M.dini_integral(jump, 1.0) == math.inf
-    # a budget of exactly the 930 intervals down to 1e-280 reaches the
-    # floor, so the fit still decides
-    assert M.dini_integral(jump, 1.0, max_intervals=930) == math.inf
     floor = M._dyadic_increments(jump, 1.0, 930)   # down to 1e-280
-    assert abs(M._decay_exponent(floor)) < 5e-4
+    assert abs(M._decay_exponent(floor[-40:], 891, 4)) < 5e-4
 
 
-def loop_quadrature(sigma, s, rel_tol, max_intervals):
-    """Reference: the contributions added one at a time, stopping at the
-    first one that is 0 or whose clamped-ratio tail estimate meets
-    rel_tol.  Returns (stopped, sum)."""
-    lows = np.ldexp(s, -np.arange(1, max_intervals + 1))
-    count = int(np.count_nonzero(lows >= 1e-280))
+def _floor_count(s):
+    """The dyadic intervals of [0, s] whose low end is at least 1e-280."""
+    m = 0
+    while math.ldexp(s, -(m + 1)) >= 1e-280:
+        m += 1
+    return m
+
+
+def loop_quadrature(sigma, s, rel_tol):
+    """Reference: the contributions down to the 1e-280 floor added one at
+    a time, stopping at the first one that is 0 or whose clamped-ratio
+    tail estimate meets rel_tol.  Returns (stopped, sum)."""
+    count = _floor_count(s)
     total, prev = 0.0, None
     for c in M._dyadic_increments(sigma, s, count).tolist():
         total += c
@@ -230,11 +234,10 @@ def test_quadrature_matches_loop_reference():
                                             "power:0.05", "log2", "log1")]
     for sigma in moduli + [table, M.Modulus(fn=_jump)]:
         for s in (1.0, 0.3, 2.0**-40):
-            for rel_tol, budget in ((1e-9, 1500), (1e-6, 900),
-                                    (1e-14, 1500), (1e-9, 60)):
-                stopped, ref = loop_quadrature(sigma, s, rel_tol, budget)
+            for rel_tol in (1e-9, 1e-6, 1e-14):
+                stopped, ref = loop_quadrature(sigma, s, rel_tol)
                 try:
-                    value = M._improper_quadrature(sigma, s, rel_tol, budget)
+                    value = M._improper_quadrature(sigma, s, rel_tol)
                 except M.QuadratureToleranceError as exc:
                     assert not stopped
                     value = exc.partial
@@ -243,10 +246,10 @@ def test_quadrature_matches_loop_reference():
                         # a divergent tail: no stop, contributions decaying
                         # no faster than 1/m
                         assert not stopped
-                        count = int(np.count_nonzero(np.ldexp(
-                            s, -np.arange(1, budget + 1)) >= 1e-280))
+                        count = _floor_count(s)
                         increments = M._dyadic_increments(sigma, s, count)
-                        assert M._decay_exponent(increments) <= 1.01
+                        assert M._decay_exponent(increments[-40:],
+                                                 count - 39, 4) <= 1.01
                         continue
                     assert stopped
                 assert value == ref
@@ -263,29 +266,45 @@ def test_dini_integral_unresolved_table_raises():
 
 
 def test_dini_integral_budget_error():
+    # log2's forced quadrature at rel_tol 1e-6 is finite but unresolved at
+    # the floor
     with pytest.raises(M.QuadratureToleranceError):
         M.dini_integral(M.preset_modulus("log2"), 1.0, rel_tol=1e-6,
-                        force_quadrature=True, max_intervals=200)
+                        force_quadrature=True)
+
+
+def test_dini_integral_below_the_floor_is_unresolved():
+    # no dyadic interval of [0, 1e-290] lies above 1e-280: nothing to sum
+    # and no tail to fit, so J is unresolved with partial sum 0
+    with pytest.raises(M.QuadratureToleranceError,
+                       match="at interval 0") as exc:
+        M.dini_integral(M.preset_modulus("log1"), 1e-290)
+    assert exc.value.partial == 0.0
 
 
 _PLATEAU = M.from_table([0.0, 1e-9, 1e-2, 1.0], [0.0, 0.5, 0.5, 1.0])
 
 
-@pytest.mark.parametrize("sigma,s,budget", [
+@pytest.mark.parametrize("sigma,s,prefix", [
     (M.preset_modulus("log2"), 2.0**-40, 60),
     (M.preset_modulus("log2"), 2.0**-40, 10),
     (_PLATEAU, 1.0, 10), (_PLATEAU, 0.5, 10), (_PLATEAU, 0.3, 10)])
-def test_budget_cut_quadrature_is_never_divergent(sigma, s, budget):
-    # J is finite on both; a budget that ends the sum long before the
-    # 1e-280 floor leaves too few contributions to fit how the tail
-    # decays (the fit read these as divergent), so the sum is unresolved,
-    # with the budget's partial sum
-    with pytest.raises(M.QuadratureToleranceError,
-                       match=f"within {budget} dyadic intervals") as exc:
-        M.dini_integral(sigma, s, max_intervals=budget, force_quadrature=True)
-    partial = float(M._dyadic_increments(sigma, s, budget).sum())
-    assert exc.value.partial == pytest.approx(partial, rel=1e-12)
-    assert 0.0 < exc.value.partial < math.inf
+def test_budget_cut_quadrature_is_never_divergent(sigma, s, prefix):
+    # J is finite on both, and the sum that a cut after the first
+    # ``prefix`` intervals once read as divergent runs to the 1e-280
+    # floor: the plateau resolves to a finite J, log2 at 2^-40 is
+    # unresolved at the floor.  Neither reads inf, and each keeps at least
+    # the sum of its first ``prefix`` contributions
+    try:
+        value = M.dini_integral(sigma, s, force_quadrature=True)
+    except M.QuadratureToleranceError as exc:
+        assert sigma is not _PLATEAU
+        assert "at interval 890" in str(exc)
+        value = exc.partial
+    else:
+        assert sigma is _PLATEAU
+    partial = float(M._dyadic_increments(sigma, s, prefix).sum())
+    assert partial <= value < math.inf
 
 
 def test_quadrature_report_without_closed_form():
@@ -300,9 +319,13 @@ def test_quadrature_report_without_closed_form():
 def test_decay_exponent_needs_four_positive_contributions():
     # three positive contributions fit no tail: the exponent reads inf,
     # so the quadrature never calls such a tail divergent
-    assert M._decay_exponent([0.0, 1.0, 0.0, 0.5, 0.25, 0.0]) == math.inf
-    assert M._decay_exponent([1.0, 0.5, 1.0 / 3.0, 0.25]) == \
+    assert M._decay_exponent([0.0, 1.0, 0.0, 0.5, 0.25, 0.0], 1, 4) == \
+        math.inf
+    assert M._decay_exponent([1.0, 0.5, 1.0 / 3.0, 0.25], 1, 4) == \
         pytest.approx(1.0)
+    # indices start at ``first``: c_m = 1/m^2 for m = 5..8
+    assert M._decay_exponent([1.0 / m**2 for m in range(5, 9)], 5, 4) == \
+        pytest.approx(2.0)
 
 
 def test_dini_integral_closed_form_runs_no_quadrature():
@@ -513,6 +536,36 @@ def test_table_refuses_non_finite_entries(t, s):
     with pytest.raises(ValueError, match="^table entries t and sigma must "
                                          "be finite$"):
         M.from_table(t, s)
+
+
+# input checks, each by its message: deleting a check lets the call
+# return or fail later with another message
+@pytest.mark.parametrize("call, match", [
+    (lambda: M.preset_modulus("power:1.5"),
+     r"power modulus needs alpha in \(0, 1\], got 1.5"),
+    (lambda: M.from_table([0.0, 1.0], [0.0]),
+     "need two equal-length 1-D columns with >= 2 rows"),
+    (lambda: M.from_table([0.0, 0.5, 0.5, 1.0], [0.0, 0.2, 0.3, 1.0]),
+     "abscissae t must be strictly increasing"),
+    (lambda: M.from_table([0.0, 0.5], [0.0, 1.0]),
+     r"t must lie in \[0, 1\] with last entry 1"),
+    (lambda: M.from_table([0.0, 1.0], [0.0, 0.0]),
+     r"sigma\(1\) must be positive"),
+    (lambda: M.from_table([0.0, 1.0], [0.5, 1.0]),
+     r"sigma\(0\) must be 0"),
+], ids=["power-alpha", "columns", "increasing-t", "last-t", "sigma1",
+        "sigma0"])
+def test_modulus_input_checks(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+def test_csv_needs_two_data_rows(tmp_path):
+    path = tmp_path / "short.csv"
+    path.write_text("t,sigma\n1.0,1.0\n", encoding="utf-8")
+    with pytest.raises(ValueError,
+                       match="modulus CSV needs at least two data rows"):
+        M.load_csv(path)
 
 
 def test_table_normalization():

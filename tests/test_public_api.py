@@ -141,19 +141,31 @@ def test_every_default_is_set_by_some_caller():
 
 # ---------------------------------------------------------------- field census
 
+def _member_name(stmt):
+    """The name an annotated field, method or property of a class body
+    defines; None for anything else and for dunder methods, which Python
+    calls itself."""
+    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+        return stmt.target.id
+    if (isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (stmt.name.startswith("__")
+                     and stmt.name.endswith("__"))):
+        return stmt.name
+    return None
+
+
 def _unread_fields():
-    """Annotated class fields in src/ (dataclasses and NamedTuples) whose
-    name no code in src/, tests/, perfbench/ or tools/ reads as an
-    attribute or spells as a string (``getattr`` over dict keys counts)."""
+    """Members of src/ classes, annotated fields (dataclasses and
+    NamedTuples), methods and properties, whose name no code in src/,
+    tests/, perfbench/ or tools/ reads as an attribute or spells as a
+    string (``getattr`` over dict keys counts)."""
     fields = {}
     for path, tree in _parse(["src"]):
         for cls in ast.walk(tree):
             if isinstance(cls, ast.ClassDef):
-                for stmt in cls.body:
-                    if (isinstance(stmt, ast.AnnAssign)
-                            and isinstance(stmt.target, ast.Name)):
-                        fields.setdefault(stmt.target.id, []).append(
-                            f"{path.stem}.{cls.name}.{stmt.target.id}")
+                for name in filter(None, map(_member_name, cls.body)):
+                    fields.setdefault(name, []).append(
+                        f"{path.stem}.{cls.name}.{name}")
     read = set()
     for _, tree in _parse(CALLERS):
         for node in ast.walk(tree):
@@ -169,4 +181,4 @@ def _unread_fields():
 
 def test_every_report_field_is_read():
     unread = _unread_fields()
-    assert not unread, f"{len(unread)} fields nothing reads: {unread}"
+    assert not unread, f"{len(unread)} members nothing reads: {unread}"

@@ -1,4 +1,4 @@
-"""Print a digest of ``fd_solver.solve`` on systems the report set cannot reach.
+"""Print a digest of the solves and 1-D stages the report set cannot reach.
 
     python3 tools/solve_digest.py
 
@@ -9,8 +9,22 @@ unfolded drift, folded Laplace systems, the wedge with sector data, the
 operators whose entries leave float32's range (the float64 factor alone)
 and one system with its right side scaled by 2^600.  For each, one line
 holds its name, the SHA-256 of ``vec``'s bytes, ``fill``, ``iterations``
-and ``residual_norm``.  The solve is deterministic, so a change that is
-not meant to move the solution is checked by
+and ``residual_norm``.
+
+No CLI command runs ``growth_recursion_bound``.  It runs here on the four
+modulus presets and the three tables of ``report_set.TABLES``, with
+mathfrak_b in {1, 0.01}, rho_ratio in {0.1, 0.01, 2^-10, 2^-30} and
+horizon in {50, 200, 300} (mathfrak_f = 1, vartheta = 1/2, k0 = 30).
+Each line holds the repr of ``pi_tail_bound``, ``sum_to_integral`` and
+``pi_value`` and the SHA-256 of ``gamma`` and ``m_bound``, or the
+``ValueError`` text where gamma_1 > 1/2.  Then, for each profile preset's
+``boundary_modulus``, ``dini_integral`` at s = 1, 1/2 and 2^-20 (the
+value, or the ``QuadratureToleranceError`` text and partial sum) and
+``dini_classify``'s verdicts, growth exponent and the SHA-256 of its
+partial integrals and increment ratios.
+
+Everything here is deterministic, so a change that is not meant to move
+a result is checked by
 
     diff BEFORE AFTER
 
@@ -21,6 +35,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import sys
 from pathlib import Path
 
@@ -29,9 +44,11 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from hopflab import convex_geometry as G  # noqa: E402
+from hopflab import decay_analysis as D  # noqa: E402
 from hopflab import elliptic_operator as E  # noqa: E402
 from hopflab import fd_solver as F  # noqa: E402
-from hopflab.decay_analysis import boundary_data  # noqa: E402
+from hopflab import modulus as M  # noqa: E402
+from report_set import TABLES  # noqa: E402
 
 
 def mixed_drift(a12):
@@ -49,7 +66,7 @@ def system(profile_id, op, h, bc="linear", rhs_power=0):
     prof = G.preset_profile(profile_id, R0=0.5)
     op = E.preset_operator(op) if isinstance(op, str) else op
     assembled = F.discretize(op, F.DiscreteDomain.build(prof, h),
-                             boundary_data(bc, prof))
+                             D.boundary_data(bc, prof))
     return dataclasses.replace(assembled,
                                rhs=np.ldexp(assembled.rhs, rhs_power))
 
@@ -78,6 +95,47 @@ CASES = [
 ]
 
 
+def sha(values) -> str:
+    return hashlib.sha256(np.asarray(values, dtype=float).tobytes()).hexdigest()
+
+
+def recursion_lines():
+    moduli = {p: M.preset_modulus(p)
+              for p in ("linear", "power:0.3", "log1", "log2")}
+    moduli.update({f"csv:{name}": M.from_table(t, sigma)
+                   for name, (t, sigma) in TABLES.items()})
+    for (label, sigma), b, rho, horizon in itertools.product(
+            moduli.items(), (1.0, 0.01), (0.1, 0.01, 2.0**-10, 2.0**-30),
+            (50, 200, 300)):
+        name = f"recursion {label} b={b!r} rho={rho!r} horizon={horizon}"
+        try:
+            rep = D.growth_recursion_bound(sigma, b, 1.0, 0.5, k0=30,
+                                           rho_ratio=rho, horizon=horizon)
+        except ValueError as exc:
+            yield f"{name}: ValueError {exc}"
+            continue
+        yield (f"{name}: pi_tail_bound {rep.pi_tail_bound!r} "
+               f"sum_to_integral {rep.sum_to_integral!r} "
+               f"pi_value {rep.pi_value!r} gamma {sha(rep.gamma)} "
+               f"m_bound {sha(rep.m_bound)}")
+
+
+def boundary_modulus_lines():
+    for p in ("flat", "cone:0.4", "power:0.5", "log1", "log2", "wedge"):
+        sigma, _ = G.boundary_modulus(G.preset_profile(p))
+        for s in (1.0, 0.5, 2.0**-20):
+            try:
+                j = repr(M.dini_integral(sigma, s))
+            except M.QuadratureToleranceError as exc:
+                j = f"QuadratureToleranceError {exc} partial {exc.partial!r}"
+            yield f"J {p} s={s!r}: {j}"
+        v = M.dini_classify(sigma)
+        yield (f"classify {p}: {v.verdict.value} {v.numeric_verdict.value} "
+               f"exponent {v.growth_exponent_estimate!r} "
+               f"partials {sha(v.partial_integrals)} "
+               f"ratios {sha(v.increment_ratios)}")
+
+
 def main(argv) -> int:
     if argv:
         print(__doc__, file=sys.stderr)
@@ -87,6 +145,8 @@ def main(argv) -> int:
         digest = hashlib.sha256(sol.vec.tobytes()).hexdigest()
         print(f"{name}: vec {digest} fill {sol.fill} "
               f"iterations {sol.iterations} residual {sol.residual_norm!r}")
+    for line in itertools.chain(recursion_lines(), boundary_modulus_lines()):
+        print(line)
     return 0
 
 
