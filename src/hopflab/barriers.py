@@ -310,11 +310,11 @@ def chain_geometry(nu: float, n: int, r: float):
 
 
 _SPHERE_SAMPLES = 256   # boundary points of a chain ball that theta samples
+_CAP_SAMPLES = 4000     # annulus points that fit the cap bound constant
 
 
 def growth_chain(v_lower: float, nu: float, n: int, r: float,
-                 chain_length: int, drift_term: float = 0.0,
-                 check_spacing: bool = True) -> ChainReport:
+                 chain_length: int, drift_term: float = 0.0) -> ChainReport:
     """Propagate a positivity bound along a chain of overlapping balls.
 
     One step moves the bound from a ball to the next center through the
@@ -322,12 +322,13 @@ def growth_chain(v_lower: float, nu: float, n: int, r: float,
     is the minimum of the unit-amplitude annulus barrier over the next
     ball B_{rho0/8}, found by sampling its boundary sphere.  With zero
     drift the chain is the closed form (theta/2)^N v_lower.  ``broken_at``
-    flags the first step whose bound hits zero under positive drift."""
+    flags the first step whose bound hits zero under positive drift.  A
+    ``chain_length`` outside the admissible window of `chain_geometry`
+    raises ``ValueError``."""
     if v_lower < 0.0:
         raise ValueError("v_lower must be nonnegative")
     z0, zt, rho0, window = chain_geometry(nu, n, r)
-    if check_spacing and not (window[0] - 1e-9 <= chain_length
-                              <= window[1] + 1e-9):
+    if not window[0] - 1e-9 <= chain_length <= window[1] + 1e-9:
         raise ValueError(
             f"chain length {chain_length} outside the admissible window "
             f"[{window[0]:.2f}, {window[1]:.2f}]")
@@ -370,10 +371,10 @@ def growth_chain(v_lower: float, nu: float, n: int, r: float,
 # capped-barrier linear bound and maximum-principle constant
 # ----------------------------------------------------------------------
 
-def cap_bound_constant(nu: float, n: int, r: float,
-                       samples: int = 4000) -> float:
+def cap_bound_constant(nu: float, n: int, r: float) -> float:
     """Smallest N with  W_unit(x) <= N * x_n * (4/r)  on the closed annulus
-    of the capped barrier centered above the origin (z~' = 0).
+    of the capped barrier centered above the origin (z~' = 0), over
+    ``_CAP_SAMPLES`` points drawn from a fixed seed.
 
     The outer sphere of W passes through the origin, where both sides
     vanish; the ratio W r/(4 x_n) stays bounded and scale-invariant, so
@@ -382,9 +383,9 @@ def cap_bound_constant(nu: float, n: int, r: float,
     s = n / nu**2
     spec = capped_barrier(1.0, rho0, s, center=zt, outer_radius=float(zt[-1]))
     rng = np.random.default_rng(0)
-    dirs = rng.standard_normal((samples, n))
+    dirs = rng.standard_normal((_CAP_SAMPLES, n))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    radii = rng.uniform(rho0 / 8.0, float(zt[-1]), size=samples)
+    radii = rng.uniform(rho0 / 8.0, float(zt[-1]), size=_CAP_SAMPLES)
     pts = zt[None, :] + dirs * radii[:, None]
     best = 0.0
     for p in pts:

@@ -78,7 +78,10 @@ class RadialProfile:
 
 @dataclass(frozen=True)
 class MaxAffineProfile:
-    """F(x') = max over pieces of (p_i . x' + c_i), with max c_i = 0."""
+    """F(x') = max over pieces of (p_i . x' + c_i), with max c_i = 0.
+
+    Slopes and offsets must be finite and R0 must lie in (0, 1], as for
+    `preset_profile`; anything else raises ``ValueError``."""
 
     slopes: np.ndarray   # (k, n-1)
     offsets: np.ndarray  # (k,)
@@ -92,6 +95,11 @@ class MaxAffineProfile:
             raise ValueError("slopes and offsets disagree on piece count")
         if slopes.shape[1] != self.ambient_dim - 1:
             raise ValueError("slope dimension must be ambient_dim - 1")
+        if not (np.isfinite(slopes).all() and np.isfinite(offsets).all()):
+            raise ValueError("slopes and offsets must be finite")
+        if not 0.0 < self.R0 <= 1.0:
+            raise ValueError(f"patch radius R0 must lie in (0, 1], "
+                             f"got {self.R0}")
         if abs(offsets.max()) > 1e-12:
             raise ValueError("max offset must be 0 so that F(0) = 0")
         object.__setattr__(self, "slopes", slopes)
@@ -397,18 +405,21 @@ class BallInclusionReport:
     sufficient_condition: bool  # 16 delta(2r) < gamma (2 cos phi - 1)
 
 
+_BALL_SAMPLES = 512   # boundary points of the ball that the check tests
+
+
 def ball_inclusion_check(profile: BoundaryProfile, frame: ExtremalFrame,
-                         nu: float, samples: int = 512,
-                         seed: int = 0) -> BallInclusionReport:
+                         nu: float, seed: int = 0) -> BallInclusionReport:
     """Check that the ball B_rho0(z0) stays above the graph.
 
     In frame coordinates z0 = (r/2, 0, ..., 0, gamma r/4) with
-    gamma = nu/sqrt(n-1) and rho0 = gamma r/8.  The center and sampled
-    points of the boundary sphere are mapped to x-coordinates and tested
-    against x_n > F(x'); the report carries the worst margin.  Whenever
-    16 delta(2r) < gamma (2 cos phi - 1) the result is guaranteed True.
-    The smallness premise delta1(R0) <= 3/4 is reported but the check
-    still executes when it fails."""
+    gamma = nu/sqrt(n-1) and rho0 = gamma r/8.  The center and
+    ``_BALL_SAMPLES`` points of the boundary sphere (equispaced at n = 2,
+    Gaussian directions from ``seed`` above) are mapped to x-coordinates
+    and tested against x_n > F(x'); the report carries the worst margin.
+    Whenever 16 delta(2r) < gamma (2 cos phi - 1) the result is
+    guaranteed True.  The smallness premise delta1(R0) <= 3/4 is reported
+    but the check still executes when it fails."""
     if not 0.0 < nu <= 1.0:
         raise ValueError("nu must lie in (0, 1]")
     n = frame.n
@@ -427,10 +438,10 @@ def ball_inclusion_check(profile: BoundaryProfile, frame: ExtremalFrame,
 
     rng = np.random.default_rng(seed)
     if n == 2:
-        ang = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
+        ang = np.linspace(0.0, 2.0 * math.pi, _BALL_SAMPLES, endpoint=False)
         dirs = np.column_stack((np.cos(ang), np.sin(ang)))
     else:
-        dirs = rng.standard_normal((samples, n))
+        dirs = rng.standard_normal((_BALL_SAMPLES, n))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     pts = np.vstack((z0_x[None, :], z0_x[None, :] + rho0 * dirs))
     heights = np.array([profile_height(profile, p[:-1]) for p in pts])

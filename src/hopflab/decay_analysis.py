@@ -31,7 +31,8 @@ from . import convex_geometry as geo
 from . import fd_solver as fds
 from .elliptic_operator import preset_operator
 from .modulus import (Modulus, QuadratureToleranceError, Verdict,
-                      dini_classify, dini_integral, _dyadic_increments)
+                      dini_classify, dini_integral, _divergent_tail,
+                      _dyadic_increments, _geometric_tail, _TAIL_WINDOW)
 
 __all__ = [
     "ContrastReport",
@@ -243,10 +244,17 @@ def product_bound(delta_fn: Callable[[np.ndarray], np.ndarray], kappa: float,
     values against the integral of delta(r)/r over [r_K/2, r_0/2], summed
     over its 3K dyadic intervals (`_dyadic_increments`): for slowly
     varying delta the sum is about integral / ln 8, and for a constant
-    delta exactly (K+1)/(K ln 8) times it.  A tail-bounded limit estimate
-    uses one extra dyadic block."""
+    delta exactly (K+1)/(K ln 8) times it.  The limit estimate is 0 when
+    the last 40 of those intervals read a divergent Dini tail (the decay
+    exponent rule `dini_integral` uses for J = inf) that no convergent
+    geometric decay fits as well (`_geometric_tail`: the quadrature stops
+    on such a tail before it fits), and only when 3K >= 40, since early
+    intervals misread slow decay.  Otherwise it continues the last
+    factors geometrically.  K < 0 raises ``ValueError``."""
     if not 0.0 < kappa < 1.0:
         raise ValueError("kappa must lie in (0, 1)")
+    if K < 0:
+        raise ValueError(f"K must be nonnegative, got {K}")
     radii = 8.0 ** -np.arange(K + 1) * R0
     deltas = np.broadcast_to(np.asarray(delta_fn(radii / 2.0), dtype=float),
                              radii.shape)
@@ -254,19 +262,23 @@ def product_bound(delta_fn: Callable[[np.ndarray], np.ndarray], kappa: float,
         raise ValueError("kappa * delta(r0/2) >= 1: factors not positive")
     partials = np.cumprod(1.0 - kappa * deltas)
     delta_sum = float(np.sum(deltas))
-    integral = float(_dyadic_increments(delta_fn, radii[0] / 2.0, 3 * K).sum())
-    # nonincreasing delta along shrinking radii: one extra dyadic block
-    # bounds the tail sum by delta(r_K/2) * (extra levels), and below the
-    # last computed level the factors only shrink the limit further by at
-    # most kappa * tail of the delta sum; estimate with a geometric-t0
-    # continuation of the last increment ratio
-    if K >= 2 and deltas[-2] > 0.0:
-        q = min(deltas[-1] / deltas[-2], 0.999999)
+    increments = _dyadic_increments(delta_fn, radii[0] / 2.0, 3 * K)
+    integral = float(increments.sum())
+    if (3 * K >= _TAIL_WINDOW and _divergent_tail(increments)
+            and not _geometric_tail(increments)):
+        limit_estimate = 0.0   # the delta sum diverges: the product tends to 0
     else:
-        q = 0.0
-    tail = deltas[-1] * q / (1.0 - q) if q > 0.0 else 0.0
-    limit_estimate = partials[-1] * math.exp(-kappa * tail / max(
-        1.0 - kappa * deltas[-1], 1e-12))
+        # nonincreasing delta along shrinking radii: below the last
+        # computed level the factors only shrink the limit further by at
+        # most kappa * tail of the delta sum; estimate with a geometric
+        # continuation of the last increment ratio
+        if K >= 2 and deltas[-2] > 0.0:
+            q = min(deltas[-1] / deltas[-2], 0.999999)
+        else:
+            q = 0.0
+        tail = deltas[-1] * q / (1.0 - q) if q > 0.0 else 0.0
+        limit_estimate = partials[-1] * math.exp(-kappa * tail / max(
+            1.0 - kappa * deltas[-1], 1e-12))
     return ProductReport(
         radii=tuple(radii.tolist()), partials=tuple(partials.tolist()),
         delta_sum=delta_sum, integral=integral,

@@ -263,19 +263,16 @@ class ApproximantPair:
     """Smoothed leading coefficients and corrected truncated drift.
 
     ``b_eps_at(x, grad)`` evaluates the corrected drift at a point given
-    the gradient of the target function there; with no gradient the
-    truncation alone is returned."""
+    the gradient of the target function there."""
 
     a_eps: Callable
     b_eps_raw: Callable
     b_grid: Callable
 
-    def b_eps_at(self, x, grad=None) -> np.ndarray:
+    def b_eps_at(self, x, grad) -> np.ndarray:
         x1 = np.asarray(x[0], dtype=float)
         x2 = np.asarray(x[1], dtype=float)
         bt = np.array([float(v) for v in self.b_eps_raw(x1, x2)])
-        if grad is None:
-            return bt
         b = np.array([float(v) for v in self.b_grid(x1, x2)])
         return correct_drift(bt, b, grad)
 
@@ -295,19 +292,17 @@ def approximate(op: EllipticOperator, epsilon: float,
 # ----------------------------------------------------------------------
 
 def local_norm(values: np.ndarray, h: float,
-               region: Optional[np.ndarray] = None, p: float = 2.0) -> float:
-    """Discrete L_p norm (sum over region of |f|^p h^2)^(1/p) on a plane
-    grid.  ``region`` is a boolean mask of the same shape; None means all
-    finite entries."""
-    if p < 1.0:
-        raise ValueError("p must be at least 1")
+               region: Optional[np.ndarray] = None) -> float:
+    """Discrete L2 norm (sum over region of |f|^2 h^2)^(1/2) on a plane
+    grid, the L_n norm of the estimate at n = 2.  ``region`` is a boolean
+    mask of the same shape; None means all finite entries."""
     vals = np.asarray(values, dtype=float)
     mask = np.isfinite(vals)
     if region is not None:
         mask &= np.asarray(region, dtype=bool)
     if not np.any(mask):
         raise ValueError("region contains no grid nodes")
-    return float((np.abs(vals[mask]) ** p).sum() ** (1.0 / p) * h ** (2.0 / p))
+    return float((np.abs(vals[mask]) ** 2.0).sum() ** 0.5 * h)
 
 
 def norm_modulus(values: np.ndarray, h: float, rho_list):

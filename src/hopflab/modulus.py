@@ -401,13 +401,39 @@ def _improper_quadrature(sigma: Modulus, s: float, rel_tol: float):
         tail_estimate <= rel_tol * np.maximum(totals[1:], 1e-300))
     if stop.any():
         return float(totals[stop.argmax()])
-    tail = history[-40:]
-    if _decay_exponent(tail, count - tail.size + 1, 4) <= 1.01:
+    if _divergent_tail(history):
         return math.inf
     raise QuadratureToleranceError(
         f"rel_tol {rel_tol:g} not reached before exhausting double-precision "
         f"range at interval {count}",
         partial=float(totals[-1]) if count else 0.0)
+
+
+_TAIL_WINDOW = 40   # trailing contributions a tail decision fits
+
+
+def _divergent_tail(contribs) -> bool:
+    """Whether contributions c_1, c_2, ... shrink no faster than 1/m, so
+    that their sum diverges: the decay exponent fitted on the last
+    `_TAIL_WINDOW` of them (at least 4 positive) is at most 1.01."""
+    tail = contribs[-_TAIL_WINDOW:]
+    return _decay_exponent(tail, len(contribs) - tail.size + 1, 4) <= 1.01
+
+
+def _geometric_tail(contribs) -> bool:
+    """Whether the last `_TAIL_WINDOW` contributions stop the quadrature's
+    sum: one of them is 0, or they fit c_m ~ q^m with q < 0.9999 (the
+    quadrature's ratio clamp) at least as well as c_m ~ m^-p, in squared
+    residual of log c_m.  Over a finite window a slow geometric decay,
+    whose sum converges, also fits a power m^-p with a small p; this
+    tells the two apart."""
+    tail = np.asarray(contribs[-_TAIL_WINDOW:], dtype=float)
+    if not (tail > 0.0).all():
+        return True
+    ms = np.arange(len(contribs) - tail.size + 1, len(contribs) + 1.0)
+    geo, geo_ssr = np.polyfit(ms, np.log(tail), 1, full=True)[:2]
+    power_ssr = np.polyfit(np.log(ms), np.log(tail), 1, full=True)[1]
+    return math.exp(geo[0]) < 0.9999 and geo_ssr[0] <= power_ssr[0]
 
 
 def _decay_exponent(contribs, first: int, need: int) -> float:
@@ -421,22 +447,22 @@ def _decay_exponent(contribs, first: int, need: int) -> float:
     return float(-np.polyfit(np.log(ms[pos]), np.log(contribs[pos]), 1)[0])
 
 
-def dini_integral(sigma: Modulus, s: float, rel_tol: float = 1e-9,
-                  force_quadrature: bool = False) -> float:
+def dini_integral(sigma: Modulus, s: float, rel_tol: float = 1e-9) -> float:
     """J(s) = int_0^s sigma(tau)/tau dtau, a number in [0, inf].
 
     The closed form, when the modulus carries one, is returned as is and no
-    quadrature runs.  Otherwise (or with ``force_quadrature``) the dyadic
-    quadrature value is returned (`_improper_quadrature`): the sum up to
-    the first interval whose tail estimate meets ``rel_tol``.  When no
-    interval does down to double precision's range, the contributions'
-    fitted decay exponent decides: inf when they shrink no faster than
-    1/m, else ``QuadratureToleranceError``, the one error: a finite J not
-    resolved to ``rel_tol`` before the 1e-280 floor.
+    quadrature runs (`dini_integral_report` cross-checks it against the
+    quadrature).  Otherwise the dyadic quadrature value is returned
+    (`_improper_quadrature`): the sum up to the first interval whose tail
+    estimate meets ``rel_tol``.  When no interval does down to double
+    precision's range, the contributions' fitted decay exponent decides:
+    inf when they shrink no faster than 1/m, else
+    ``QuadratureToleranceError``, the one error: a finite J not resolved
+    to ``rel_tol`` before the 1e-280 floor.
     """
     if not 0.0 < s <= 1.0:
         raise ValueError(f"s must lie in (0, 1], got {s}")
-    if sigma.closed_form_j is not None and not force_quadrature:
+    if sigma.closed_form_j is not None:
         return float(sigma.closed_form_j(s))
     return _improper_quadrature(sigma, s, rel_tol)
 

@@ -203,13 +203,6 @@ def test_chain_closed_form_zero_drift():
         assert rep.broken_at is None
 
 
-def test_chain_short_with_spacing_off():
-    rep = B.growth_chain(2.0, 0.5, 2, 0.1, chain_length=3,
-                         check_spacing=False)
-    assert rep.k_final == pytest.approx(rep.closed_form_zero_drift,
-                                        rel=1e-12)
-
-
 def test_chain_spacing_window_enforced():
     with pytest.raises(ValueError, match="chain length 3 outside the "
                                          "admissible window"):
@@ -242,7 +235,7 @@ def test_chain_scale_invariance():
 # ---------------------------------------------------------------- cap bound
 
 def test_cap_bound_constant_scale_invariant():
-    vals = [B.cap_bound_constant(0.5, 2, r, samples=2000) for r in
+    vals = [B.cap_bound_constant(0.5, 2, r) for r in
             (0.05, 0.1, 0.2)]
     assert vals[0] == pytest.approx(vals[1], rel=1e-10)
     assert vals[1] == pytest.approx(vals[2], rel=1e-10)
@@ -251,7 +244,7 @@ def test_cap_bound_constant_scale_invariant():
 def test_cap_bound_controls_barrier():
     # W_unit(x) <= N6 * (4/r)^-1 ... i.e. W <= N6 * 4 x_n / r on samples
     nu, n, r = 0.5, 2, 0.1
-    n6 = B.cap_bound_constant(nu, n, r, samples=4000)
+    n6 = B.cap_bound_constant(nu, n, r)
     z0, zt, rho0, _ = B.chain_geometry(nu, n, r)
     spec = B.capped_barrier(1.0, rho0, n / nu**2, center=zt,
                             outer_radius=float(zt[-1]))
@@ -281,3 +274,17 @@ def test_aleksandrov_fit_excludes_trivial_runs():
 def test_aleksandrov_fit_needs_data():
     with pytest.raises(ValueError):
         B.aleksandrov_constant_fit([{"sup_u": 0.0, "diam": 1, "f_norm": 1}])
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: B.radial_exponent_certificate(2.0, 1.5, 2),
+     r"nu must lie in \(0, 1\]"),
+    (lambda: B.growth_chain(-1.0, 0.5, 2, 0.1, chain_length=12),
+     "v_lower must be nonnegative"),
+    (lambda: B.aleksandrov_constant_fit(
+        [{"sup_u": 1.0, "diam": 0.0, "f_norm": 1.0}]),
+     r"run with positive sup u needs diam\*\|\|f\|\| > 0"),
+], ids=["radial-nu", "chain-v-lower", "aleksandrov-denominator"])
+def test_barrier_input_checks(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

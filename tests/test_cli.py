@@ -151,8 +151,8 @@ def test_solve_outside_float32_range(tmp_path, op):
 
 def test_solve_config_file(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("grid.h = 0.0625\ngrid.R0 = 0.5\nbc.kind = linear\n",
-                   encoding="utf-8")
+    cfg.write_text("# a comment line is skipped\ngrid.h = 0.0625\n"
+                   "grid.R0 = 0.5\nbc.kind = linear\n", encoding="utf-8")
     assert run_cli(["solve", "--profile", "flat", "--config", str(cfg)],
                    tmp_path) == 0
     assert "grid.h: 0.0625" in (tmp_path / "solve_summary.txt").read_text()
@@ -186,6 +186,16 @@ def test_config_bad_solver_setting_exit_2(tmp_path, capsys, command,
     cfg.write_text(f"grid.h = 0.015625\n{setting}\n", encoding="utf-8")
     assert run_cli(command + ["--config", str(cfg)], tmp_path) == 2
     assert setting.split(" = ")[0] in capsys.readouterr().err
+
+
+def test_config_line_without_equals_exit_2(tmp_path, capsys):
+    # read as a key with an empty value it would exit 2 as an unknown key;
+    # the message names the line instead
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("grid.h 0.015625\n", encoding="utf-8")
+    assert run_cli(["solve", "--config", str(cfg)], tmp_path) == 2
+    assert capsys.readouterr().err == (
+        "config error: malformed config line: 'grid.h 0.015625'\n")
 
 
 def test_decay_config_file_matches_flags(tmp_path):

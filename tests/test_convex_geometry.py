@@ -322,7 +322,7 @@ def test_ball_sufficient_condition_implies_included():
     for prof in profiles:
         for r in (prof.R0 / 8.0, prof.R0 / 16.0, prof.R0 / 64.0):
             fr = G.extremal_frame(prof, r)
-            rep = G.ball_inclusion_check(prof, fr, nu=0.5, samples=256)
+            rep = G.ball_inclusion_check(prof, fr, nu=0.5)
             if rep.sufficient_condition:
                 assert rep.included, (prof.preset, prof.ambient_dim, r)
 
@@ -523,6 +523,19 @@ _PLANAR_CONE = G.preset_profile("cone:0.4", R0=0.5)
      "slope dimension must be ambient_dim - 1"),
     (lambda: G.MaxAffineProfile(slopes=[[1.0]], offsets=[-0.1], R0=0.5),
      r"max offset must be 0 so that F\(0\) = 0"),
+    (lambda: G.MaxAffineProfile(slopes=[[math.nan], [0.0]],
+                                offsets=[0.0, -0.1], R0=0.5),
+     "slopes and offsets must be finite"),
+    (lambda: G.MaxAffineProfile(slopes=[[math.inf], [0.0]],
+                                offsets=[-0.1, 0.0], R0=0.5),
+     "slopes and offsets must be finite"),
+    (lambda: G.MaxAffineProfile(slopes=[[1.0], [0.0]],
+                                offsets=[math.nan, 0.0], R0=0.5),
+     "slopes and offsets must be finite"),
+    (lambda: G.MaxAffineProfile(slopes=[[1.0]], offsets=[0.0], R0=math.nan),
+     r"patch radius R0 must lie in \(0, 1\], got nan"),
+    (lambda: G.MaxAffineProfile(slopes=[[1.0]], offsets=[0.0], R0=-1.0),
+     r"patch radius R0 must lie in \(0, 1\], got -1.0"),
     (lambda: G.MaxAffineProfile(slopes=[[1.0, 0.0]], offsets=[0.0], R0=0.5,
                                 ambient_dim=3).height(0.1),
      r"height\(x1\) is the planar interface"),
@@ -551,7 +564,9 @@ _PLANAR_CONE = G.preset_profile("cone:0.4", R0=0.5)
         slopes=[[1.0, 0.0]], offsets=[0.0], R0=0.5, ambient_dim=3),
         2.0**-5),
      "rasterization supports planar profiles only"),
-], ids=["piece-count", "slope-dim", "max-offset", "planar-height", "R0",
+], ids=["piece-count", "slope-dim", "max-offset", "nan-slope", "inf-slope",
+        "nan-offset", "affine-R0-nan", "affine-R0-negative",
+        "planar-height", "R0",
         "wedge-angle", "power-alpha", "F0", "nonnegative", "convexity",
         "quotients", "frame-scale", "segment-start", "planar-mask"])
 def test_geometry_input_checks(call, match):

@@ -181,11 +181,46 @@ def test_product_log1_decreases_log2_levels_off():
     assert r2.partials[-1] >= r2.limit_estimate - 1e-3
 
 
+def test_product_limit_is_zero_on_a_divergent_tail():
+    # log1's last 40 dyadic increments fit m^-0.98: the delta sum
+    # diverges, so the product tends to 0 (the partial at level 40 is
+    # still 0.797).  Below 3K = 40 intervals the rule does not apply
+    prof = G.preset_profile("log1", R0=0.5)
+    fn = lambda r: G.delta(prof, r)
+    for K in (14, 40):
+        assert D.product_bound(fn, 0.1, 0.5, K).limit_estimate == 0.0, K
+    assert D.product_bound(fn, 0.1, 0.5, 13).limit_estimate > 0.8
+
+
+@pytest.mark.parametrize("pid, K, floor", [
+    ("log2", 40, 0.94),
+    # power:alpha increments shrink as 2^-(alpha m); over a finite window
+    # a power fit reads them as m^-0.56 (alpha 0.05, K 14) or m^-0.69
+    # (alpha 0.01, K 40), but the geometric fit matches them exactly
+    ("power:0.05", 14, 0.37),
+    ("power:0.01", 40, 0.006),
+])
+def test_product_limit_continues_a_dini_tail_geometrically(pid, K, floor):
+    # a Dini tail: the limit continues the last two levels' delta ratio q
+    # as a geometric tail
+    kappa = 0.1
+    prof = G.preset_profile(pid, R0=0.5)
+    rep = D.product_bound(lambda r: G.delta(prof, r), kappa, 0.5, K)
+    d_prev, d_last = (G.delta(prof, r / 2.0) for r in rep.radii[-2:])
+    q = d_last / d_prev
+    tail = d_last * q / (1.0 - q)
+    assert rep.limit_estimate == rep.partials[-1] * math.exp(
+        -kappa * tail / (1.0 - kappa * d_last))
+    assert rep.limit_estimate > floor
+
+
 def test_product_domain_error():
     with pytest.raises(ValueError, match="factors not positive"):
         D.product_bound(lambda r: 20.0, 0.1, 0.5, 5)
     with pytest.raises(ValueError):
         D.product_bound(lambda r: 0.1, 1.5, 0.5, 5)
+    with pytest.raises(ValueError, match="K must be nonnegative, got -1"):
+        D.product_bound(lambda r: 0.1, 0.1, 0.5, -1)
 
 
 # ---------------------------------------------------------------- recursion

@@ -163,7 +163,7 @@ def test_approximant_pair_invariants():
 
 def test_local_norm_unit_field():
     vals = np.ones((33, 33))
-    assert E.local_norm(vals, 1.0 / 32.0, p=2.0) == pytest.approx(
+    assert E.local_norm(vals, 1.0 / 32.0) == pytest.approx(
         33.0 / 32.0, rel=1e-12)
 
 
@@ -171,7 +171,7 @@ def test_local_norm_quarter_region():
     vals = np.ones((33, 33))
     I, J = np.meshgrid(np.arange(33), np.arange(33), indexing="ij")
     region = (I < 16) & (J < 16)
-    assert E.local_norm(vals, 1.0 / 32.0, region=region, p=2.0) == \
+    assert E.local_norm(vals, 1.0 / 32.0, region=region) == \
         pytest.approx(0.5, rel=1e-12)
 
 
@@ -216,6 +216,19 @@ def test_norm_modulus_zero_and_monotone():
     assert np.all(np.diff(mus) <= 1e-12)
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda: E.mollify_a(_jump_field, 0.0, (-1.0, 1.0, 0.0, 1.0)),
+     "epsilon must be positive"),
+    (lambda: E.norm_modulus(np.full((4, 4), np.nan), 0.1, [0.2]),
+     "region contains no grid nodes"),
+    (lambda: E.norm_modulus(np.ones((4, 4)), 0.1, [0.2, 0.0]),
+     "radii must be positive"),
+], ids=["mollify-epsilon", "modulus-empty", "modulus-rho"])
+def test_smoothing_input_checks(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 # ---------------------------------------------------------------- approx
 
 def analytic_L_difference(op, pair, X1, X2, grad, hess):
@@ -246,7 +259,7 @@ def test_approximation_difference_decreases_to_floor():
     for m in range(1, 9):
         pair = E.approximate(op, 2.0**-m, box=(-0.5, 0.5, 0.0, 0.5))
         diff = analytic_L_difference(op, pair, X1, X2, grad, hess)
-        norms.append(E.local_norm(diff, h, p=2.0))
+        norms.append(E.local_norm(diff, h))
     norms = np.asarray(norms)
     # monotone decrease within 1%, settling on a grid-resolution floor
     assert np.all(norms[1:] <= norms[:-1] * 1.01), norms

@@ -304,7 +304,7 @@ def test_aleksandrov_bound_stable_across_presets():
         vals = np.full(dom.mask.cls.shape, np.nan)
         vals[dom.interior_ij[:, 0], dom.interior_ij[:, 1]] = 1.0
         f_norm = E.local_norm(vals, dom.mask.dx1[0],
-                              region=np.isfinite(vals), p=2.0)
+                              region=np.isfinite(vals))
         runs[op_id] = {"sup_u": float(sol.vec.max()), "diam": diam,
                        "f_norm": f_norm}
     fit = aleksandrov_constant_fit(list(runs.values()))
@@ -668,6 +668,26 @@ def test_oscillation_empty_region():
     with pytest.raises(ValueError,
                        match="no interior nodes in the cylinder"):
         F.oscillation(sol, prof, 2.0**-5)  # cylinder below the noise floor
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: F.oscillation(solve_preset("flat", "laplace", 2.0**-5)[0],
+                           G.preset_profile("flat", R0=0.5), 0.75),
+     "r = 0.75 exceeds the patch radius 0.5"),
+    (lambda: F._lines_in(np.array([0.0, 0.5, 1.0]), np.array([0.0, 0.25])),
+     "the refined grid does not hold every coarse node"),
+    (lambda: F.convergence_study(E.preset_operator("laplace"),
+                                 G.preset_profile("flat", R0=0.5), bc_linear,
+                                 [2.0**-5]),
+     "h_list must be strictly decreasing with >= 2 entries"),
+    (lambda: F.convergence_study(E.preset_operator("laplace"),
+                                 G.preset_profile("flat", R0=0.5), bc_linear,
+                                 [2.0**-5, 2.0**-4]),
+     "h_list must be strictly decreasing with >= 2 entries"),
+], ids=["oscillation-r", "lines-in", "h-list-short", "h-list-increasing"])
+def test_extraction_input_checks(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
 
 
 # ---------------------------------------------------------------- solve paths

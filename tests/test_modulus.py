@@ -140,8 +140,7 @@ def test_dini_integral_linear():
 def test_dini_integral_power_closed_form():
     # antiderivative s^alpha/alpha
     assert M.dini_integral(M.preset_modulus("power:0.5"), 1.0) == 2.0
-    q = M.dini_integral(M.preset_modulus("power:0.5"), 1.0,
-                        force_quadrature=True, rel_tol=1e-9)
+    q = M._improper_quadrature(M.preset_modulus("power:0.5"), 1.0, 1e-9)
     assert abs(q - 2.0) <= 1e-8
 
 
@@ -161,8 +160,7 @@ def test_dini_integral_quadrature_matches_antiderivative():
                    ("power:0.25", lambda s: 4.0 * s**0.25)]:
         sigma = M.preset_modulus(pid)
         for s in (0.07, 0.3, 1.0):
-            q = M.dini_integral(sigma, s, rel_tol=1e-7,
-                                force_quadrature=True)
+            q = M._improper_quadrature(sigma, s, 1e-7)
             assert q == pytest.approx(j(s), rel=1e-6)
 
 
@@ -269,8 +267,7 @@ def test_dini_integral_budget_error():
     # log2's forced quadrature at rel_tol 1e-6 is finite but unresolved at
     # the floor
     with pytest.raises(M.QuadratureToleranceError):
-        M.dini_integral(M.preset_modulus("log2"), 1.0, rel_tol=1e-6,
-                        force_quadrature=True)
+        M._improper_quadrature(M.preset_modulus("log2"), 1.0, 1e-6)
 
 
 def test_dini_integral_below_the_floor_is_unresolved():
@@ -296,7 +293,7 @@ def test_budget_cut_quadrature_is_never_divergent(sigma, s, prefix):
     # unresolved at the floor.  Neither reads inf, and each keeps at least
     # the sum of its first ``prefix`` contributions
     try:
-        value = M.dini_integral(sigma, s, force_quadrature=True)
+        value = M._improper_quadrature(sigma, s, 1e-9)
     except M.QuadratureToleranceError as exc:
         assert sigma is not _PLATEAU
         assert "at interval 890" in str(exc)
