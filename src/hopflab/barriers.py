@@ -25,18 +25,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 __all__ = [
-    "AleksandrovFit",
     "BarrierSpec",
     "ChainReport",
     "CylinderCertificate",
     "OutOfDomainError",
     "RadialCertificate",
-    "aleksandrov_constant_fit",
     "barrier_eval",
     "cap_bound_constant",
     "chain_geometry",
@@ -56,6 +54,8 @@ class OutOfDomainError(ValueError):
 
 @dataclass(frozen=True)
 class BarrierSpec:
+    """A closed-form barrier's kind and parameters, read by `barrier_eval`."""
+
     kind: str                  # "cylinder", "annulus", "capped"
     amplitude: float           # k, k1 or mu*ktilde
     rho: float                 # cylinder half-width or inner-scale rho0
@@ -180,6 +180,8 @@ def sample_admissible_matrices(nu: float, n: int, count: int,
 
 @dataclass(frozen=True)
 class CylinderCertificate:
+    """Cylinder bracket maximum, verdict and worst matrix, for ``verify``."""
+
     nu: float
     n: int
     gamma: float
@@ -223,6 +225,8 @@ def cylinder_barrier_certificate(nu: float, n: int = 2, samples: int = 10000,
 
 @dataclass(frozen=True)
 class RadialCertificate:
+    """Radial margin, sampled minimum bracket and verdict, for ``verify``."""
+
     s: float
     nu: float
     n: int
@@ -286,6 +290,8 @@ def radial_exponent_certificate(s: float, nu: float, n: int = 2,
 
 @dataclass(frozen=True)
 class ChainReport:
+    """Bounds k_0..k_N along a ball chain and its theta, for ``verify``."""
+
     values: tuple              # k_0 = v_lower, ..., k_N
     k_final: float
     closed_form_zero_drift: float
@@ -368,7 +374,7 @@ def growth_chain(v_lower: float, nu: float, n: int, r: float,
 
 
 # ----------------------------------------------------------------------
-# capped-barrier linear bound and maximum-principle constant
+# capped-barrier linear bound
 # ----------------------------------------------------------------------
 
 def cap_bound_constant(nu: float, n: int, r: float) -> float:
@@ -397,30 +403,3 @@ def cap_bound_constant(nu: float, n: int, r: float) -> float:
             continue
         best = max(best, val * r / (4.0 * p[-1]))
     return best
-
-
-@dataclass(frozen=True)
-class AleksandrovFit:
-    constant: float
-    per_run_ratio: tuple
-    used_runs: int
-
-
-def aleksandrov_constant_fit(runs: Sequence[dict]) -> AleksandrovFit:
-    """Fit the smallest N0 with sup u <= N0 * diam * ||f_+|| across runs.
-
-    Each run is a dict with keys ``sup_u``, ``diam``, ``f_norm``; runs
-    with sup u <= 0 are excluded (any constant works for them)."""
-    ratios = []
-    for run in runs:
-        if run["sup_u"] <= 0.0:
-            continue
-        denom = run["diam"] * run["f_norm"]
-        if denom <= 0.0:
-            raise ValueError("run with positive sup u needs diam*||f|| > 0")
-        ratios.append(run["sup_u"] / denom)
-    if len(ratios) < 1:
-        raise ValueError("no nontrivial runs to fit")
-    return AleksandrovFit(constant=float(max(ratios)),
-                          per_run_ratio=tuple(ratios),
-                          used_runs=len(ratios))

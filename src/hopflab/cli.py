@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import barriers, convex_geometry as geo, decay_analysis as decay
+from . import convex_geometry as geo, decay_analysis as decay
 from . import elliptic_operator as ell, fd_solver as fds, modulus as mod
 
 EXIT_OK = 0
@@ -167,6 +167,9 @@ def _cmd_geometry(args) -> int:
 # ----------------------------------------------------------------------
 
 def _cmd_verify(args) -> int:
+    # only verify uses the barriers, so only verify loads them
+    from . import barriers
+
     # a certificate over no sampled matrix, or a sandwich suite over no
     # profile, would certify nothing
     for flag, count in (("--samples", args.samples),
@@ -196,6 +199,27 @@ def _cmd_verify(args) -> int:
         failures.append(
             f"radial margin {rad.margin!r} < 0 at s = {s!r} "
             f"(worst matrix {rad.worst_matrix.tolist()})")
+
+    # the other barrier steps, reported: the bracket -tr(a D^2 psi)/2 of
+    # the cylinder barrier psi (k = rho = 1) from its own Hessian, at the
+    # certificate's worst matrix (+ 0.0 prints a zero unsigned); the
+    # ball chain's factor theta, k_{l+1} = k_l theta/2 without drift, on
+    # the shortest admissible chain, whose steps are the longest; the cap
+    # bound constant.  Both of the last are scale-free; at
+    # r = 64/gamma the chain's inner radius rho0/8 is 1, so no power
+    # |x - z|^-s of theirs overflows
+    _, _, hess = barriers.barrier_eval(
+        barriers.cylinder_barrier(1.0, 1.0, args.nu, args.n),
+        np.zeros(args.n))
+    lines["cylinder_barrier_bracket"] = repr(
+        -0.5 * float(np.sum(cyl.worst_matrix * hess)) + 0.0)
+    r = 64.0 * (args.n - 1) ** 0.5 / args.nu
+    window = barriers.chain_geometry(args.nu, args.n, r)[3]
+    chain = barriers.growth_chain(1.0, args.nu, args.n, r,
+                                  chain_length=int(np.ceil(window[0])))
+    lines["chain_theta"] = repr(chain.theta)
+    lines["cap_bound_constant"] = repr(
+        float(barriers.cap_bound_constant(args.nu, args.n, r)))
 
     sandwich_bad = 0
     for trial in range(args.profiles):

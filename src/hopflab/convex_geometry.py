@@ -49,7 +49,6 @@ __all__ = [
     "preset_profile",
     "profile_height",
     "sandwich_check",
-    "validate_profile",
 ]
 
 
@@ -184,33 +183,6 @@ def preset_profile(spec: str, R0: float = 0.5, ambient_dim: int = 2) -> Boundary
                          preset=(name, args))
 
 
-def validate_profile(profile: BoundaryProfile) -> None:
-    """Sampled invariant checks over 200 seeded points of the patch: F(0) =
-    0, F >= 0, midpoint convexity, and (radial) nondecreasing difference
-    quotients."""
-    rng = np.random.default_rng(0)
-    d = profile.ambient_dim - 1
-    if abs(profile_height(profile, np.zeros(d))) > 1e-12:
-        raise ValueError("F(0) must be 0")
-    pts = rng.uniform(-profile.R0, profile.R0, size=(200, d))
-    pts = pts[np.linalg.norm(pts, axis=1) <= profile.R0]
-    vals = np.array([profile_height(profile, p) for p in pts])
-    if np.any(vals < -1e-12):
-        raise ValueError("F must be nonnegative on the patch")
-    half = len(pts) // 2
-    for x, z in zip(pts[:half], pts[half:2 * half]):
-        lhs = profile_height(profile, (x + z) / 2.0)
-        rhs = 0.5 * (profile_height(profile, x) + profile_height(profile, z))
-        if lhs > rhs + 1e-12:
-            raise ValueError("midpoint convexity fails on a sampled pair")
-    if isinstance(profile, RadialProfile):
-        rho = np.linspace(0.0, profile.R0, 64)
-        f = np.array([float(profile.f(x)) for x in rho])
-        quot = np.diff(f) / np.diff(rho)
-        if np.any(np.diff(quot) < -1e-10):
-            raise ValueError("radial f has decreasing difference quotients")
-
-
 # ----------------------------------------------------------------------
 # delta and delta1
 # ----------------------------------------------------------------------
@@ -296,6 +268,8 @@ def _active_pieces(profile: MaxAffineProfile, r: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SandwichReport:
+    """delta, delta1 and the sandwich's two flags at r, for the CLI checks."""
+
     r: float
     delta_r: float
     delta1_r: float
@@ -396,6 +370,8 @@ def extremal_frame(profile: BoundaryProfile, r: float) -> ExtremalFrame:
 
 @dataclass(frozen=True)
 class BallInclusionReport:
+    """The interior ball's fit, margin and smallness, for ``geometry``."""
+
     included: bool
     margin: float
     gamma: float

@@ -132,6 +132,8 @@ def boundary_data(kind: str, profile: geo.BoundaryProfile) -> Callable:
 
 @dataclass(frozen=True)
 class DecayReport:
+    """Levels, trace, products and verdict of one run, for the reports."""
+
     config: HopfExperiment
     radii: tuple               # r_k, k = 0..K
     osc: tuple                 # oscillation over P_{r_k}
@@ -227,6 +229,8 @@ def run_experiment(cfg: HopfExperiment) -> DecayReport:
 
 @dataclass(frozen=True)
 class ProductReport:
+    """Partial damping products on base-8 radii, for `contrast_suite`."""
+
     radii: tuple               # r_j = 8^-j R0
     partials: tuple            # prod_{i<=j} (1 - kappa delta(r_i/2))
     delta_sum: float
@@ -292,6 +296,8 @@ def product_bound(delta_fn: Callable[[np.ndarray], np.ndarray], kappa: float,
 
 @dataclass(frozen=True)
 class RecursionReport:
+    """The growth recursion's gamma_k, products, tail and M_k, for tools."""
+
     gamma: tuple
     pi_partials: tuple
     pi_value: float
@@ -393,6 +399,8 @@ def growth_recursion_bound(sigma: Modulus, mathfrak_b: float,
 
 @dataclass(frozen=True)
 class ContrastReport:
+    """Per-profile rows and common kappa, for ``decay --contrast``."""
+
     rows: tuple                # dicts per profile
     consistency_ok: bool
     common_kappa: float

@@ -29,10 +29,8 @@ __all__ = [
     "EllipticOperator",
     "approximate",
     "correct_drift",
-    "ellipticity_check",
     "local_norm",
     "mollify_a",
-    "norm_modulus",
     "preset_operator",
     "truncate_drift",
 ]
@@ -121,22 +119,6 @@ def preset_operator(spec: str) -> EllipticOperator:
                 s * np.cos(math.pi * X1) * np.ones_like(X2))
     return EllipticOperator(nu=1.0, a_grid=_unit_a, b_grid=b_grid,
                             params={"scale": scale})
-
-
-def ellipticity_check(op: EllipticOperator, points: np.ndarray) -> dict:
-    """Sampled eigenvalue-interval and symmetry check.
-
-    ``points`` has shape (m, 2).  Symmetry is structural here (a12 stored
-    once), so the report focuses on the eigenvalue interval [nu, 1/nu],
-    held to 1e-12."""
-    pts = np.asarray(points, dtype=float)
-    a11, a22, a12 = op.a_grid(pts[:, 0], pts[:, 1])
-    half_tr = 0.5 * (a11 + a22)
-    disc = np.sqrt(0.25 * (a11 - a22) ** 2 + a12**2)
-    lo = float((half_tr - disc).min())
-    hi = float((half_tr + disc).max())
-    ok = lo >= op.nu - 1e-12 and hi <= 1.0 / op.nu + 1e-12
-    return {"ok": bool(ok), "min_eig": lo, "max_eig": hi, "nu": op.nu}
 
 
 # ----------------------------------------------------------------------
@@ -303,31 +285,3 @@ def local_norm(values: np.ndarray, h: float,
     if not np.any(mask):
         raise ValueError("region contains no grid nodes")
     return float((np.abs(vals[mask]) ** 2.0).sum() ** 0.5 * h)
-
-
-def norm_modulus(values: np.ndarray, h: float, rho_list):
-    """mu(rho) = max over grid centers of the local L2 norm of the finite
-    entries on B_rho(center).
-
-    Returns one value per rho; the sequence is nonincreasing for
-    decreasing rho.  For bounded fields mu(rho) <= sup|f| (pi rho^2)^(1/2)
-    up to O(h/rho) raster error."""
-    from scipy.signal import fftconvolve
-
-    vals = np.asarray(values, dtype=float)
-    mask = np.isfinite(vals)
-    if not np.any(mask):
-        raise ValueError("region contains no grid nodes")
-    power = np.where(mask, np.nan_to_num(vals) ** 2, 0.0)
-    out = []
-    for rho in rho_list:
-        if rho <= 0.0:
-            raise ValueError("radii must be positive")
-        k = int(math.floor(rho / h))
-        off = np.arange(-k, k + 1)
-        O1, O2 = np.meshgrid(off, off, indexing="ij")
-        kernel = ((O1**2 + O2**2) * h**2 <= rho**2 + 1e-15).astype(float)
-        sums = fftconvolve(power, kernel, mode="same")
-        best = float(np.max(np.where(mask, sums, -np.inf)))
-        out.append(max(best, 0.0) ** 0.5 * h)
-    return out

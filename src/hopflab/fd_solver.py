@@ -178,6 +178,8 @@ class DiscreteDomain:
 
 @dataclass(frozen=True)
 class LinearSystem:
+    """Assembled matrix and right side with domain and data, for `solve`."""
+
     matrix: sp.csr_matrix
     rhs: np.ndarray
     dom: DiscreteDomain
@@ -203,6 +205,8 @@ class LinearSystem:
 
 @dataclass(frozen=True)
 class DiscreteSolution:
+    """A solve's values, residual and fill, for extraction and reports."""
+
     values: np.ndarray       # grid-shaped; NaN outside the closed domain
     vec: np.ndarray
     residual_norm: float
@@ -1066,6 +1070,8 @@ def oscillation(sol: DiscreteSolution, profile: BoundaryProfile,
 
 @dataclass(frozen=True)
 class ConvergenceReport:
+    """Errors per grid and observed order, for the solver acceptance gate."""
+
     errors: tuple
     observed_order: Optional[float]
     exact: bool

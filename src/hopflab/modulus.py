@@ -21,8 +21,7 @@ Built-in presets (addressable by string id):
 
 Note: ``log2`` is kept in its raw closed form so its Dini integral stays
 exactly 1/ln(e/s).  Its ratio sigma(t)/t rises again on [1/e, 1], so it is
-*not* ratio-monotone there; ``regularize`` produces the ratio-monotone
-majorant when that property is required.
+*not* ratio-monotone there.
 """
 
 from __future__ import annotations
@@ -37,20 +36,15 @@ import numpy as np
 __all__ = [
     "DiniVerdict",
     "DiniIntegralResult",
-    "InvariantReport",
     "Modulus",
     "QuadratureToleranceError",
-    "RelationReport",
     "Verdict",
     "dini_classify",
     "dini_integral",
     "dini_integral_report",
-    "check_invariants",
     "load_csv",
     "from_table",
     "preset_modulus",
-    "regularize",
-    "verify_relations",
 ]
 
 
@@ -112,14 +106,9 @@ class Modulus:
 
 
 @dataclass(frozen=True)
-class InvariantReport:
-    endpoints_ok: bool
-    monotone_ok: bool
-    ratio_monotone_ok: bool
-
-
-@dataclass(frozen=True)
 class DiniIntegralResult:
+    """J(s), its method and a quadrature value, for the modulus gate."""
+
     value: float
     method: str  # "closed-form" or "quadrature"
     quadrature_value: float
@@ -127,23 +116,13 @@ class DiniIntegralResult:
 
 @dataclass(frozen=True)
 class DiniVerdict:
+    """Dini verdicts, partial integrals and exponent, for CLI and decay."""
+
     verdict: Verdict
     numeric_verdict: Verdict
     partial_integrals: tuple  # ((a_m, J over [a_m, 1]), ...)
     growth_exponent_estimate: float
     increment_ratios: tuple = ()
-
-
-@dataclass(frozen=True)
-class RelationReport:
-    sigma_le_j: bool
-    scaling_sigma: bool
-    scaling_j: bool
-    slack_scaling_sigma: float
-
-    @property
-    def all_hold(self) -> bool:
-        return self.sigma_le_j and self.scaling_sigma and self.scaling_j
 
 
 # ----------------------------------------------------------------------
@@ -318,38 +297,6 @@ def load_csv(path) -> Modulus:
         raise ValueError("modulus CSV needs at least two data rows")
     t, s = zip(*rows)
     return from_table(t, s)
-
-
-# ----------------------------------------------------------------------
-# regularization: sigma~(t) = t * sup_{tau in [t,1]} sigma(tau)/tau
-# ----------------------------------------------------------------------
-
-def regularize(sigma_raw: Callable[[np.ndarray], np.ndarray]) -> Modulus:
-    """Ratio-monotone majorant of a raw nondecreasing modulus.
-
-    ``sigma_raw`` is vectorized: it is called once on the whole grid, 400
-    geometric nodes of [1e-12, 1], and must return an array of the grid's
-    shape.  Evaluates ``t * sup over tau in [t, 1] of sigma(tau)/tau`` on
-    that grid (suffix maximum of the sampled ratio) and returns the
-    tabulated result.  A modulus whose ratio is already nonincreasing is a
-    fixed point at the grid nodes.
-    """
-    grid = np.geomspace(1e-12, 1.0, 400)
-    raw0 = float(sigma_raw(0.0))
-    raw1 = float(sigma_raw(1.0))
-    if abs(raw0) > 1e-12 or abs(raw1 - 1.0) > 1e-12:
-        raise ValueError(
-            f"need sigma(0) = 0 and sigma(1) = 1, got {raw0!r} and {raw1!r}"
-        )
-    vals = np.asarray(sigma_raw(grid), dtype=float)
-    if np.any(np.diff(vals) < -1e-12):
-        raise ValueError("sigma decreases on the evaluation grid")
-    ratio = vals / grid
-    suffix = np.maximum.accumulate(ratio[::-1])[::-1]
-    reg = grid * suffix
-    # suffix max can only raise values, and the result ends at sigma(1) = 1
-    return from_table(np.concatenate(([0.0], grid)),
-                      np.concatenate(([0.0], reg)))
 
 
 # ----------------------------------------------------------------------
@@ -545,47 +492,4 @@ def dini_classify(sigma: Modulus, depth: int = 40) -> DiniVerdict:
         partial_integrals=partials,
         growth_exponent_estimate=exponent,
         increment_ratios=tuple(float(r) for r in ratios),
-    )
-
-
-# ----------------------------------------------------------------------
-# relations and invariants
-# ----------------------------------------------------------------------
-
-def verify_relations(sigma: Modulus, t: float, t0: float) -> RelationReport:
-    """Check sigma(t) <= J(t), sigma(t/t0) <= sigma(t)/t0 and
-    J(t/t0) <= J(t)/t0, reporting whether each holds and the slack
-    sigma(t)/t0 - sigma(t/t0) of the second.  A divergent J (inf) makes
-    the first and third hold.  ``QuadratureToleranceError`` propagates: J
-    is finite there but not resolved to 1e-9, and reading it as inf would
-    pass the third check vacuously."""
-    if not (0.0 < t <= t0 <= 1.0):
-        raise ValueError(f"need 0 < t <= t0 <= 1, got t={t}, t0={t0}")
-    j_t = dini_integral(sigma, t)
-    j_scaled = dini_integral(sigma, t / t0)
-    s_t = sigma(t)
-    s_scaled = sigma(t / t0)
-    tol = 1e-8
-    slack = s_t / t0 - s_scaled
-    return RelationReport(
-        sigma_le_j=bool(j_t - s_t >= -tol * max(1.0, abs(j_t))),
-        scaling_sigma=bool(slack >= -tol),
-        scaling_j=bool(math.isinf(j_t)
-                       or j_t / t0 - j_scaled >= -tol * max(1.0, j_t)),
-        slack_scaling_sigma=slack,
-    )
-
-
-def check_invariants(sigma: Modulus) -> InvariantReport:
-    """Endpoint, monotonicity and ratio-monotonicity checks on 400
-    geometric samples of [1e-10, 1]."""
-    grid = np.geomspace(1e-10, 1.0, 400)
-    v0 = sigma(0.0)
-    v1 = sigma(1.0)
-    endpoints = abs(v0) <= 1e-12 and abs(v1 - 1.0) <= 1e-12
-    vals = sigma(grid)
-    return InvariantReport(
-        endpoints_ok=bool(endpoints),
-        monotone_ok=bool(np.diff(vals).min() >= -1e-12),
-        ratio_monotone_ok=bool(np.diff(vals / grid).max() <= 1e-12),
     )

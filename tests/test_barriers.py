@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hopflab import barriers as B
+from helpers import aleksandrov_constant_fit
 
 
 def fd_gradient(spec, x, step):
@@ -262,7 +263,7 @@ def test_cap_bound_controls_barrier():
 # ---------------------------------------------------------------- fit
 
 def test_aleksandrov_fit_excludes_trivial_runs():
-    fit = B.aleksandrov_constant_fit([
+    fit = aleksandrov_constant_fit([
         {"sup_u": 0.0, "diam": 1.0, "f_norm": 1.0},
         {"sup_u": 0.2, "diam": 2.0, "f_norm": 0.5},
         {"sup_u": 0.3, "diam": 1.0, "f_norm": 1.0},
@@ -273,7 +274,7 @@ def test_aleksandrov_fit_excludes_trivial_runs():
 
 def test_aleksandrov_fit_needs_data():
     with pytest.raises(ValueError):
-        B.aleksandrov_constant_fit([{"sup_u": 0.0, "diam": 1, "f_norm": 1}])
+        aleksandrov_constant_fit([{"sup_u": 0.0, "diam": 1, "f_norm": 1}])
 
 
 @pytest.mark.parametrize("call, match", [
@@ -281,7 +282,7 @@ def test_aleksandrov_fit_needs_data():
      r"nu must lie in \(0, 1\]"),
     (lambda: B.growth_chain(-1.0, 0.5, 2, 0.1, chain_length=12),
      "v_lower must be nonnegative"),
-    (lambda: B.aleksandrov_constant_fit(
+    (lambda: aleksandrov_constant_fit(
         [{"sup_u": 1.0, "diam": 0.0, "f_norm": 1.0}]),
      r"run with positive sup u needs diam\*\|\|f\|\| > 0"),
 ], ids=["radial-nu", "chain-v-lower", "aleksandrov-denominator"])

@@ -97,6 +97,12 @@ def test_verify_passes(tmp_path):
     assert "cylinder_passed: True" in summary
     assert "radial_passed: True" in summary
     assert "sandwich_violations: 0" in summary
+    # the barrier steps beside the two certificates: the cylinder
+    # barrier's bracket, the ball chain's factor, the cap bound constant
+    values = dict(line.split(": ") for line in summary.splitlines())
+    assert float(values["cylinder_barrier_bracket"]) <= 1e-12
+    assert 0.0 < float(values["chain_theta"]) < 1.0
+    assert 0.0 < float(values["cap_bound_constant"]) < math.inf
 
 
 def test_verify_forced_low_exponent_fails(tmp_path):
@@ -459,6 +465,39 @@ def test_console_entry_point(tmp_path):
         env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert "verdict: Dini" in proc.stdout
+
+
+_LOADED_BY_DECAY = """
+import sys
+from hopflab import cli, decay_analysis as D
+D.run_experiment(D.HopfExperiment(profile="log1", K=2, h=2.0**-6))
+assert cli.main(["decay", "--profile", "log1", "--K", "2",
+                 "--h", "0.015625", "--out", sys.argv[1]]) == 0
+print("loaded:", " ".join(sorted(m for m in sys.modules
+                                 if m.startswith("hopflab"))))
+assert cli.main(["verify", "--samples", "200", "--profiles", "2",
+                 "--out", sys.argv[1]]) == 0
+"""
+
+
+def test_only_verify_loads_the_barriers(tmp_path):
+    # a fresh process that imports hopflab and runs a decay experiment,
+    # from the API and from the command line, never loads the barriers;
+    # verify loads them and still prints both certificates
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED_BY_DECAY, str(tmp_path)],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    loaded = next(line for line in proc.stdout.splitlines()
+                  if line.startswith("loaded:")).split()[1:]
+    assert "hopflab.barriers" not in loaded
+    assert "hopflab.cli" in loaded and "hopflab.fd_solver" in loaded
+    keys = {line.split(":")[0] for line in proc.stdout.splitlines()}
+    assert {"cylinder_bracket_max", "cylinder_passed", "radial_margin",
+            "radial_passed", "radial_s", "radial_sampled_min"} <= keys
 
 
 def test_decay_reports_independent_of_blas_threads(tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hopflab import convex_geometry as G
+from helpers import validate_profile
 
 
 # ---------------------------------------------------------------- oracles
@@ -545,13 +546,13 @@ _PLANAR_CONE = G.preset_profile("cone:0.4", R0=0.5)
      r"wedge opening angle must lie in \(0, pi\)"),
     (lambda: G.preset_profile("power:0"),
      r"power profile needs alpha in \(0, 1\]"),
-    (lambda: G.validate_profile(_radial(lambda rho: np.asarray(rho) + 1.0)),
+    (lambda: validate_profile(_radial(lambda rho: np.asarray(rho) + 1.0)),
      r"F\(0\) must be 0"),
-    (lambda: G.validate_profile(_radial(lambda rho: -np.asarray(rho))),
+    (lambda: validate_profile(_radial(lambda rho: -np.asarray(rho))),
      "F must be nonnegative on the patch"),
-    (lambda: G.validate_profile(_radial(np.sqrt)),
+    (lambda: validate_profile(_radial(np.sqrt)),
      "midpoint convexity fails on a sampled pair"),
-    (lambda: G.validate_profile(_radial(_late_kink)),
+    (lambda: validate_profile(_radial(_late_kink)),
      "radial f has decreasing difference quotients"),
     (lambda: G.ball_inclusion_check(
         G.preset_profile("cone:0.4", R0=0.25),
@@ -577,7 +578,7 @@ def test_geometry_input_checks(call, match):
 def test_validate_profile_accepts_presets():
     for pid in ("flat", "cone:0.4", "power:0.5", "log1", "log2",
                 "wedge:2.0943951023931953"):
-        G.validate_profile(G.preset_profile(pid, R0=0.5))
+        validate_profile(G.preset_profile(pid, R0=0.5))
 
 
 @pytest.mark.parametrize("pid", ["flat", "cone:0.4", "wedge:2.0944",

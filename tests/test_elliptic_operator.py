@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hopflab import elliptic_operator as E
+from helpers import ellipticity_check, norm_modulus
 
 
 # ---------------------------------------------------------------- presets
@@ -13,7 +14,7 @@ def test_preset_ellipticity():
     pts = rng.uniform(-0.5, 0.5, size=(300, 2))
     for spec in ("laplace", "aniso:0.5,2", "checker:0.25", "drift:1.5"):
         op = E.preset_operator(spec)
-        rep = E.ellipticity_check(op, pts)
+        rep = ellipticity_check(op, pts)
         assert rep["ok"], (spec, rep)
 
 
@@ -201,7 +202,7 @@ def test_norm_modulus_disc_area():
     h = 1.0 / 64.0
     vals = np.ones((129, 129))
     for rho in (0.25, 0.125):
-        mu = E.norm_modulus(vals, h, [rho])[0]
+        mu = norm_modulus(vals, h, [rho])[0]
         assert mu == pytest.approx(math.sqrt(math.pi) * rho,
                                    rel=4.0 * h / rho)
 
@@ -209,19 +210,19 @@ def test_norm_modulus_disc_area():
 def test_norm_modulus_zero_and_monotone():
     h = 1.0 / 32.0
     zeros = np.zeros((65, 65))
-    assert E.norm_modulus(zeros, h, [0.2])[0] == 0.0
+    assert norm_modulus(zeros, h, [0.2])[0] == 0.0
     rng = np.random.default_rng(10)
     vals = rng.uniform(0.0, 1.0, size=(65, 65))
-    mus = E.norm_modulus(vals, h, [0.3, 0.2, 0.1])
+    mus = norm_modulus(vals, h, [0.3, 0.2, 0.1])
     assert np.all(np.diff(mus) <= 1e-12)
 
 
 @pytest.mark.parametrize("call, match", [
     (lambda: E.mollify_a(_jump_field, 0.0, (-1.0, 1.0, 0.0, 1.0)),
      "epsilon must be positive"),
-    (lambda: E.norm_modulus(np.full((4, 4), np.nan), 0.1, [0.2]),
+    (lambda: norm_modulus(np.full((4, 4), np.nan), 0.1, [0.2]),
      "region contains no grid nodes"),
-    (lambda: E.norm_modulus(np.ones((4, 4)), 0.1, [0.2, 0.0]),
+    (lambda: norm_modulus(np.ones((4, 4)), 0.1, [0.2, 0.0]),
      "radii must be positive"),
 ], ids=["mollify-epsilon", "modulus-empty", "modulus-rho"])
 def test_smoothing_input_checks(call, match):

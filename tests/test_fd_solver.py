@@ -16,8 +16,8 @@ from hypothesis import example, given, settings, strategies as st
 from hopflab import convex_geometry as G
 from hopflab import elliptic_operator as E
 from hopflab import fd_solver as F
-from hopflab.barriers import aleksandrov_constant_fit
 from hopflab.decay_analysis import sector_harmonic
+from helpers import aleksandrov_constant_fit
 
 
 def bc_linear(X1, X2):

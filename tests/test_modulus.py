@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hopflab import modulus as M
+from helpers import check_invariants, regularize, verify_relations
 
 
 # ---------------------------------------------------------------- oracles
@@ -60,14 +61,14 @@ def test_preset_endpoints_and_monotonicity(pid):
     sigma = M.preset_modulus(pid)
     assert abs(sigma(0.0)) <= 1e-12
     assert abs(sigma(1.0) - 1.0) <= 1e-12
-    rep = M.check_invariants(sigma)
+    rep = check_invariants(sigma)
     assert rep.endpoints_ok
     assert rep.monotone_ok
 
 
 @pytest.mark.parametrize("pid", GOOD_PRESETS)
 def test_ratio_monotone_presets(pid):
-    assert M.check_invariants(M.preset_modulus(pid)).ratio_monotone_ok
+    assert check_invariants(M.preset_modulus(pid)).ratio_monotone_ok
 
 
 def test_log2_scalar_calls_match_array_call():
@@ -81,23 +82,23 @@ def test_log2_ratio_rises_near_one():
     # 1/ln(e/t)^2 has sigma(t)/t increasing again on [1/e, 1]; the
     # regularized majorant restores the ratio monotonicity
     sigma = M.preset_modulus("log2")
-    assert not M.check_invariants(sigma).ratio_monotone_ok
+    assert not check_invariants(sigma).ratio_monotone_ok
     assert sigma.ratio(0.5) < sigma.ratio(1.0)
-    reg = M.regularize(sigma)
-    assert M.check_invariants(reg).ratio_monotone_ok
+    reg = regularize(sigma)
+    assert check_invariants(reg).ratio_monotone_ok
 
 
 # ---------------------------------------------------------------- regularize
 
 def test_regularize_linear_fixed_point():
-    reg = M.regularize(lambda t: np.asarray(t, dtype=float))
+    reg = regularize(lambda t: np.asarray(t, dtype=float))
     grid = np.geomspace(1e-10, 1.0, 64)
     np.testing.assert_allclose(reg(grid), grid, rtol=0, atol=1e-14)
 
 
 def test_regularize_square_becomes_linear():
     raw = lambda t: np.asarray(t, dtype=float) ** 2
-    reg = M.regularize(raw)
+    reg = regularize(raw)
     grid = np.geomspace(1e-10, 1.0, 64)
     oracle = suffix_max_regularized(lambda t: np.asarray(t) ** 2.0, grid)
     np.testing.assert_allclose(reg(grid), grid, atol=1e-12)
@@ -106,29 +107,29 @@ def test_regularize_square_becomes_linear():
 
 def test_regularize_sqrt_fixed_point():
     raw = lambda t: np.sqrt(np.asarray(t, dtype=float))
-    reg = M.regularize(raw)
+    reg = regularize(raw)
     grid = np.geomspace(1e-10, 1.0, 64)
     np.testing.assert_allclose(reg(grid), np.sqrt(grid), rtol=1e-12)
 
 
 def test_regularize_majorizes_and_idempotent():
     raw = lambda t: np.asarray(t, dtype=float) ** 2
-    reg = M.regularize(raw)
+    reg = regularize(raw)
     grid = np.geomspace(1e-12, 1.0, 300)
     assert np.all(reg(grid) >= raw(grid) - 1e-14)
-    reg2 = M.regularize(reg)
+    reg2 = regularize(reg)
     np.testing.assert_allclose(reg2(grid), reg(grid), rtol=1e-10)
 
 
 def test_regularize_rejects_bad_input():
     with pytest.raises(ValueError, match=r"need sigma\(0\) = 0 and "
                                          r"sigma\(1\) = 1"):
-        M.regularize(lambda t: 2.0 * np.asarray(t, dtype=float))
+        regularize(lambda t: 2.0 * np.asarray(t, dtype=float))
     with pytest.raises(ValueError,
                        match="sigma decreases on the evaluation grid"):
-        M.regularize(lambda t: np.where(np.asarray(t) < 0.5,
-                                        np.asarray(t, dtype=float),
-                                        np.asarray(t, dtype=float) ** 4))
+        regularize(lambda t: np.where(np.asarray(t) < 0.5,
+                                      np.asarray(t, dtype=float),
+                                      np.asarray(t, dtype=float) ** 4))
 
 
 # ---------------------------------------------------------------- integral
@@ -260,7 +261,7 @@ def test_dini_integral_unresolved_table_raises():
     t = np.geomspace(1e-300, 1.0, 400)
     table = M.from_table(t, 1.0 / (1.0 - np.log(t)) ** 2)
     with pytest.raises(M.QuadratureToleranceError, match="interval 929"):
-        M.verify_relations(table, 0.5, 1.0)
+        verify_relations(table, 0.5, 1.0)
 
 
 def test_dini_integral_budget_error():
@@ -447,14 +448,14 @@ def test_classify_tabulated_without_flag():
 # ---------------------------------------------------------------- relations
 
 def test_relations_linear_equality_case():
-    rep = M.verify_relations(M.preset_modulus("linear"), 0.3, 0.6)
+    rep = verify_relations(M.preset_modulus("linear"), 0.3, 0.6)
     assert rep.all_hold
     # sigma(t/t0) = 0.5 equals sigma(t)/t0 = 0.3/0.6 exactly
     assert rep.slack_scaling_sigma == pytest.approx(0.0, abs=1e-12)
 
 
 def test_relations_sqrt_example():
-    rep = M.verify_relations(M.preset_modulus("power:0.5"), 0.25, 0.5)
+    rep = verify_relations(M.preset_modulus("power:0.5"), 0.25, 0.5)
     assert rep.all_hold
     # sigma(0.5) ~ 0.7071 <= sigma(0.25)/0.5 = 1.0
     assert rep.slack_scaling_sigma == pytest.approx(1.0 - math.sqrt(0.5),
@@ -463,18 +464,18 @@ def test_relations_sqrt_example():
 
 def test_relations_endpoint_case():
     sigma = M.preset_modulus("power:0.5")
-    rep = M.verify_relations(sigma, 0.6, 0.6)
+    rep = verify_relations(sigma, 0.6, 0.6)
     assert rep.scaling_sigma  # sigma(1) = 1 <= sigma(t0)/t0
 
 
 def test_relations_hold_on_divergent_log1():
     # J = inf on both sides: sigma <= J and the J scaling hold
-    assert M.verify_relations(M.preset_modulus("log1"), 0.3, 0.6).all_hold
+    assert verify_relations(M.preset_modulus("log1"), 0.3, 0.6).all_hold
 
 
 def test_relations_domain_error():
     with pytest.raises(ValueError, match="need 0 < t <= t0 <= 1"):
-        M.verify_relations(M.preset_modulus("linear"), 0.7, 0.6)
+        verify_relations(M.preset_modulus("linear"), 0.7, 0.6)
 
 
 def test_relations_hold_for_invariant_passing_presets():
@@ -484,7 +485,7 @@ def test_relations_hold_for_invariant_passing_presets():
         for _ in range(20):
             t0 = float(rng.uniform(0.05, 1.0))
             t = float(rng.uniform(1e-4, t0))
-            assert M.verify_relations(sigma, t, t0).all_hold, (pid, t, t0)
+            assert verify_relations(sigma, t, t0).all_hold, (pid, t, t0)
 
 
 def test_sigma_below_dini_integral_on_grid():
@@ -503,7 +504,7 @@ def test_table_roundtrip_and_interpolation():
     table = M.from_table(t, s)
     grid = np.geomspace(0.01, 1.0, 50)
     np.testing.assert_allclose(table(grid), np.sqrt(grid), rtol=1e-12)
-    assert M.check_invariants(table).ratio_monotone_ok
+    assert check_invariants(table).ratio_monotone_ok
 
 
 def test_csv_loading(tmp_path):
