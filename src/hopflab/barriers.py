@@ -59,9 +59,9 @@ class BarrierSpec:
     kind: str                  # "cylinder", "annulus", "capped"
     amplitude: float           # k, k1 or mu*ktilde
     rho: float                 # cylinder half-width or inner-scale rho0
+    center: np.ndarray
     s: float = 0.0             # radial exponent (annulus/capped)
     gamma: float = 0.0         # cylinder aspect
-    center: Optional[np.ndarray] = None
     outer_radius: float = 0.0  # annulus: rho0; capped: center height
     frame: Optional[object] = None  # ExtremalFrame; evaluation maps x -> y
 

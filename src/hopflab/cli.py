@@ -2,8 +2,8 @@
 
 Exit codes, decided in ``main`` alone: 0 success; 1 a failed check,
 returned only by ``verify`` (certificates, property suites) and
-``geometry`` (sandwich check); 2 configuration error, for every bad flag,
-config key or missing file; 3 numerical failure: a Dini integral
+``geometry`` (sandwich check); 2 configuration error, for every bad flag
+or missing file; 3 numerical failure: a Dini integral
 that is finite but not resolved to its tolerance, a mixed coefficient
 with no monotone stencil, or a system whose factorization runs out of
 memory.  A divergent Dini integral is no failure but the value inf
@@ -12,11 +12,9 @@ memory.  A divergent Dini integral is no failure but the value inf
 preset id given an argument it does not take, missing one it needs or
 given one that is not a number, and ``modulus --csv`` together with
 ``--preset``.  Reports are plain text (key: value) and CSV,
-byte-reproducible for a fixed (config, seed, build); every report embeds
-the resolved configuration.
-``--config FILE`` reads key=value lines for grid.h, grid.R0 and bc.kind,
-which flags then override; any other key, or a key set twice, is a
-configuration error.  The default output directory comes from
+byte-reproducible for fixed flags and build; every report embeds the
+resolved configuration.  Only ``verify`` and ``geometry`` draw samples,
+so only they take ``--seed``.  The default output directory comes from
 HOPFLAB_OUT.
 """
 
@@ -36,35 +34,6 @@ EXIT_OK = 0
 EXIT_CERT_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
-
-
-def _read_config(path):
-    cfg = {}
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"malformed config line: {raw!r}")
-        key, _, value = (part.strip() for part in line.partition("="))
-        if key in cfg:
-            raise ValueError(f"config key set twice: {key}")
-        cfg[key] = value
-    return cfg
-
-
-def _resolve_config(args, default_h: float):
-    """(h, R0, bc kind): each flag over its --config key over the
-    default, which for R0 and bc kind is ``HopfExperiment``'s."""
-    cfg = _read_config(args.config) if args.config else {}
-    unknown = sorted(set(cfg) - {"grid.h", "grid.R0", "bc.kind"})
-    if unknown:
-        raise ValueError(f"unknown config key: {', '.join(unknown)}")
-    defaults = decay.HopfExperiment
-    h = args.h if args.h is not None else float(cfg.get("grid.h", default_h))
-    R0 = (args.R0 if args.R0 is not None
-          else float(cfg.get("grid.R0", defaults.R0)))
-    return h, R0, args.bc or cfg.get("bc.kind", defaults.bc)
 
 
 def _out_file(args, name: str) -> Path:
@@ -119,7 +88,6 @@ def _cmd_modulus(args) -> int:
         "verdict": str(verdict.verdict),
         "numeric_verdict": str(verdict.numeric_verdict),
         "growth_exponent": repr(verdict.growth_exponent_estimate),
-        "seed": args.seed,
     })
     _write(args, "modulus_summary.txt", summary)
     sys.stdout.write(summary)
@@ -265,11 +233,10 @@ def _cmd_verify(args) -> int:
 # ----------------------------------------------------------------------
 
 def _cmd_solve(args) -> int:
-    h, R0, bc_kind = _resolve_config(args, 2**-6)
-    profile = geo.preset_profile(args.profile, R0=R0)
+    profile = geo.preset_profile(args.profile, R0=args.R0)
     op = ell.preset_operator(args.op)
-    bc = decay.boundary_data(bc_kind, profile)
-    dom = fds.DiscreteDomain.build(profile, h)
+    bc = decay.boundary_data(args.bc, profile)
+    dom = fds.DiscreteDomain.build(profile, args.h)
     system = fds.discretize(op, dom, bc)
     sol = fds.solve(system)
     if args.dump_matrix:
@@ -278,9 +245,9 @@ def _cmd_solve(args) -> int:
     fds.dump_solution_csv(_out_file(args, "solution.csv"), sol)
     summary = _echo_config({
         "profile": args.profile, "operator": args.op,
-        "grid.h": repr(h), "grid.R0": repr(R0), "bc.kind": bc_kind,
-        "residual": repr(sol.residual_norm), "method": sol.method,
-        "unknowns": dom.n_unknowns, "seed": args.seed,
+        "grid.h": repr(args.h), "grid.R0": repr(args.R0),
+        "bc.kind": args.bc, "residual": repr(sol.residual_norm),
+        "method": sol.method, "unknowns": dom.n_unknowns,
     })
     _write(args, "solve_summary.txt", summary)
     sys.stdout.write(summary)
@@ -292,10 +259,9 @@ def _cmd_solve(args) -> int:
 # ----------------------------------------------------------------------
 
 def _cmd_decay(args) -> int:
-    h, R0, bc_kind = _resolve_config(args, decay.HopfExperiment.h)
     base = decay.HopfExperiment(profile=args.profile or "log1",
-                                operator=args.op, R0=R0, K=args.K, h=h,
-                                bc=bc_kind, seed=args.seed)
+                                operator=args.op, R0=args.R0, K=args.K,
+                                h=args.h, bc=args.bc)
     base.validate()
     if args.contrast is None:
         rep = decay.run_experiment(base)
@@ -319,8 +285,8 @@ def _cmd_decay(args) -> int:
             "operator": args.op,
             "consistency_ok": rep.consistency_ok,
             "common_kappa": repr(rep.common_kappa),
-            "grid.h": repr(h), "grid.R0": repr(R0), "K": args.K,
-            "bc.kind": bc_kind, "seed": args.seed,
+            "grid.h": repr(args.h), "grid.R0": repr(args.R0), "K": args.K,
+            "bc.kind": args.bc,
         })
     _write(args, "decay_summary.txt", summary)
     sys.stdout.write(summary)
@@ -337,16 +303,18 @@ def build_parser() -> argparse.ArgumentParser:
                     "solves and decay experiments.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    # flags shared by several subcommands, declared once
+    # flags shared by several subcommands, declared once; the defaults of
+    # a run are HopfExperiment's.  Only the sampling commands take a seed
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
     common.add_argument("--out", default=None)
-    run = argparse.ArgumentParser(add_help=False)
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0)
+    radius = argparse.ArgumentParser(add_help=False)
+    radius.add_argument("--R0", type=float, default=decay.HopfExperiment.R0)
+    run = argparse.ArgumentParser(add_help=False, parents=[common, radius])
     run.add_argument("--op", default=decay.HopfExperiment.operator)
-    run.add_argument("--h", type=float, default=None)
-    run.add_argument("--R0", type=float, default=None)
-    run.add_argument("--bc", default=None, choices=(None, "linear", "sector"))
-    run.add_argument("--config", default=None)
+    run.add_argument("--bc", default=decay.HopfExperiment.bc,
+                     choices=("linear", "sector"))
 
     p = sub.add_parser("modulus", parents=[common],
                        help="modulus table and Dini verdict")
@@ -356,15 +324,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, default=40)
     p.set_defaults(func=_cmd_modulus)
 
-    p = sub.add_parser("geometry", parents=[common],
+    p = sub.add_parser("geometry", parents=[common, seeded, radius],
                        help="delta/delta1 table, frame and ball")
     p.add_argument("--profile", default="power:0.5")
-    p.add_argument("--R0", type=float, default=0.5)
     p.add_argument("--nu", type=float, default=0.5)
     p.add_argument("--levels", type=int, default=4)
     p.set_defaults(func=_cmd_geometry)
 
-    p = sub.add_parser("verify", parents=[common],
+    p = sub.add_parser("verify", parents=[common, seeded],
                        help="barrier certificates and property suites")
     p.add_argument("--nu", type=float, default=0.5)
     p.add_argument("--n", type=int, default=2,
@@ -376,15 +343,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profiles", type=int, default=50)
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("solve", parents=[common, run],
+    p = sub.add_parser("solve", parents=[run],
                        help="one finite-difference solve")
     p.add_argument("--profile", default="flat")
+    p.add_argument("--h", type=float, default=2**-6)
     p.add_argument("--dump-matrix", action="store_true")
     p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("decay", parents=[common, run],
+    p = sub.add_parser("decay", parents=[run],
                        help="dyadic decay experiment / contrast")
     p.add_argument("--profile", default=None)
+    p.add_argument("--h", type=float, default=decay.HopfExperiment.h)
     p.add_argument("--K", type=int, default=decay.HopfExperiment.K)
     p.add_argument("--contrast", default=None,
                    help="comma-separated profile list")
@@ -402,7 +371,7 @@ def main(argv=None) -> int:
             mod.QuadratureToleranceError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ValueError, OSError) as exc:  # bad flag, config key or file
+    except (ValueError, OSError) as exc:  # bad flag or file
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -76,7 +76,6 @@ class HopfExperiment:
     K: int = 3
     h: float = 2.0**-7
     bc: str = "linear"
-    seed: int = 0
 
     def validate(self) -> None:
         if self.K < 2:
@@ -479,7 +478,6 @@ def report_summary(report: DecayReport) -> str:
         f"K: {cfg.K}",
         f"grid.h: {cfg.h!r}",
         f"bc.kind: {cfg.bc}",
-        f"seed: {cfg.seed}",
         f"residual: {report.residual!r}",
         f"unknowns: {report.unknowns}",
         f"trace_heights: {' '.join(repr(t) for t in report.trace_heights)}",

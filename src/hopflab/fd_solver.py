@@ -223,7 +223,7 @@ class DiscreteSolution:
     # float64 factor.  Under the nested-dissection order this is within
     # 0.1% of nnz(L) + nnz(U) and, unlike that, needs no copy of the
     # factors.
-    fill: int = 0
+    fill: int
 
 
 _A12_TOL = 1e-12   # slack of the monotonicity test |a12| <= min(a11, a22)

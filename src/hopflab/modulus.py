@@ -122,7 +122,7 @@ class DiniVerdict:
     numeric_verdict: Verdict
     partial_integrals: tuple  # ((a_m, J over [a_m, 1]), ...)
     growth_exponent_estimate: float
-    increment_ratios: tuple = ()
+    increment_ratios: tuple
 
 
 # ----------------------------------------------------------------------

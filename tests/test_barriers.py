@@ -108,7 +108,8 @@ _NAN, _INF = float("nan"), float("inf")
     ("s", _INF, "radial exponent s must be positive and finite"),
 ])
 def test_barrier_spec_refuses_out_of_range_fields(field, value, message):
-    fields = dict(kind="annulus", amplitude=1.0, rho=0.2, s=8.0)
+    fields = dict(kind="annulus", amplitude=1.0, rho=0.2,
+                  center=np.zeros(2), s=8.0)
     B.BarrierSpec(**fields)
     with pytest.raises(ValueError, match=f"^{message}$"):
         B.BarrierSpec(**{**fields, field: value})

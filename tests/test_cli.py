@@ -155,71 +155,6 @@ def test_solve_outside_float32_range(tmp_path, op):
     assert float(residual.partition(":")[2]) <= 1e-12
 
 
-def test_solve_config_file(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("# a comment line is skipped\ngrid.h = 0.0625\n"
-                   "grid.R0 = 0.5\nbc.kind = linear\n", encoding="utf-8")
-    assert run_cli(["solve", "--profile", "flat", "--config", str(cfg)],
-                   tmp_path) == 0
-    assert "grid.h: 0.0625" in (tmp_path / "solve_summary.txt").read_text()
-
-
-@pytest.mark.parametrize("command", [
-    ["solve", "--profile", "flat"],
-    ["decay", "--profile", "log1", "--K", "2"],
-], ids=["solve", "decay"])
-@pytest.mark.parametrize("key", ["grid.H", "solver.maxiter", "solver.tol",
-                                 "solver.max_iter"])
-def test_config_unknown_key_exit_2(tmp_path, capsys, command, key):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"grid.h = 0.015625\n{key} = 7\n", encoding="utf-8")
-    assert run_cli(command + ["--config", str(cfg)], tmp_path) == 2
-    assert key in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("command", [
-    ["solve", "--profile", "flat"],
-    ["decay", "--profile", "log1", "--K", "2"],
-], ids=["solve", "decay"])
-# solver.tol and solver.max_iter are not config keys: any value of them
-# exits 2 naming the key rather than being ignored
-@pytest.mark.parametrize("setting", ["solver.tol = 0", "solver.tol = -1",
-                                     "solver.tol = nan",
-                                     "solver.max_iter = 0"])
-def test_config_bad_solver_setting_exit_2(tmp_path, capsys, command,
-                                          setting):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"grid.h = 0.015625\n{setting}\n", encoding="utf-8")
-    assert run_cli(command + ["--config", str(cfg)], tmp_path) == 2
-    assert setting.split(" = ")[0] in capsys.readouterr().err
-
-
-def test_config_line_without_equals_exit_2(tmp_path, capsys):
-    # read as a key with an empty value it would exit 2 as an unknown key;
-    # the message names the line instead
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("grid.h 0.015625\n", encoding="utf-8")
-    assert run_cli(["solve", "--config", str(cfg)], tmp_path) == 2
-    assert capsys.readouterr().err == (
-        "config error: malformed config line: 'grid.h 0.015625'\n")
-
-
-def test_decay_config_file_matches_flags(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("grid.h = 0.015625\ngrid.R0 = 0.5\nbc.kind = linear\n",
-                   encoding="utf-8")
-    d1 = tmp_path / "a"
-    d2 = tmp_path / "b"
-    d1.mkdir()
-    d2.mkdir()
-    assert run_cli(["decay", "--profile", "log1", "--K", "2", "--config",
-                    str(cfg)], d1) == 0
-    assert run_cli(["decay", "--profile", "log1", "--K", "2",
-                    "--h", "0.015625"], d2) == 0
-    for name in ("decay_levels.csv", "decay_summary.txt"):
-        assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
-
-
 @pytest.mark.parametrize("command", [
     ["solve", "--profile", "flat", "--h", "0.0625"],
     ["decay", "--profile", "log1", "--K", "2", "--h", "0.015625"],
@@ -236,6 +171,17 @@ def test_out_of_memory_exit_3(tmp_path, capsys, monkeypatch, command):
     assert not (tmp_path / "decay_levels.csv").exists()
 
 
+# flags that a subcommand does not take, among them a seed where nothing
+# is drawn from it: argparse's usage error, before the command runs
+UNKNOWN_FLAGS = [
+    ["modulus", "--seed", "1"],
+    ["solve", "--seed", "1"],
+    ["decay", "--seed", "1"],
+    ["solve", "--config", "x"],
+    ["decay", "--config", "x"],
+]
+
+
 # each input once exited 1 with a traceback, the code of a failed check
 @pytest.mark.parametrize("command", [
     ["geometry", "--nu", "0"],
@@ -248,7 +194,7 @@ def test_out_of_memory_exit_3(tmp_path, capsys, monkeypatch, command):
     ["modulus", "--depth", "5"],
     ["modulus", "--depth", "1023"],
     ["modulus", "--csv", "{missing}"],
-    ["solve", "--config", "{missing}"],
+    *UNKNOWN_FLAGS,
     ["solve", "--h", "0"],
     ["decay", "--profile", "log1", "--K", "2", "--h", "0"],
     ["verify", "--profiles", "-1"],
@@ -281,7 +227,6 @@ def test_out_of_memory_exit_3(tmp_path, capsys, monkeypatch, command):
     ["modulus", "--preset", "linear:1"],
     ["decay", "--profile", "log1", "--contrast", "", "--K", "2", "--h",
      "0.015625"],
-    ["solve", "--config", "{twice}"],
     ["modulus", "--csv", "{table}", "--preset", "log1"],
     ["modulus", "--csv", "{headers}"],
 ], ids=lambda c: " ".join(c))
@@ -289,16 +234,35 @@ def test_bad_input_exit_2(tmp_path, capsys, command):
     # the output directory is made at the first write, so a rejected
     # input leaves none behind
     paths = {"missing": tmp_path / "missing.txt"}
-    for name, text in (("twice", "grid.h = 0.015625\ngrid.h = 0.03125\n"),
-                       ("table", "0,0\n0.5,0.6\n1,1\n"),
+    for name, text in (("table", "0,0\n0.5,0.6\n1,1\n"),
                        ("headers", "t,sigma\nfoo,bar\nbaz\n0,0\n1,1\n")):
         paths[name] = tmp_path / f"{name}.txt"
         paths[name].write_text(text, encoding="utf-8")
     out = tmp_path / "out"
-    assert run_cli([a.format(**paths) for a in command], out) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("config error: ")
+    argv = [a.format(**paths) for a in command]
+    if command in UNKNOWN_FLAGS:
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv, out)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-2:] == [
+            "usage: hopflab [-h] {modulus,geometry,verify,solve,decay} ...",
+            f"hopflab: error: unrecognized arguments: {' '.join(command[1:])}"]
+    else:
+        assert run_cli(argv, out) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["verify", "--samples", "200", "--profiles", "2"],
+    ["geometry", "--levels", "1"],
+], ids=["verify", "geometry"])
+def test_seed_reaches_the_sampling_commands(tmp_path, command):
+    # their samples are drawn from the seed, which each summary echoes
+    assert run_cli(command + ["--seed", "1"], tmp_path) == 0
+    summary = (tmp_path / f"{command[0]}_summary.txt").read_text()
+    assert "seed: 1" in summary.splitlines()
 
 
 def test_decay_defaults_are_hopf_experiment_defaults(tmp_path,

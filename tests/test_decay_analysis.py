@@ -446,7 +446,7 @@ def test_report_csv_and_summary_format():
     summary = D.report_summary(rep)
     assert "verdict: HopfDegenerates" in summary or \
         "verdict: Inconclusive" in summary
-    assert "grid.h:" in summary and "seed: 0" in summary
+    assert "grid.h:" in summary
 
 
 def test_reports_byte_reproducible():

@@ -596,7 +596,8 @@ def _manufactured_solution(dom, fn):
     values[inside] = fn(X1, X2)[inside]
     vec = values[dom.interior_ij[:, 0], dom.interior_ij[:, 1]]
     return F.DiscreteSolution(values=values, vec=vec, residual_norm=0.0,
-                              iterations=0, dom=dom, method="manufactured")
+                              iterations=0, dom=dom, method="manufactured",
+                              fill=0)
 
 
 def test_oscillation_of_linear_quotient_zero():

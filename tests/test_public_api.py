@@ -1,8 +1,11 @@
 """Each module's ``__all__`` is exact: every listed name resolves, and
 every public class or function the module defines is listed.  The census
 tests below hold the public surface of ``src/`` to its callers outside
-the tests."""
+the tests: defaulted parameters, public functions, CLI flags and
+dataclass field defaults each need a caller in ``src/``, ``perfbench/``
+or ``tools/``, and class members a reader anywhere."""
 
+import argparse
 import ast
 import inspect
 import json
@@ -14,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import hopflab
-from hopflab import (barriers, convex_geometry, decay_analysis,
+from hopflab import (barriers, cli, convex_geometry, decay_analysis,
                      elliptic_operator, fd_solver, modulus)
 
 MODULES = [hopflab, barriers, convex_geometry, decay_analysis,
@@ -189,12 +192,16 @@ def _census():
                   if key not in passed)
 
 
+def _check(census, allowed, what):
+    """Every entry of ``census`` is allowed, and every allowed one found."""
+    unlisted = [c for c in census if c not in allowed]
+    assert not unlisted, f"{len(unlisted)} {what}: {unlisted}"
+    stale = [c for c in allowed if c not in census]
+    assert not stale, f"allowed but used outside the tests or gone: {stale}"
+
+
 def test_every_default_is_set_by_some_caller():
-    census = _census()
-    unset = [p for p in census if p not in UNSET_ALLOWED]
-    assert not unset, f"{len(unset)} defaults no caller sets: {unset}"
-    stale = [p for p in UNSET_ALLOWED if p not in census]
-    assert not stale, f"allowed but set by a caller or gone: {stale}"
+    _check(_census(), UNSET_ALLOWED, "defaults no caller sets")
 
 
 # ------------------------------------------------------------ test-only census
@@ -244,12 +251,119 @@ def _test_only():
 
 
 def test_every_public_function_is_called_outside_the_tests():
-    found = _test_only()
-    unlisted = [f for f in found if f not in TEST_ONLY_ALLOWED]
-    assert not unlisted, (f"{len(unlisted)} public functions only tests "
-                          f"call: {unlisted}")
-    stale = [f for f in TEST_ONLY_ALLOWED if f not in found]
-    assert not stale, f"allowed but called outside the tests or gone: {stale}"
+    _check(_test_only(), TEST_ONLY_ALLOWED, "public functions only tests call")
+
+
+# ----------------------------------------------------------------- flag census
+
+# flags of a subcommand that no command line outside the tests passes and
+# that stay, each with its reason
+FLAG_UNPASSED_ALLOWED = {}
+
+
+def _unpassed_flags():
+    """"subcommand --flag" for each flag of ``cli.build_parser()`` that no
+    command line in perfbench/ or tools/ passes.  A command line is a list
+    literal that starts with the subcommand's name, spelling out the
+    module-level lists it unpacks; a list naming the module
+    ``hopflab.cli`` (the line that launches the others) passes its flags
+    to every subcommand."""
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    flags = {f"{name} {flag}" for name, parser in sub.choices.items()
+             for action in parser._actions
+             if not isinstance(action, argparse._HelpAction)
+             for flag in action.option_strings}
+    passed = set()
+    for _, tree in _parse(("perfbench", "tools")):
+        lists = {t.id: node.value.elts for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and isinstance(node.value, ast.List)
+                 for t in node.targets if isinstance(t, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.List):
+                continue
+            elts = [e for x in node.elts for e in
+                    (lists.get(getattr(x.value, "id", None), [x])
+                     if isinstance(x, ast.Starred) else [x])]
+            words = [e.value if isinstance(e, ast.Constant)
+                     and isinstance(e.value, str) else None for e in elts]
+            if words and words[0] in sub.choices:
+                commands = [words[0]]
+            elif "hopflab.cli" in words:
+                commands = sub.choices
+            else:
+                continue
+            passed |= {f"{c} {w}" for c in commands for w in words
+                       if w and w.startswith("--")}
+    return sorted(flags - passed)
+
+
+def test_every_flag_is_passed_outside_the_tests():
+    _check(_unpassed_flags(), FLAG_UNPASSED_ALLOWED,
+           "flags no command line outside the tests passes")
+
+
+# -------------------------------------------------------- field-default census
+
+# dataclass field defaults that no code outside the tests relies on and
+# that stay, each with its reason
+DEFAULT_UNUSED_ALLOWED = {
+    "convex_geometry.RadialProfile.ambient_dim":
+        "only a hand-built profile leaves it unset: a planar one with no "
+        "preset, the case the numeric Dini verdict serves",
+    "convex_geometry.RadialProfile.preset":
+        "only a hand-built profile leaves it unset: one with no preset, "
+        "whose modulus the numeric Dini verdict classifies",
+}
+
+
+def _unused_field_defaults():
+    """Fields of src/ dataclasses whose default no code in src/,
+    perfbench/ or tools/ relies on: no constructor call leaves the field
+    unset, and no read of the class's attribute takes the default (the
+    CLI's parser reads ``HopfExperiment.K`` and the like).  As in
+    `_census`, a constructor matches by its bare class name; one that
+    unpacks its arguments sets every field."""
+    fields = {}          # class -> its fields, in order
+    defaults = {}        # (class, field) -> label
+    for path, tree in _parse(["src"]):
+        for cls in ast.walk(tree):
+            if not (isinstance(cls, ast.ClassDef) and any(
+                    ast.unparse(getattr(d, "func", d)).endswith("dataclass")
+                    for d in cls.decorator_list)):
+                continue
+            body = [s for s in cls.body if isinstance(s, ast.AnnAssign)]
+            fields[cls.name] = [s.target.id for s in body]
+            defaults.update({(cls.name, s.target.id):
+                             f"{path.stem}.{cls.name}.{s.target.id}"
+                             for s in body if s.value is not None})
+    relied = set()
+    for _, tree in _parse(("src", "perfbench", "tools")):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx,
+                                                              ast.Load):
+                owner = node.value
+                relied.add((getattr(owner, "id", None)
+                            or getattr(owner, "attr", None), node.attr))
+            elif isinstance(node, ast.Call):
+                f = node.func
+                called = getattr(f, "id", None) or getattr(f, "attr", None)
+                keywords = {k.arg for k in node.keywords}
+                if (called not in fields or None in keywords
+                        or any(isinstance(a, ast.Starred)
+                               for a in node.args)):
+                    continue
+                given = keywords | set(fields[called][:len(node.args)])
+                relied |= {(called, name) for name in fields[called]
+                           if name not in given}
+    return sorted(label for key, label in defaults.items()
+                  if key not in relied)
+
+
+def test_every_field_default_is_relied_on_outside_the_tests():
+    _check(_unused_field_defaults(), DEFAULT_UNUSED_ALLOWED,
+           "field defaults every call outside the tests overrides")
 
 
 # ---------------------------------------------------------------- field census

@@ -79,6 +79,12 @@ COMMANDS = [
     ["verify", "--s", "nan"],
     ["verify", "--s", "inf"],
     *(["modulus", "--csv", name] for name in TABLES),
+    # one run at a non-default value of each flag no line above passes
+    ["modulus", "--preset", "log2", "--depth", "200"],
+    ["geometry", "--profile", "log1", "--R0", "0.25", "--nu", "0.3",
+     "--levels", "6", "--seed", "3"],
+    ["verify", "--profiles", "10", "--seed", "5", "--samples", "2000"],
+    ["solve", "--profile", "cone:0.4", "--R0", "0.25", "--h", "0.0078125"],
 ]
 
 
