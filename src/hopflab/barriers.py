@@ -33,7 +33,6 @@ __all__ = [
     "BarrierSpec",
     "ChainReport",
     "CylinderCertificate",
-    "OutOfDomainError",
     "RadialCertificate",
     "barrier_eval",
     "cap_bound_constant",
@@ -48,10 +47,6 @@ __all__ = [
 ]
 
 
-class OutOfDomainError(ValueError):
-    """Evaluation point outside the barrier's natural domain."""
-
-
 @dataclass(frozen=True)
 class BarrierSpec:
     """A closed-form barrier's kind and parameters, read by `barrier_eval`."""
@@ -59,7 +54,7 @@ class BarrierSpec:
     kind: str                  # "cylinder", "annulus", "capped"
     amplitude: float           # k, k1 or mu*ktilde
     rho: float                 # cylinder half-width or inner-scale rho0
-    center: np.ndarray
+    center: Optional[np.ndarray]  # annulus/capped; None for the cylinder
     s: float = 0.0             # radial exponent (annulus/capped)
     gamma: float = 0.0         # cylinder aspect
     outer_radius: float = 0.0  # annulus: rho0; capped: center height
@@ -79,7 +74,7 @@ def cylinder_barrier(k: float, rho: float, nu: float, n: int,
                      frame=None) -> BarrierSpec:
     return BarrierSpec(kind="cylinder", amplitude=k, rho=rho,
                        gamma=nu / math.sqrt(n - 1),
-                       center=np.zeros(n), frame=frame)
+                       center=None, frame=frame)
 
 
 def annulus_barrier(k1: float, rho0: float, s: float,
@@ -96,13 +91,25 @@ def capped_barrier(amplitude: float, rho0: float, s: float, center,
                        outer_radius=outer_radius)
 
 
+def _radial_value(spec: BarrierSpec, d: float):
+    """The annulus or capped barrier at distance d from its center:
+    (value, amp), amp = amplitude/normalization being the derivatives'
+    factor, or None off the closed annulus between the inner sphere
+    (radius rho/8) and the outer one."""
+    inner, outer, s = spec.rho / 8.0, spec.outer_radius, spec.s
+    if d < inner - 1e-12 or d > outer + 1e-12:
+        return None
+    amp = spec.amplitude / (inner ** -s - outer ** -s)
+    return amp * (d ** -s - outer ** -s), amp
+
+
 def barrier_eval(spec: BarrierSpec, x):
     """(value, gradient, Hessian) of the barrier at x, exact closed forms.
 
     Coordinates are the barrier's own; when a frame is attached, x is an
     ambient point and derivatives are returned in ambient coordinates.
-    Raises ``OutOfDomainError`` outside the natural domain (cylinder slab,
-    or the closed annulus between the inner and outer spheres)."""
+    A point outside the natural domain (the cylinder slab, or the closed
+    annulus between the inner and outer spheres) raises ``ValueError``."""
     x = np.asarray(x, dtype=float)
     if spec.frame is not None:
         y = spec.frame.rotation @ (x - spec.frame.x_star)
@@ -113,28 +120,22 @@ def barrier_eval(spec: BarrierSpec, x):
         k, rho, g = spec.amplitude, spec.rho, spec.gamma
         if not (-1e-12 <= y[-1] <= g * rho + 1e-12) or \
                 np.any(np.abs(y[:-1]) > rho + 1e-12):
-            raise OutOfDomainError("point outside the cylinder slab")
+            raise ValueError("point outside the cylinder slab")
         t = 1.0 - y[-1] / (g * rho)
         value = k * (t * t - float(y[:-1] @ y[:-1]) / rho**2)
         grad = np.empty(n)
         grad[:-1] = -2.0 * k * y[:-1] / rho**2
         grad[-1] = -2.0 * k * t / (g * rho)
-        hess = np.zeros((n, n))
-        for i in range(n - 1):
-            hess[i, i] = -2.0 * k / rho**2
-        hess[-1, -1] = 2.0 * k / (g * rho) ** 2
+        hess = np.diag([-2.0 * k / rho**2] * (n - 1)
+                       + [2.0 * k / (g * rho) ** 2])
     else:
-        z = spec.center
-        inner = spec.rho / 8.0
-        outer = spec.outer_radius
-        d_vec = y - z
+        d_vec = y - spec.center
         d = float(np.linalg.norm(d_vec))
-        if d < inner - 1e-12 or d > outer + 1e-12:
-            raise OutOfDomainError("point outside the annulus")
+        radial = _radial_value(spec, d)
+        if radial is None:
+            raise ValueError("point outside the annulus")
+        value, amp = radial
         s = spec.s
-        norm = inner ** -s - outer ** -s
-        amp = spec.amplitude / norm
-        value = amp * (d ** -s - outer ** -s)
         grad = amp * (-s) * d ** (-s - 2.0) * d_vec
         hess = amp * (-s) * (d ** (-s - 2.0) * np.eye(n)
                              - (s + 2.0) * d ** (-s - 4.0)
@@ -170,12 +171,13 @@ def sample_admissible_matrices(nu: float, n: int, count: int,
     sgn = np.sign(np.einsum("kii->ki", r))
     sgn[sgn == 0.0] = 1.0
     q = q * sgn[:, None, :]
-    mats = np.einsum("kij,kj,klj->kil", q, spectra, q)
-    extremes = []
-    for bits in range(2**n):
-        diag = [nu if (bits >> i) & 1 else 1.0 / nu for i in range(n)]
-        extremes.append(np.diag(diag))
-    return np.concatenate((np.asarray(extremes), mats), axis=0)
+    corners = 2**n
+    out = np.zeros((corners + count, n, n))
+    # corner b has nu in the diagonal entries of b's set bits, 1/nu elsewhere
+    bits = (np.arange(corners)[:, None] >> np.arange(n)) & 1
+    out[:corners, np.arange(n), np.arange(n)] = np.where(bits, nu, 1.0 / nu)
+    out[corners:] = np.einsum("kij,kj,klj->kil", q, spectra, q)
+    return out
 
 
 @dataclass(frozen=True)
@@ -326,7 +328,9 @@ def growth_chain(v_lower: float, nu: float, n: int, r: float,
     One step moves the bound from a ball to the next center through the
     annulus barrier: k_{l+1} = (k_l theta/2 - drift_term)_+, where theta
     is the minimum of the unit-amplitude annulus barrier over the next
-    ball B_{rho0/8}, found by sampling its boundary sphere.  With zero
+    ball B_{rho0/8}, found by sampling its center and boundary sphere.
+    The barrier falls with the distance from its center, so the minimum
+    is its value at the farthest sample, 0 past the annulus.  With zero
     drift the chain is the closed form (theta/2)^N v_lower.  ``broken_at``
     flags the first step whose bound hits zero under positive drift.  A
     ``chain_length`` outside the admissible window of `chain_geometry`
@@ -338,28 +342,20 @@ def growth_chain(v_lower: float, nu: float, n: int, r: float,
         raise ValueError(
             f"chain length {chain_length} outside the admissible window "
             f"[{window[0]:.2f}, {window[1]:.2f}]")
-    step_vec = (zt - z0) / chain_length
-    step = float(np.linalg.norm(step_vec))
-    s = n / nu**2
-    spec = annulus_barrier(1.0, rho0, s, center=np.zeros(n))
-    rng = np.random.default_rng(0)
+    next_center = (zt - z0) / chain_length
+    spec = annulus_barrier(1.0, rho0, n / nu**2, center=np.zeros(n))
     if n == 2:
         ang = np.linspace(0.0, 2.0 * math.pi, _SPHERE_SAMPLES,
                           endpoint=False)
         dirs = np.column_stack((np.cos(ang), np.sin(ang)))
     else:
-        dirs = rng.standard_normal((_SPHERE_SAMPLES, n))
+        dirs = np.random.default_rng(0).standard_normal((_SPHERE_SAMPLES, n))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    next_center = step_vec if step > 0.0 else np.zeros(n)
-    e1 = np.array([1.0] + [0.0] * (n - 1))
-    theta = math.inf
-    for d in np.vstack((next_center[None, :], next_center + rho0 / 8.0 * dirs)):
-        dist = max(float(np.linalg.norm(d)), rho0 / 8.0)
-        try:
-            val, _, _ = barrier_eval(spec, spec.center + dist * e1)
-        except OutOfDomainError:
-            val = 0.0  # ball escapes the annulus: nothing propagates
-        theta = min(theta, val)
+    pts = np.vstack((next_center[None, :], next_center + rho0 / 8.0 * dirs))
+    # vecdot sums each row as np.linalg.norm does, to the bit
+    far = _radial_value(spec, max(float(np.sqrt(np.vecdot(pts, pts).max())),
+                                  rho0 / 8.0))
+    theta = 0.0 if far is None else far[0]
     values = [float(v_lower)]
     broken_at = None
     for l in range(1, chain_length + 1):
@@ -393,13 +389,14 @@ def cap_bound_constant(nu: float, n: int, r: float) -> float:
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     radii = rng.uniform(rho0 / 8.0, float(zt[-1]), size=_CAP_SAMPLES)
     pts = zt[None, :] + dirs * radii[:, None]
+    diff = pts - zt
+    # vecdot sums each row as np.linalg.norm does, to the bit; the powers
+    # stay Python float ones, which numpy's array ** misses in the last
+    # bit on some inputs
+    dists = np.sqrt(np.vecdot(diff, diff)).tolist()
     best = 0.0
-    for p in pts:
-        if p[-1] <= 1e-12 * r:
-            continue
-        try:
-            val, _, _ = barrier_eval(spec, p)
-        except OutOfDomainError:
-            continue
-        best = max(best, val * r / (4.0 * p[-1]))
+    for d, xn in zip(dists, pts[:, -1].tolist()):
+        radial = _radial_value(spec, d)
+        if xn > 1e-12 * r and radial is not None:
+            best = max(best, radial[0] * r / (4.0 * xn))
     return best

@@ -13,15 +13,14 @@ preset id given an argument it does not take, missing one it needs or
 given one that is not a number, and ``modulus --csv`` together with
 ``--preset``.  Reports are plain text (key: value) and CSV,
 byte-reproducible for fixed flags and build; every report embeds the
-resolved configuration.  Only ``verify`` and ``geometry`` draw samples,
-so only they take ``--seed``.  The default output directory comes from
-HOPFLAB_OUT.
+resolved configuration.  Only ``verify`` draws random samples, so only it
+takes ``--seed``.  Reports go to ``--out``, by default the working
+directory.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -40,7 +39,7 @@ def _out_file(args, name: str) -> Path:
     """Path of the report ``name`` in the output directory.  The directory
     is made here, at a command's first write, which comes after every
     input check, so a rejected input leaves nothing behind."""
-    out = Path(args.out or os.environ.get("HOPFLAB_OUT") or ".")
+    out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
     return out / name
 
@@ -111,8 +110,7 @@ def _cmd_geometry(args) -> int:
         rows.append(f"{r!r},{rep.delta_r!r},{rep.delta1_r!r},"
                     f"{rep.lower_ok},{rep.upper_ok}")
     frame = geo.extremal_frame(profile, rs[0])
-    ball = geo.ball_inclusion_check(profile, frame, nu=args.nu,
-                                    seed=args.seed)
+    ball = geo.ball_inclusion_check(profile, frame, nu=args.nu)
     _write(args, "geometry_table.csv", "\n".join(rows) + "\n")
     summary = _echo_config({
         "profile": args.profile,
@@ -123,7 +121,6 @@ def _cmd_geometry(args) -> int:
         "ball_included": ball.included,
         "ball_margin": repr(ball.margin),
         "smallness_ok": ball.smallness_ok,
-        "seed": args.seed,
     })
     _write(args, "geometry_summary.txt", summary)
     sys.stdout.write(summary)
@@ -187,7 +184,7 @@ def _cmd_verify(args) -> int:
                                   chain_length=int(np.ceil(window[0])))
     lines["chain_theta"] = repr(chain.theta)
     lines["cap_bound_constant"] = repr(
-        float(barriers.cap_bound_constant(args.nu, args.n, r)))
+        barriers.cap_bound_constant(args.nu, args.n, r))
 
     sandwich_bad = 0
     for trial in range(args.profiles):
@@ -304,11 +301,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     # flags shared by several subcommands, declared once; the defaults of
-    # a run are HopfExperiment's.  Only the sampling commands take a seed
+    # a run are HopfExperiment's
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=None)
-    seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", type=int, default=0)
     radius = argparse.ArgumentParser(add_help=False)
     radius.add_argument("--R0", type=float, default=decay.HopfExperiment.R0)
     run = argparse.ArgumentParser(add_help=False, parents=[common, radius])
@@ -324,15 +319,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, default=40)
     p.set_defaults(func=_cmd_modulus)
 
-    p = sub.add_parser("geometry", parents=[common, seeded, radius],
+    p = sub.add_parser("geometry", parents=[common, radius],
                        help="delta/delta1 table, frame and ball")
     p.add_argument("--profile", default="power:0.5")
     p.add_argument("--nu", type=float, default=0.5)
     p.add_argument("--levels", type=int, default=4)
     p.set_defaults(func=_cmd_geometry)
 
-    p = sub.add_parser("verify", parents=[common, seeded],
+    p = sub.add_parser("verify", parents=[common],
                        help="barrier certificates and property suites")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--nu", type=float, default=0.5)
     p.add_argument("--n", type=int, default=2,
                    help="dimension, 2 to 16 (2^n corner matrices are "

@@ -118,13 +118,15 @@ class MaxAffineProfile:
 BoundaryProfile = Union[RadialProfile, MaxAffineProfile]
 
 
-def profile_height(profile: BoundaryProfile, xprime) -> float:
-    """F at a single point x' of any ambient dimension."""
+def profile_height(profile: BoundaryProfile, xprime):
+    """F at a point x' of any ambient dimension, a float, or at each row
+    of an array of points, an array."""
     xp = np.atleast_1d(np.asarray(xprime, dtype=float))
     if isinstance(profile, RadialProfile):
-        return float(profile.f(float(np.linalg.norm(xp))))
-    vals = profile.slopes @ xp + profile.offsets
-    return float(vals.max())
+        out = np.asarray(profile.f(np.linalg.norm(xp, axis=-1)), dtype=float)
+    else:
+        out = (xp @ profile.slopes.T + profile.offsets).max(axis=-1)
+    return float(out) if out.ndim == 0 else out
 
 
 # argument defaults of each profile preset, None where required
@@ -226,26 +228,16 @@ def _active_pieces(profile: MaxAffineProfile, r: float) -> np.ndarray:
     p, c = profile.slopes, profile.offsets
     k, d = p.shape
     if d == 1:
-        # exact: piece i is active on the interval cut by the halflines
-        # (p_i - p_j) x >= c_j - c_i
-        active = np.zeros(k, dtype=bool)
-        for i in range(k):
-            lo, hi = -r, r
-            ok = True
-            for j in range(k):
-                if i == j:
-                    continue
-                a = p[i, 0] - p[j, 0]
-                b = c[j] - c[i]
-                if a > 0.0:
-                    lo = max(lo, b / a)
-                elif a < 0.0:
-                    hi = min(hi, b / a)
-                elif b > 1e-15:  # parallel piece strictly above
-                    ok = False
-                    break
-            active[i] = ok and lo <= hi + 1e-15
-        return active
+        # exact: piece i is active on the interval [-r, r] cut by the
+        # halflines (p_i - p_j) x >= c_j - c_i, unless a parallel piece
+        # lies strictly above it (the diagonal, a = b = 0, cuts nothing)
+        a = p[:, 0, None] - p[None, :, 0]
+        b = c[None, :] - c[:, None]
+        cut = np.divide(b, a, out=np.zeros_like(b), where=a != 0.0)
+        lo = np.where(a > 0.0, cut, -r).max(axis=1)
+        hi = np.where(a < 0.0, cut, r).min(axis=1)
+        above = ((a == 0.0) & (b > 1e-15)).any(axis=1)
+        return ~above & (lo <= hi + 1e-15)
     # sampled activity detection on a direction/radius grid plus each
     # piece's dominant point r p_i/|p_i| (the latter guarantees that the
     # piece realizing delta is detected, hence delta <= delta1)
@@ -385,13 +377,13 @@ _BALL_SAMPLES = 512   # boundary points of the ball that the check tests
 
 
 def ball_inclusion_check(profile: BoundaryProfile, frame: ExtremalFrame,
-                         nu: float, seed: int = 0) -> BallInclusionReport:
+                         nu: float) -> BallInclusionReport:
     """Check that the ball B_rho0(z0) stays above the graph.
 
     In frame coordinates z0 = (r/2, 0, ..., 0, gamma r/4) with
     gamma = nu/sqrt(n-1) and rho0 = gamma r/8.  The center and
     ``_BALL_SAMPLES`` points of the boundary sphere (equispaced at n = 2,
-    Gaussian directions from ``seed`` above) are mapped to x-coordinates
+    Gaussian directions from a fixed seed above) are mapped to x-coordinates
     and tested against x_n > F(x'); the report carries the worst margin.
     Whenever 16 delta(2r) < gamma (2 cos phi - 1) the result is
     guaranteed True.  The smallness premise delta1(R0) <= 3/4 is reported
@@ -412,17 +404,14 @@ def ball_inclusion_check(profile: BoundaryProfile, frame: ExtremalFrame,
     z0_y[-1] = gamma * r / 4.0
     z0_x = frame.to_x(z0_y)
 
-    rng = np.random.default_rng(seed)
     if n == 2:
         ang = np.linspace(0.0, 2.0 * math.pi, _BALL_SAMPLES, endpoint=False)
         dirs = np.column_stack((np.cos(ang), np.sin(ang)))
     else:
-        dirs = rng.standard_normal((_BALL_SAMPLES, n))
+        dirs = np.random.default_rng(0).standard_normal((_BALL_SAMPLES, n))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     pts = np.vstack((z0_x[None, :], z0_x[None, :] + rho0 * dirs))
-    heights = np.array([profile_height(profile, p[:-1]) for p in pts])
-    margins = pts[:, -1] - heights
-    margin = float(margins.min())
+    margin = float((pts[:, -1] - profile_height(profile, pts[:, :-1])).min())
 
     cos_phi = math.cos(frame.phi)
     sufficient = 16.0 * delta(profile, 2.0 * r) < gamma * (2.0 * cos_phi - 1.0)

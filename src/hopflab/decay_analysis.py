@@ -320,8 +320,11 @@ def growth_recursion_bound(sigma: Modulus, mathfrak_b: float,
     otherwise a ``ValueError`` names the minimal admissible k0 (when the
     sigma term alone blocks the bound, no k0 works and the error says to
     shrink rho_ratio).  The M_k trajectory takes the recursion as
-    equality, which dominates the true inequality.
+    equality, which dominates the true inequality.  A ``horizon`` below 2
+    raises ``ValueError``.
     """
+    if horizon < 2:
+        raise ValueError(f"horizon must be at least 2, got {horizon}")
     if not 0.0 < vartheta < 1.0:
         raise ValueError("vartheta must lie in (0, 1)")
     if not 0.0 < rho_ratio <= 1.0:

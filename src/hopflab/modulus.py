@@ -277,22 +277,33 @@ def from_table(t: Sequence[float], s: Sequence[float]) -> Modulus:
     return Modulus(fn=_eval)
 
 
+def _number(field: str):
+    """The float a CSV field spells, or None."""
+    try:
+        return float(field)
+    except ValueError:
+        return None
+
+
 def load_csv(path) -> Modulus:
     """Load a tabulated modulus from a two-column CSV (t, sigma).
 
-    One header line is allowed, as the first nonblank line; abscissae
-    must be strictly increasing.
+    The first nonblank line is a header when its first field is not a
+    number.  Every other nonblank line must hold exactly two numbers, or
+    ``ValueError`` names it; abscissae must be strictly increasing.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [line for line in (raw.strip() for raw in fh) if line]
+        lines = [(n, line) for n, line in
+                 enumerate((raw.strip() for raw in fh), start=1) if line]
     rows = []
-    for n, line in enumerate(lines):
-        parts = [p.strip() for p in line.split(",")]
-        try:
-            rows.append((float(parts[0]), float(parts[1])))
-        except (ValueError, IndexError):
-            if n > 0:  # only the first line may be a header
-                raise ValueError(f"malformed CSV row: {line!r}")
+    for k, (n, line) in enumerate(lines):
+        fields = [_number(f) for f in line.split(",")]
+        if k == 0 and fields[0] is None:
+            continue  # the header
+        if len(fields) != 2 or None in fields:
+            raise ValueError(f"malformed CSV row at line {n}: {line!r} "
+                             f"(need two numbers t, sigma)")
+        rows.append(tuple(fields))
     if len(rows) < 2:
         raise ValueError("modulus CSV needs at least two data rows")
     t, s = zip(*rows)

@@ -86,10 +86,10 @@ def test_hessian_matches_finite_differences():
 
 def test_out_of_domain():
     spec = B.annulus_barrier(1.0, 0.2, 8.0, center=[0.0, 0.0])
-    with pytest.raises(B.OutOfDomainError):
+    with pytest.raises(ValueError, match="^point outside the annulus$"):
         B.barrier_eval(spec, np.array([0.5, 0.5]))
     cyl = B.cylinder_barrier(1.0, 0.2, 0.5, 2)
-    with pytest.raises(B.OutOfDomainError):
+    with pytest.raises(ValueError, match="^point outside the cylinder slab$"):
         B.barrier_eval(cyl, np.array([0.0, 0.5]))
 
 
@@ -183,6 +183,18 @@ def test_radial_certificate_attainable_threshold():
     assert rep.sampled_min_bracket < 0.0
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 8])
+def test_admissible_corners_match_the_loop(n):
+    # the 2^n corner matrices equal, to the bit, the ones a loop over the
+    # bit patterns builds; the random matrices follow them
+    nu = 0.3
+    mats = B.sample_admissible_matrices(nu, n, 5, np.random.default_rng(1))
+    corners = [np.diag([nu if (bits >> i) & 1 else 1.0 / nu
+                        for i in range(n)]) for bits in range(2**n)]
+    assert mats.shape == (2**n + 5, n, n)
+    assert mats[:2**n].tobytes() == np.asarray(corners).tobytes()
+
+
 def test_admissible_sampler_spectrum():
     rng = np.random.default_rng(0)
     mats = B.sample_admissible_matrices(0.5, 3, 200, rng)
@@ -232,6 +244,78 @@ def test_chain_scale_invariance():
     b = B.growth_chain(1.0, 0.5, 2, 0.2, chain_length=12)
     assert a.theta == pytest.approx(b.theta, rel=1e-12)
     assert a.k_final == pytest.approx(b.k_final, rel=1e-12)
+
+
+# ---------------------------------------------------------------- reference
+
+def loop_theta(nu, n, r, chain_length):
+    """growth_chain's theta as the minimum of one barrier_eval per
+    sampled point of the next ball, 0 for a point off the annulus."""
+    z0, zt, rho0, _ = B.chain_geometry(nu, n, r)
+    step_vec = (zt - z0) / chain_length
+    spec = B.annulus_barrier(1.0, rho0, n / nu**2, center=np.zeros(n))
+    if n == 2:
+        ang = np.linspace(0.0, 2.0 * math.pi, 256, endpoint=False)
+        dirs = np.column_stack((np.cos(ang), np.sin(ang)))
+    else:
+        dirs = np.random.default_rng(0).standard_normal((256, n))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    e1 = np.eye(n)[0]
+    theta = math.inf
+    for d in np.vstack((step_vec[None, :], step_vec + rho0 / 8.0 * dirs)):
+        dist = max(float(np.linalg.norm(d)), rho0 / 8.0)
+        try:
+            val = B.barrier_eval(spec, dist * e1)[0]
+        except ValueError:
+            val = 0.0
+        theta = min(theta, val)
+    return theta
+
+
+def loop_cap_constant(nu, n, r):
+    """cap_bound_constant as the maximum of W r/(4 x_n), one barrier_eval
+    per sampled point, skipping those off the annulus or on x_n = 0."""
+    z0, zt, rho0, _ = B.chain_geometry(nu, n, r)
+    spec = B.capped_barrier(1.0, rho0, n / nu**2, center=zt,
+                            outer_radius=float(zt[-1]))
+    rng = np.random.default_rng(0)
+    dirs = rng.standard_normal((4000, n))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    radii = rng.uniform(rho0 / 8.0, float(zt[-1]), size=4000)
+    best = 0.0
+    for p in zt[None, :] + dirs * radii[:, None]:
+        if p[-1] <= 1e-12 * r:
+            continue
+        try:
+            val = B.barrier_eval(spec, p)[0]
+        except ValueError:
+            continue
+        best = max(best, val * r / (4.0 * p[-1]))
+    return best
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8, 16])
+def test_theta_and_cap_constant_match_the_point_loop(n):
+    # both pinned to the bit to the per-point loops, wherever the loop
+    # returns: at nu = 0.3, n >= 8 and small r, |x - z|^-s overflows
+    checked = 0
+    for nu in (0.3, 0.5, 0.7):
+        for r in (0.05, 0.37, 1.0, 64.0 * math.sqrt(n - 1) / nu):
+            length = int(math.ceil(B.chain_geometry(nu, n, r)[3][0]))
+            try:
+                theta = loop_theta(nu, n, r, length)
+                cap = loop_cap_constant(nu, n, r)
+            except OverflowError:
+                continue
+            assert B.growth_chain(1.0, nu, n, r, length).theta == theta
+            assert B.cap_bound_constant(nu, n, r) == cap
+            checked += 1
+    assert checked >= 9
+
+
+def test_cap_constant_skips_the_hessian():
+    # the Hessian's |x - z|^(-s-4) overflows here, the value does not
+    assert math.isfinite(B.cap_bound_constant(0.2, 3, 0.05))
 
 
 # ---------------------------------------------------------------- cap bound

@@ -175,6 +175,7 @@ def test_out_of_memory_exit_3(tmp_path, capsys, monkeypatch, command):
 # is drawn from it: argparse's usage error, before the command runs
 UNKNOWN_FLAGS = [
     ["modulus", "--seed", "1"],
+    ["geometry", "--seed", "1"],
     ["solve", "--seed", "1"],
     ["decay", "--seed", "1"],
     ["solve", "--config", "x"],
@@ -256,10 +257,9 @@ def test_bad_input_exit_2(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("command", [
     ["verify", "--samples", "200", "--profiles", "2"],
-    ["geometry", "--levels", "1"],
-], ids=["verify", "geometry"])
+], ids=["verify"])
 def test_seed_reaches_the_sampling_commands(tmp_path, command):
-    # their samples are drawn from the seed, which each summary echoes
+    # verify alone draws random samples, from the seed its summary echoes
     assert run_cli(command + ["--seed", "1"], tmp_path) == 0
     summary = (tmp_path / f"{command[0]}_summary.txt").read_text()
     assert "seed: 1" in summary.splitlines()

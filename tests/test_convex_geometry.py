@@ -141,6 +141,48 @@ def test_delta1_maxaffine_active_pieces():
     assert G.delta1(ma, 0.1) == 2.0
 
 
+def loop_active_pieces(profile, r):
+    """Planar activity, piece by piece: the interval [-r, r] cut by the
+    halflines (p_i - p_j) x >= c_j - c_i, empty under a parallel piece
+    strictly above."""
+    p, c = profile.slopes[:, 0], profile.offsets
+    active = []
+    for i in range(p.size):
+        lo, hi, ok = -r, r, True
+        for j in range(p.size):
+            a, b = p[i] - p[j], c[j] - c[i]
+            if i == j:
+                continue
+            if a > 0.0:
+                lo = max(lo, b / a)
+            elif a < 0.0:
+                hi = min(hi, b / a)
+            elif b > 1e-15:
+                ok = False
+        active.append(ok and lo <= hi + 1e-15)
+    return active
+
+
+def test_planar_active_pieces_match_the_loop():
+    # slopes and offsets on a coarse lattice, so that pieces are parallel
+    # (equal slopes), coincide, or touch at the ball's edge
+    rng = np.random.default_rng(8)
+    kinds = set()
+    for _ in range(300):
+        k = int(rng.integers(1, 8))
+        slopes = rng.integers(-4, 5, size=(k, 1)) / 2.0
+        offsets = -rng.integers(0, 5, size=k) / 20.0
+        offsets[rng.integers(k)] = 0.0
+        prof = G.MaxAffineProfile(slopes=slopes, offsets=offsets, R0=0.5)
+        for r in (0.05, 0.1, 0.2, 0.25):
+            mask = G._active_pieces(prof, r)
+            assert mask.tolist() == loop_active_pieces(prof, r)
+            kinds.update(mask.tolist())
+        if k > np.unique(slopes).size:
+            kinds.add("parallel")
+    assert kinds == {True, False, "parallel"}
+
+
 def test_moduli_nondecreasing_in_r():
     rng = np.random.default_rng(5)
     profiles = [G.preset_profile(p, R0=0.5)

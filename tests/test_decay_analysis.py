@@ -38,6 +38,16 @@ def test_decay_input_checks(call, match):
         call()
 
 
+@pytest.mark.parametrize("horizon", [1, 0, -3])
+def test_recursion_refuses_a_horizon_below_2(horizon):
+    # at mathfrak_b = 0.01 gamma_1 <= 1/2, and each horizon once ended in
+    # an IndexError deep in the recursion
+    with pytest.raises(ValueError,
+                       match=f"^horizon must be at least 2, got {horizon}$"):
+        D.growth_recursion_bound(M.preset_modulus("linear"), 0.01, 1.0, 0.5,
+                                 k0=30, horizon=horizon)
+
+
 # ---------------------------------------------------------------- runs
 
 def test_flat_experiment_holds():

@@ -515,6 +515,20 @@ def test_csv_loading(tmp_path):
     assert sigma(1.0) == pytest.approx(1.0)
 
 
+# a first row of one field was once taken for a header and skipped, and
+# a row of three fields read as its first two
+@pytest.mark.parametrize("text, row", [
+    ("0.5\n0.0,0.0\n1.0,1.0\n", "line 1: '0.5'"),
+    ("0.0,0.0\n\n0.1,0.2,0.3\n1.0,1.0\n", "line 3: '0.1,0.2,0.3'"),
+], ids=["one-field-first-row", "three-field-row"])
+def test_csv_refuses_rows_without_two_fields(tmp_path, text, row):
+    path = tmp_path / "short.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^malformed CSV row at {row} "
+                                         r"\(need two numbers t, sigma\)$"):
+        M.load_csv(path)
+
+
 def test_csv_rejects_nonmonotone(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("0.0,0.0\n0.5,0.7\n1.0,0.5\n", encoding="utf-8")

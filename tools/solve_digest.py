@@ -23,6 +23,12 @@ value, or the ``QuadratureToleranceError`` text and partial sum) and
 ``dini_classify``'s verdicts, growth exponent and the SHA-256 of its
 partial integrals and increment ratios.
 
+Last, the verification chain beyond the lines ``verify`` prints: its
+``chain_theta`` and ``cap_bound_constant`` for n = 2..16 and nu in
+{0.3, 0.5, 0.7}, at verify's r = 64 sqrt(n-1)/nu, and the delta1 values
+at R0/4 and R0/8 of the 50 sandwich-suite profiles a default ``verify``
+draws, of which it reports only the violation count.
+
 Everything here is deterministic, so a change that is not meant to move
 a result is checked by
 
@@ -43,6 +49,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from hopflab import barriers as B  # noqa: E402
 from hopflab import convex_geometry as G  # noqa: E402
 from hopflab import decay_analysis as D  # noqa: E402
 from hopflab import elliptic_operator as E  # noqa: E402
@@ -136,6 +143,31 @@ def boundary_modulus_lines():
                f"ratios {sha(v.increment_ratios)}")
 
 
+def verify_lines():
+    for n, nu in itertools.product(range(2, 17), (0.3, 0.5, 0.7)):
+        r = 64.0 * (n - 1) ** 0.5 / nu
+        window = B.chain_geometry(nu, n, r)[3]
+        chain = B.growth_chain(1.0, nu, n, r,
+                               chain_length=int(np.ceil(window[0])))
+        # float(): a checkout whose cap_bound_constant returns a numpy
+        # scalar prints the same line
+        yield (f"verify n={n} nu={nu!r}: chain_theta {chain.theta!r} "
+               f"cap_bound_constant {float(B.cap_bound_constant(nu, n, r))!r}")
+    # the profiles of verify's sandwich suite at --seed 0 --profiles 50,
+    # drawn as cli._cmd_verify draws them
+    rng = np.random.default_rng(0)
+    for trial in range(50):
+        k = int(rng.integers(2, 7))
+        slopes = np.vstack((np.zeros((1, 1)),
+                            rng.normal(0.0, 1.0, size=(k, 1))))
+        offsets = np.concatenate(([0.0],
+                                  -np.abs(rng.normal(0.0, 0.05, size=k))))
+        prof = G.MaxAffineProfile(slopes=slopes, offsets=offsets, R0=0.5)
+        yield (f"sandwich profile {trial}: delta1 "
+               f"{G.delta1(prof, prof.R0 / 4.0)!r} "
+               f"{G.delta1(prof, prof.R0 / 8.0)!r}")
+
+
 def main(argv) -> int:
     if argv:
         print(__doc__, file=sys.stderr)
@@ -145,7 +177,8 @@ def main(argv) -> int:
         digest = hashlib.sha256(sol.vec.tobytes()).hexdigest()
         print(f"{name}: vec {digest} fill {sol.fill} "
               f"iterations {sol.iterations} residual {sol.residual_norm!r}")
-    for line in itertools.chain(recursion_lines(), boundary_modulus_lines()):
+    for line in itertools.chain(recursion_lines(), boundary_modulus_lines(),
+                                verify_lines()):
         print(line)
     return 0
 
